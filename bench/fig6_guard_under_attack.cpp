@@ -10,6 +10,8 @@
 // holds >=100K legit to 200K attack and ~80K at 250K, where the guard's
 // CPU saturates; spoof-detection CPU overhead is 15-25%.
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "bench/bench_common.h"
 
@@ -68,8 +70,9 @@ Point run_point(double attack_rate, bool protection,
 /// online AttackMonitor (EWMA/MAD over per-window drop deltas) must flag
 /// the onset. On onset the simulator's flight recorder dumps metrics,
 /// time-series windows, trace rings and open journeys to
-/// $DNSGUARD_FLIGHTREC_DIR (default: CWD).
-void run_detection_timeline(JsonResultWriter& json) {
+/// $DNSGUARD_FLIGHTREC_DIR (default: CWD). Returns false when a watched
+/// series is missing from the sampler.
+bool run_detection_timeline(JsonResultWriter& json) {
   Testbed bed;
   bed.make_ans(AnsKind::Simulator);
   bed.make_guard(guard::Scheme::ModifiedDns);
@@ -88,10 +91,14 @@ void run_detection_timeline(JsonResultWriter& json) {
   monitor.set_on_onset([&bed](const obs::AttackMonitor::Event& e) {
     bed.sim.flight_recorder().dump("fig6_onset", e.at);
   });
+  std::vector<std::string> missing;
   bed.on_sampling_started = [&] {
-    monitor.bind(bed.sim.timeseries(), bed.sim.metrics());
+    missing = monitor.bind(bed.sim.timeseries(), bed.sim.metrics());
   };
   bed.measure(quick(milliseconds(500), milliseconds(200)), window);
+  for (const std::string& name : missing) {
+    std::fprintf(stderr, "unknown monitor series: %s\n", name.c_str());
+  }
 
   std::uint64_t onsets = 0;
   for (const auto& e : monitor.events()) onsets += e.onset ? 1 : 0;
@@ -101,6 +108,7 @@ void run_detection_timeline(JsonResultWriter& json) {
   json.add_section("anomaly_events", monitor.events_json(2));
   std::printf("[detect] %zu anomaly event(s), under_attack=%d\n",
               monitor.events().size(), monitor.under_attack() ? 1 : 0);
+  return missing.empty();
 }
 
 }  // namespace
@@ -144,8 +152,8 @@ int main() {
     json.add(key + ".guard_cpu_off", off.guard_cpu);
   }
   obs::prof::profiler.disable();
-  run_detection_timeline(json);
+  const bool detector_ok = run_detection_timeline(json);
   prof.attach(json);
   json.write();
-  return 0;
+  return detector_ok ? 0 : 1;
 }

@@ -27,6 +27,7 @@
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "bench/bench_common.h"
 #include "obs/anomaly.h"
@@ -149,8 +150,8 @@ ScenarioResult run_scenario(const ScenarioSpec& spec, const Durations& d,
   disc.malicious_series = {"guard.spoofs_dropped", "guard.rl1_throttled",
                            "guard.rl2_throttled", "guard.malformed"};
   disc.load_series = {"guard.requests_seen"};
-  disc.source_series = {"guard.rl1.table.inserts",
-                        "guard.rl2.table.inserts"};
+  disc.source_series = {"guard.shard0.rl1.table.inserts",
+                        "guard.shard0.rl2.table.inserts"};
   disc.attack_mix_threshold = 0.4;
   monitor.set_discriminator(disc);
 
@@ -164,7 +165,12 @@ ScenarioResult run_scenario(const ScenarioSpec& spec, const Durations& d,
   bed.sim_ans->reset_stats();
   bed.sim.start_timeseries(d.sample);
   if (spec.with_monitor) {
-    monitor.bind(bed.sim.timeseries(), bed.sim.metrics());
+    const std::vector<std::string> missing =
+        monitor.bind(bed.sim.timeseries(), bed.sim.metrics());
+    for (const std::string& name : missing) {
+      std::fprintf(stderr, "unknown monitor series: %s\n", name.c_str());
+    }
+    require(missing.empty(), "monitor series missing from the sampler");
   }
   // This bench drives the window by hand (no bed.measure()), so the
   // cost-attribution capture is wired by hand too. Profiling reads only

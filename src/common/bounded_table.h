@@ -285,23 +285,6 @@ class BoundedTable {
     return reaped;
   }
 
-  /// Issues a hardware prefetch for `key`'s home bucket and, when the
-  /// bucket is occupied, its slot. The shard batch pre-pass calls this for
-  /// every source address in a burst so the limiter-bucket lookups that
-  /// follow hit warm lines. No LRU motion, no stats, no side effects.
-  void prefetch(const Key& key) const {
-#if defined(__GNUC__) || defined(__clang__)
-    const std::size_t b = bucket_of(key);
-    __builtin_prefetch(&index_[b]);
-    const std::uint32_t ref = index_[b];
-    if (ref != 0 && ref - 1 < slots_.size()) {
-      __builtin_prefetch(&slots_[ref - 1]);
-    }
-#else
-    (void)key;
-#endif
-  }
-
   template <typename Fn>
   void for_each(Fn&& fn) {
     for (auto& s : slots_) {

@@ -132,13 +132,4 @@ VerifyResult RotatingKeys::verify_prefix32_ex(
   return {false, !is_current, stale};
 }
 
-void RotatingKeys::verify_prefix32_batch(const std::uint32_t* ips,
-                                         const std::uint32_t* presented_prefixes,
-                                         VerifyResult* out,
-                                         std::size_t n) const {
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] = verify_prefix32_ex(ips[i], presented_prefixes[i]);
-  }
-}
-
 }  // namespace dnsguard::crypto

@@ -41,8 +41,7 @@ using Cookie = std::array<std::uint8_t, kCookieSize>;
 /// MD5 midstate (the first 64 key bytes fill exactly one compression
 /// block). Each compute() then copies the small context, appends the
 /// 4-byte address and finalizes — one block process per cookie instead of
-/// two, which roughly halves the verifier's wall cost and is what makes
-/// batched verification in the shard hot path worthwhile.
+/// two, which roughly halves every mint's and verifier's wall cost.
 class CookieHasher {
  public:
   CookieHasher() = default;
@@ -135,14 +134,6 @@ class RotatingKeys {
   }
   [[nodiscard]] VerifyResult verify_prefix32_ex(
       std::uint32_t ip, std::uint32_t presented_prefix) const;
-
-  /// Batched prefix verification for the shard hot path: verifies n
-  /// (ip, presented_prefix) pairs in one call. Equivalent to calling
-  /// verify_prefix32_ex per item; the batch form keeps the pre-keyed MD5
-  /// midstates hot in cache across items.
-  void verify_prefix32_batch(const std::uint32_t* ips,
-                             const std::uint32_t* presented_prefixes,
-                             VerifyResult* out, std::size_t n) const;
 
   [[nodiscard]] std::uint32_t generation() const { return generation_; }
 

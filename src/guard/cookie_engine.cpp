@@ -109,32 +109,6 @@ crypto::VerifyResult CookieEngine::verify_cookie_address_ex(
   return {false, false, false};
 }
 
-void CookieEngine::verify_jobs(const VerifyJob* jobs,
-                               crypto::VerifyResult* out, std::size_t n,
-                               net::Ipv4Address subnet_base,
-                               std::uint32_t r_y) const {
-  DNSGUARD_PROF_SCOPE(obs::prof::Stage::kGuardVerifyJobs);
-  // One call verifies a whole shard batch. Grouping the checks keeps the
-  // pre-keyed MD5 midstates and the key schedule hot across items; each
-  // item still costs exactly the per-kind verification it would cost
-  // individually (the virtual-time cost model is charged by the caller).
-  for (std::size_t i = 0; i < n; ++i) {
-    const VerifyJob& j = jobs[i];
-    switch (j.kind) {
-      case VerifyJob::Kind::kFull:
-        out[i] = keys_.verify_ex(j.requester.value(), j.cookie);
-        break;
-      case VerifyJob::Kind::kPrefix:
-        out[i] = keys_.verify_prefix32_ex(j.requester.value(), j.prefix);
-        break;
-      case VerifyJob::Kind::kAddress:
-        out[i] = verify_cookie_address_ex(j.requester, j.dst, subnet_base,
-                                          r_y);
-        break;
-    }
-  }
-}
-
 std::optional<crypto::Cookie> CookieEngine::extract_txt_cookie(
     const dns::Message& m) {
   for (const auto& rr : m.additional) {

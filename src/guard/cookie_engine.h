@@ -112,27 +112,6 @@ class CookieEngine {
       net::Ipv4Address requester, net::Ipv4Address dst,
       net::Ipv4Address subnet_base, std::uint32_t r_y) const;
 
-  // --- batched verification (shard hot path) -------------------------------
-
-  /// One cookie check of any encoding, tagged by kind. The shard batch
-  /// pre-pass collects one job per cookie-bearing packet and verifies the
-  /// whole burst in a single verify_jobs() call.
-  struct VerifyJob {
-    enum class Kind : std::uint8_t { kFull, kPrefix, kAddress } kind =
-        Kind::kFull;
-    net::Ipv4Address requester;
-    crypto::Cookie cookie{};      // kFull: the presented 16-byte cookie
-    std::uint32_t prefix = 0;     // kPrefix: presented 4-byte prefix
-    net::Ipv4Address dst;         // kAddress: the queried cookie address
-  };
-
-  /// Verifies `n` jobs in one call, writing one VerifyResult per job.
-  /// Equivalent to the per-item verifiers; `subnet_base`/`r_y` apply to
-  /// kAddress jobs.
-  void verify_jobs(const VerifyJob* jobs, crypto::VerifyResult* out,
-                   std::size_t n, net::Ipv4Address subnet_base,
-                   std::uint32_t r_y) const;
-
   // --- TXT encoding (modified-DNS scheme) ----------------------------------
 
   /// Finds a cookie TXT record in the additional section; returns its

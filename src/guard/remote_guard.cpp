@@ -61,6 +61,8 @@ std::size_t ceil_div(std::size_t total, std::size_t n) {
 // disjoint span so a response's destination port identifies its shard.
 constexpr std::uint16_t kNatPortBase = 20000;
 constexpr std::uint32_t kNatPortSpan = 40000;
+/// Packets a shard lane drains per service burst (N > 1).
+constexpr std::size_t kShardBurst = 32;
 
 }  // namespace
 
@@ -87,17 +89,14 @@ RemoteGuardNode::RemoteGuardNode(sim::Simulator& sim, std::string name,
                 .evict_lru_when_full = true}) {
   set_profile_stage(obs::prof::Stage::kGuardService);
   if (config_.num_shards == 0) config_.num_shards = 1;
-  if (config_.shard_batch_max == 0) config_.shard_batch_max = 1;
-  if (config_.shard_batch_max > kMaxShardBatch) {
-    config_.shard_batch_max = kMaxShardBatch;
-  }
   const std::size_t n = config_.num_shards;
-  batch_fastpath_ = config_.activation_threshold_rps <= 0;
 
   const std::uint32_t ports_per_shard = kNatPortSpan / static_cast<std::uint32_t>(n);
   nat_ports_per_shard_ = ports_per_shard;
   shards_.reserve(n);
   for (std::size_t k = 0; k < n; ++k) {
+    const auto port_base =
+        static_cast<std::uint16_t>(kNatPortBase + k * ports_per_shard);
     auto sh = std::make_unique<Shard>(Shard{
         ratelimit::CookieResponseLimiter(divide_rl1(config_.rl1, n)),
         ratelimit::VerifiedRequestLimiter(divide_rl2(config_.rl2, n)),
@@ -110,23 +109,21 @@ RemoteGuardNode::RemoteGuardNode(sim::Simulator& sim, std::string name,
         common::BoundedTable<net::Ipv4Address, ratelimit::TokenBucket>(
             {.capacity = ceil_div(config_.conn_bucket_capacity, n),
              .idle_timeout = config_.conn_bucket_idle}),
-        /*nat_port_base=*/
-        static_cast<std::uint16_t>(kNatPortBase + k * ports_per_shard),
+        /*nat_port_base=*/port_base,
         /*nat_port_limit=*/
-        n == 1 ? std::uint16_t{0}
-               : static_cast<std::uint16_t>(kNatPortBase +
-                                            (k + 1) * ports_per_shard),
-        /*next_nat_port=*/
-        static_cast<std::uint16_t>(kNatPortBase + k * ports_per_shard)});
+        static_cast<std::uint16_t>(port_base + ports_per_shard),
+        /*next_nat_port=*/port_base});
     shards_.push_back(std::move(sh));
   }
   cur_shard_ = shards_[0].get();
 
-  if (n > 1 || config_.force_shard_service) {
+  // One shard keeps the Node's FIFO receive queue: a lane would
+  // preallocate a ring as deep as the whole queue (DESIGN.md §13).
+  if (n > 1) {
     enable_sharded_service(n,
                            std::max<std::size_t>(
                                config_.rx_queue_capacity / n, std::size_t{16}),
-                           config_.shard_batch_max);
+                           kShardBurst);
   }
 
   tcp_ = std::make_unique<tcp::TcpStack>(
@@ -179,23 +176,13 @@ RemoteGuardNode::RemoteGuardNode(sim::Simulator& sim, std::string name,
     this->sim().journeys().mark({client.ip.value(), client.port, 0}, stage,
                                 now());
   });
-  if (n == 1) {
-    // Single shard keeps the historical metric names so existing tests,
-    // baselines and dashboards are untouched.
-    shards_[0]->rl1.bind_metrics(registry, "guard.rl1");
-    shards_[0]->rl2.bind_metrics(registry, "guard.rl2");
-    shards_[0]->pending.bind_metrics(registry, "guard.pending");
-    shards_[0]->nat.bind_metrics(registry, "guard.nat");
-    shards_[0]->conn_buckets.bind_metrics(registry, "guard.conn_buckets");
-  } else {
-    for (std::size_t k = 0; k < n; ++k) {
-      const std::string p = "guard.shard" + std::to_string(k);
-      shards_[k]->rl1.bind_metrics(registry, p + ".rl1");
-      shards_[k]->rl2.bind_metrics(registry, p + ".rl2");
-      shards_[k]->pending.bind_metrics(registry, p + ".pending");
-      shards_[k]->nat.bind_metrics(registry, p + ".nat");
-      shards_[k]->conn_buckets.bind_metrics(registry, p + ".conn_buckets");
-    }
+  for (std::size_t k = 0; k < n; ++k) {
+    const std::string p = "guard.shard" + std::to_string(k);
+    shards_[k]->rl1.bind_metrics(registry, p + ".rl1");
+    shards_[k]->rl2.bind_metrics(registry, p + ".rl2");
+    shards_[k]->pending.bind_metrics(registry, p + ".pending");
+    shards_[k]->nat.bind_metrics(registry, p + ".nat");
+    shards_[k]->conn_buckets.bind_metrics(registry, p + ".conn_buckets");
   }
   for (std::size_t i = 0; i < kSchemeCount; ++i) {
     std::string p =
@@ -294,14 +281,37 @@ void RemoteGuardNode::drop_other(const net::Packet& packet,
   jend("guard.drop", /*ok=*/false);
 }
 
-void RemoteGuardNode::note_verified(Scheme scheme, bool used_previous) {
-  if (used_previous) {
+bool RemoteGuardNode::admit_cookie(const net::Packet& packet, Scheme scheme,
+                                   crypto::VerifyResult vr) {
+  charge(config_.costs.cookie);
+  stats_.cookie_checks++;
+  if (!vr.ok) {
+    // `stale` (not `used_previous`) picks the reason: only a failure that
+    // matches a retired key generation is a stale-cookie retry; anything
+    // else is a forgery.
+    drop_spoof(packet, scheme,
+               vr.stale ? obs::DropReason::kStaleKey
+                        : obs::DropReason::kBadCookie);
+    return false;
+  }
+  if (vr.used_previous) {
     stats_.verified_prev_gen++;
   } else {
     stats_.verified_curr_gen++;
   }
   scheme_cells(scheme).verified++;
   jmark("guard.verify");
+  if (cur_shard_->rl2.allow(packet.src_ip, now())) return true;
+  stats_.rl2_throttled++;
+  drop_other(packet, obs::DropReason::kRateLimited2);
+  return false;
+}
+
+bool RemoteGuardNode::pass_rl1(const net::Packet& packet) {
+  if (cur_shard_->rl1.allow(packet.src_ip, now())) return true;
+  stats_.rl1_throttled++;
+  drop_other(packet, obs::DropReason::kRateLimited1);
+  return false;
 }
 
 void RemoteGuardNode::reply(const net::Packet& to, dns::Message response,
@@ -357,117 +367,6 @@ std::size_t RemoteGuardNode::shard_of(const net::Packet& packet) const {
   return shard_of_ip(packet.src_ip);
 }
 
-std::optional<crypto::VerifyResult> RemoteGuardNode::take_batch_verdict() {
-  if (!in_batch()) return std::nullopt;
-  BatchSlot& slot = batch_slots_[batch_index()];
-  if (!slot.has_verdict) return std::nullopt;
-  slot.has_verdict = false;  // one verdict per packet
-  return slot.verdict;
-}
-
-void RemoteGuardNode::on_batch_begin(std::size_t lane,
-                                     const net::Packet* batch,
-                                     std::size_t n) {
-  DNSGUARD_PROF_SCOPE(obs::prof::Stage::kGuardBatchPrepass);
-  if (n > kMaxShardBatch) n = kMaxShardBatch;  // batch_max is clamped; belt
-  // One trace entry covers the whole burst (the per-packet classify
-  // trace is amortized away on the sharded hot path).
-  mutable_trace_ring().record(now(), obs::TraceEvent::kBatch, 0, 0,
-                              static_cast<std::uint16_t>(n));
-  Shard& sh = *shards_[lane];
-  const auto& zone = config_.protected_zone;
-  std::size_t jobs = 0;
-  std::uint64_t requests = 0;
-
-  for (std::size_t k = 0; k < n; ++k) {
-    BatchSlot& slot = batch_slots_[k];
-    slot.msg.reset();
-    slot.has_verdict = false;
-    const net::Packet& p = batch[k];
-    if (!p.is_udp() || p.src_ip == config_.ans_address) continue;
-    std::optional<dns::Message> m;
-    {
-      DNSGUARD_PROF_SCOPE(obs::prof::Stage::kGuardDecode);
-      m = dns::Message::decode(BytesView(p.payload));
-    }
-    if (!m || m->header.qr || m->question() == nullptr) continue;
-    ++requests;
-    {
-      // Pull the limiter buckets this request will touch toward the cache
-      // while the rest of the burst decodes.
-      DNSGUARD_PROF_SCOPE(obs::prof::Stage::kGuardPrefetch);
-      sh.rl1.prefetch(p.src_ip);
-      sh.rl2.prefetch(p.src_ip);
-    }
-
-    // Collect cookie-verification work, mirroring handle_request's
-    // dispatch exactly: a TXT cookie wins regardless of scheme, then the
-    // per-scheme classification. Only meaningful when protection is
-    // unconditionally active — otherwise sub-threshold requests bypass
-    // verification and the precompute would diverge.
-    if (batch_fastpath_) {
-      const dns::Question& q = *m->question();
-      if (auto cookie = CookieEngine::extract_txt_cookie(*m)) {
-        if (!CookieEngine::is_zero_cookie(*cookie)) {
-          batch_jobs_[jobs] = CookieEngine::VerifyJob{
-              CookieEngine::VerifyJob::Kind::kFull, p.src_ip, *cookie, 0, {}};
-          batch_job_pos_[jobs++] = static_cast<std::uint8_t>(k);
-        }
-      } else {
-        switch (effective_scheme(p.src_ip)) {
-          case Scheme::ModifiedDns:  // falls back to NS-name classification
-          case Scheme::NsName:
-            if (q.qname.label_count() == zone.label_count() + 1 &&
-                q.qname.is_subdomain_of(zone)) {
-              if (auto parsed =
-                      CookieEngine::parse_cookie_label(q.qname.first_label())) {
-                batch_jobs_[jobs] = CookieEngine::VerifyJob{
-                    CookieEngine::VerifyJob::Kind::kPrefix, p.src_ip, {},
-                    parsed->cookie_prefix, {}};
-                batch_job_pos_[jobs++] = static_cast<std::uint8_t>(k);
-              }
-            }
-            break;
-          case Scheme::FabricatedNsIp:
-            if (!(p.dst_ip == config_.ans_address)) {
-              batch_jobs_[jobs] = CookieEngine::VerifyJob{
-                  CookieEngine::VerifyJob::Kind::kAddress, p.src_ip, {}, 0,
-                  p.dst_ip};
-              batch_job_pos_[jobs++] = static_cast<std::uint8_t>(k);
-            } else if (q.qname.label_count() >= 1) {
-              if (auto parsed =
-                      CookieEngine::parse_cookie_label(q.qname.first_label())) {
-                batch_jobs_[jobs] = CookieEngine::VerifyJob{
-                    CookieEngine::VerifyJob::Kind::kPrefix, p.src_ip, {},
-                    parsed->cookie_prefix, {}};
-                batch_job_pos_[jobs++] = static_cast<std::uint8_t>(k);
-              }
-            }
-            break;
-          case Scheme::PassThrough:
-          case Scheme::TcpRedirect:
-            break;
-        }
-      }
-    }
-    slot.msg = std::move(*m);
-  }
-
-  if (jobs > 0) {
-    engine_.verify_jobs(batch_jobs_.data(), batch_results_.data(), jobs,
-                        config_.subnet_base, config_.r_y);
-    for (std::size_t j = 0; j < jobs; ++j) {
-      BatchSlot& slot = batch_slots_[batch_job_pos_[j]];
-      slot.verdict = batch_results_[j];
-      slot.has_verdict = true;
-    }
-  }
-  // Amortize the request-rate estimator: one bulk record per burst
-  // instead of one call per packet (only valid when the threshold logic
-  // never reads mid-burst rates, i.e. protection is always on).
-  if (batch_fastpath_ && requests > 0) request_rate_.record(now(), requests);
-}
-
 SimDuration RemoteGuardNode::process(const net::Packet& packet) {
   cost_ = config_.costs.packet;  // ingress processing
   cur_jkey_valid_ = false;
@@ -519,13 +418,6 @@ SimDuration RemoteGuardNode::process(const net::Packet& packet) {
     return cost_;
   }
 
-  // On the sharded path the batch pre-pass already decoded this packet;
-  // reuse its message instead of decoding twice.
-  if (in_batch() && batch_slots_[batch_index()].msg.has_value()) {
-    handle_request(packet, *batch_slots_[batch_index()].msg);
-    return cost_;
-  }
-
   std::optional<dns::Message> m;
   {
     DNSGUARD_PROF_SCOPE(obs::prof::Stage::kGuardDecode);
@@ -545,17 +437,16 @@ SimDuration RemoteGuardNode::process(const net::Packet& packet) {
 void RemoteGuardNode::handle_request(const net::Packet& packet,
                                      const dns::Message& query) {
   stats_.requests_seen++;
-  // In a shard burst the classify trace and the rate-estimator update are
-  // amortized: one kBatch trace entry and one bulk record() per burst
-  // (mathematically identical — same sim instant, summed count).
-  if (!in_batch()) trace(obs::TraceEvent::kClassify, packet);
+  trace(obs::TraceEvent::kClassify, packet);
   if (sim().journeys().enabled()) {
     cur_jkey_ = {packet.src_ip.value(), query.header.id,
                  query.question()->qname.hash32()};
     cur_jkey_valid_ = true;
     jmark("guard.rx");
   }
-  if (!(in_batch() && batch_fastpath_)) request_rate_.record(now());
+  // protection_active() is the estimator's only reader, and it reads the
+  // rate only under an activation threshold.
+  if (config_.activation_threshold_rps > 0) request_rate_.record(now());
 
   bool to_subnet = !(packet.dst_ip == config_.ans_address);
 
@@ -604,11 +495,7 @@ void RemoteGuardNode::do_modified_dns(const net::Packet& packet,
   if (CookieEngine::is_zero_cookie(cookie)) {
     // msg 2: a cookie request. Reply msg 3 (same size; no amplification),
     // through Rate-Limiter1.
-    if (!cur_shard_->rl1.allow(packet.src_ip, now())) {
-      stats_.rl1_throttled++;
-      drop_other(packet, obs::DropReason::kRateLimited1);
-      return;
-    }
+    if (!pass_rl1(packet)) return;
     charge(config_.costs.cookie);
     stats_.cookies_minted++;
     scheme_cells(Scheme::ModifiedDns).minted++;
@@ -621,27 +508,8 @@ void RemoteGuardNode::do_modified_dns(const net::Packet& packet,
     return;
   }
 
-  charge(config_.costs.cookie);
-  stats_.cookie_checks++;
-  crypto::VerifyResult vr;
-  if (auto pre = take_batch_verdict()) {
-    vr = *pre;  // verified in bulk by the batch pre-pass
-  } else {
-    vr = engine_.verify_ex(packet.src_ip, cookie);
-  }
-  if (!vr.ok) {
-    // `stale` (not `used_previous`) picks the reason: only a failure that
-    // matches a retired key generation is a stale-cookie retry; anything
-    // else is a forgery.
-    drop_spoof(packet, Scheme::ModifiedDns,
-               vr.stale ? obs::DropReason::kStaleKey
-                        : obs::DropReason::kBadCookie);
-    return;
-  }
-  note_verified(Scheme::ModifiedDns, vr.used_previous);
-  if (!cur_shard_->rl2.allow(packet.src_ip, now())) {
-    stats_.rl2_throttled++;
-    drop_other(packet, obs::DropReason::kRateLimited2);
+  if (!admit_cookie(packet, Scheme::ModifiedDns,
+                    engine_.verify_ex(packet.src_ip, cookie))) {
     return;
   }
   // msg 5: strip the extension; the ANS never sees cookies.
@@ -664,24 +532,9 @@ void RemoteGuardNode::do_ns_name(const net::Packet& packet,
   if (q.qname.label_count() == zone.label_count() + 1 &&
       q.qname.is_subdomain_of(zone)) {
     if (auto parsed = CookieEngine::parse_cookie_label(q.qname.first_label())) {
-      charge(config_.costs.cookie);
-      stats_.cookie_checks++;
-      crypto::VerifyResult vr;
-      if (auto pre = take_batch_verdict()) {
-        vr = *pre;
-      } else {
-        vr = engine_.verify_prefix_ex(packet.src_ip, parsed->cookie_prefix);
-      }
-      if (!vr.ok) {
-        drop_spoof(packet, Scheme::NsName,
-                   vr.stale ? obs::DropReason::kStaleKey
-                            : obs::DropReason::kBadCookie);
-        return;
-      }
-      note_verified(Scheme::NsName, vr.used_previous);
-      if (!cur_shard_->rl2.allow(packet.src_ip, now())) {
-        stats_.rl2_throttled++;
-        drop_other(packet, obs::DropReason::kRateLimited2);
+      if (!admit_cookie(packet, Scheme::NsName,
+                        engine_.verify_prefix_ex(packet.src_ip,
+                                                 parsed->cookie_prefix))) {
         return;
       }
       // msg 4: restore the next-level question. "PRxxxxxxxxcom" under the
@@ -719,11 +572,7 @@ void RemoteGuardNode::do_ns_name(const net::Packet& packet,
   dns::DomainName next_level = q.qname.suffix(zone.label_count() + 1);
   std::string next_label(next_level.first_label());
 
-  if (!cur_shard_->rl1.allow(packet.src_ip, now())) {
-    stats_.rl1_throttled++;
-    drop_other(packet, obs::DropReason::kRateLimited1);
-    return;
-  }
+  if (!pass_rl1(packet)) return;
   charge(config_.costs.cookie);
   stats_.cookies_minted++;
   scheme_cells(Scheme::NsName).minted++;
@@ -755,27 +604,10 @@ void RemoteGuardNode::do_fabricated_ns_ip(const net::Packet& packet,
 
   if (to_subnet) {
     // msg 7: the destination address is the cookie (COOKIE2).
-    charge(config_.costs.cookie);
-    stats_.cookie_checks++;
-    crypto::VerifyResult vr;
-    if (auto pre = take_batch_verdict()) {
-      vr = *pre;
-    } else {
-      vr = engine_.verify_cookie_address_ex(packet.src_ip, packet.dst_ip,
-                                            config_.subnet_base, config_.r_y);
-    }
-    if (!vr.ok) {
-      // This path used to charge every failure as kBadCookie, hiding
-      // stale-generation retries from the drop breakdown.
-      drop_spoof(packet, Scheme::FabricatedNsIp,
-                 vr.stale ? obs::DropReason::kStaleKey
-                          : obs::DropReason::kBadCookie);
-      return;
-    }
-    note_verified(Scheme::FabricatedNsIp, vr.used_previous);
-    if (!cur_shard_->rl2.allow(packet.src_ip, now())) {
-      stats_.rl2_throttled++;
-      drop_other(packet, obs::DropReason::kRateLimited2);
+    if (!admit_cookie(packet, Scheme::FabricatedNsIp,
+                      engine_.verify_cookie_address_ex(
+                          packet.src_ip, packet.dst_ip, config_.subnet_base,
+                          config_.r_y))) {
       return;
     }
     PendingAction action;
@@ -791,24 +623,9 @@ void RemoteGuardNode::do_fabricated_ns_ip(const net::Packet& packet,
   // msg 3: query for the fabricated NS name?
   if (q.qname.label_count() >= 1) {
     if (auto parsed = CookieEngine::parse_cookie_label(q.qname.first_label())) {
-      charge(config_.costs.cookie);
-      stats_.cookie_checks++;
-      crypto::VerifyResult vr;
-      if (auto pre = take_batch_verdict()) {
-        vr = *pre;
-      } else {
-        vr = engine_.verify_prefix_ex(packet.src_ip, parsed->cookie_prefix);
-      }
-      if (!vr.ok) {
-        drop_spoof(packet, Scheme::FabricatedNsIp,
-                   vr.stale ? obs::DropReason::kStaleKey
-                            : obs::DropReason::kBadCookie);
-        return;
-      }
-      note_verified(Scheme::FabricatedNsIp, vr.used_previous);
-      if (!cur_shard_->rl2.allow(packet.src_ip, now())) {
-        stats_.rl2_throttled++;
-        drop_other(packet, obs::DropReason::kRateLimited2);
+      if (!admit_cookie(packet, Scheme::FabricatedNsIp,
+                        engine_.verify_prefix_ex(packet.src_ip,
+                                                 parsed->cookie_prefix))) {
         return;
       }
       // msg 6: answer with the second cookie as the fabricated server's
@@ -828,11 +645,7 @@ void RemoteGuardNode::do_fabricated_ns_ip(const net::Packet& packet,
   }
 
   // msg 1 -> msg 2: fabricate an ANS for the queried name itself.
-  if (!cur_shard_->rl1.allow(packet.src_ip, now())) {
-    stats_.rl1_throttled++;
-    drop_other(packet, obs::DropReason::kRateLimited1);
-    return;
-  }
+  if (!pass_rl1(packet)) return;
   if (q.qname.is_root()) {
     do_tcp_redirect(packet, query);
     return;
@@ -863,11 +676,7 @@ void RemoteGuardNode::do_fabricated_ns_ip(const net::Packet& packet,
 
 void RemoteGuardNode::do_tcp_redirect(const net::Packet& packet,
                                       const dns::Message& query) {
-  if (!cur_shard_->rl1.allow(packet.src_ip, now())) {
-    stats_.rl1_throttled++;
-    drop_other(packet, obs::DropReason::kRateLimited1);
-    return;
-  }
+  if (!pass_rl1(packet)) return;
   dns::Message resp = dns::Message::response_to(query);
   resp.header.tc = true;  // same size as the request: no amplification
   stats_.tc_redirects++;
@@ -923,14 +732,8 @@ void RemoteGuardNode::proxy_on_data(tcp::ConnId conn, BytesView data) {
     std::optional<std::uint16_t> port;
     for (int probe = 0; probe < config_.nat_port_probe_limit; ++probe) {
       const std::uint16_t candidate = sh.next_nat_port++;
-      if (sh.nat_port_limit == 0) {
-        // Single shard: the historical full-range wrap (uint16 overflow
-        // lands below the base and resets to it).
-        if (sh.next_nat_port < sh.nat_port_base) {
-          sh.next_nat_port = sh.nat_port_base;
-        }
-      } else if (sh.next_nat_port < sh.nat_port_base ||
-                 sh.next_nat_port >= sh.nat_port_limit) {
+      if (sh.next_nat_port < sh.nat_port_base ||
+          sh.next_nat_port >= sh.nat_port_limit) {
         sh.next_nat_port = sh.nat_port_base;
       }
       auto r = sh.nat.try_emplace(candidate, now(),

@@ -173,17 +173,12 @@ class RemoteGuardNode : public sim::Node {
 
     /// Shard-per-core model: all per-source state (RL1/RL2 buckets,
     /// pending rewrites, NAT entries, connection buckets) is partitioned
-    /// by source hash into this many independent shards, each fed by its
-    /// own SPSC ring and drained in bursts with batched cookie
-    /// verification. 1 (the default) keeps the classic sequential guard
-    /// bit-for-bit. Table capacities above are totals; each shard gets
-    /// its share (rounded up).
+    /// by source hash into this many independent shards. With more than
+    /// one, each shard is fed by its own SPSC ring and drained in bursts;
+    /// 1 (the default) serves from the Node's FIFO receive queue. Table
+    /// capacities above are totals; each shard gets its share (rounded
+    /// up).
     std::size_t num_shards = 1;
-    /// Max packets a shard drains per service burst (clamped to 64).
-    std::size_t shard_batch_max = 32;
-    /// Run the ring/batch service path even with num_shards == 1 (tests:
-    /// equivalence of the batched path with the sequential discipline).
-    bool force_shard_service = false;
   };
 
   /// `ans` is the protected server node. The constructor does not touch
@@ -245,8 +240,6 @@ class RemoteGuardNode : public sim::Node {
  protected:
   SimDuration process(const net::Packet& packet) override;
   [[nodiscard]] std::size_t shard_of(const net::Packet& packet) const override;
-  void on_batch_begin(std::size_t lane, const net::Packet* batch,
-                      std::size_t n) override;
 
  private:
   // Response-rewrite actions awaiting the ANS's reply.
@@ -293,8 +286,15 @@ class RemoteGuardNode : public sim::Node {
                   obs::DropReason reason);
   /// Rate-limiter / proxy / malformed drops (not cookie failures).
   void drop_other(const net::Packet& packet, obs::DropReason reason);
-  /// Books a successful cookie verification (per scheme + per generation).
-  void note_verified(Scheme scheme, bool used_previous);
+  /// Cookie checker -> Rate-Limiter2 (Fig. 4): charges and counts one
+  /// cookie check whose verdict is `vr`, drops a failure as a spoof
+  /// (stale vs bad cookie), books a success per scheme and key
+  /// generation, then applies RL2. True when the request may proceed.
+  [[nodiscard]] bool admit_cookie(const net::Packet& packet, Scheme scheme,
+                                  crypto::VerifyResult vr);
+  /// Rate-Limiter1 gate in front of every cookie-generator response; a
+  /// throttled request is dropped. True when the response may be sent.
+  [[nodiscard]] bool pass_rl1(const net::Packet& packet);
   SchemeCounters& scheme_cells(Scheme s) {
     return scheme_counters_[static_cast<std::size_t>(s)];
   }
@@ -332,10 +332,10 @@ class RemoteGuardNode : public sim::Node {
     common::BoundedTable<std::uint16_t, NatEntry> nat;  // by guard src port
     common::BoundedTable<net::Ipv4Address, ratelimit::TokenBucket>
         conn_buckets;
-    /// NAT source ports allocated from [port_base, port_limit); the full
+    /// NAT source ports allocated from [port_base, port_limit); the
     /// shard-disjoint ranges partition [20000, 60000).
     std::uint16_t nat_port_base = 20000;
-    std::uint16_t nat_port_limit = 0;  // 0 => legacy full-range wrap
+    std::uint16_t nat_port_limit = 60000;
     std::uint16_t next_nat_port = 20000;
   };
 
@@ -347,18 +347,6 @@ class RemoteGuardNode : public sim::Node {
   /// The shard owning `ip`'s per-source state (multiply-shift hash).
   [[nodiscard]] std::size_t shard_of_ip(net::Ipv4Address ip) const;
 
-  /// Batch scratch: per-packet decoded query + precomputed cookie verdict
-  /// for the burst the current lane is processing.
-  static constexpr std::size_t kMaxShardBatch = 64;
-  struct BatchSlot {
-    std::optional<dns::Message> msg;
-    bool has_verdict = false;
-    crypto::VerifyResult verdict{};
-  };
-  /// Consumes the precomputed verdict for the packet being processed, if
-  /// the batch pre-pass produced one.
-  [[nodiscard]] std::optional<crypto::VerifyResult> take_batch_verdict();
-
   Config config_;
   sim::Node* ans_;
   CookieEngine engine_;
@@ -366,18 +354,9 @@ class RemoteGuardNode : public sim::Node {
 
   std::vector<std::unique_ptr<Shard>> shards_;
   /// Shard owning the packet currently in process(); set at the top of
-  /// process() (in classic mode this is always shard 0).
+  /// process() (always shard 0 for a single-shard guard).
   Shard* cur_shard_ = nullptr;
   std::size_t nat_ports_per_shard_ = 0;
-
-  std::array<BatchSlot, kMaxShardBatch> batch_slots_;
-  std::array<CookieEngine::VerifyJob, kMaxShardBatch> batch_jobs_;
-  std::array<std::uint8_t, kMaxShardBatch> batch_job_pos_{};
-  std::array<crypto::VerifyResult, kMaxShardBatch> batch_results_;
-  /// Verdict precompute + amortized rate recording require protection to
-  /// be unconditionally active (activation_threshold_rps <= 0); otherwise
-  /// the pre-pass only decodes and prefetches.
-  bool batch_fastpath_ = false;
 
   std::unique_ptr<tcp::TcpStack> tcp_;
   /// Per-connection DNS framing buffers. Connections are attacker-opened,

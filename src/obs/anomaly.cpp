@@ -82,27 +82,36 @@ void AttackMonitor::set_discriminator(DiscriminatorConfig cfg) {
 namespace {
 void resolve_indices(const TimeSeriesSampler& sampler,
                      const std::vector<std::string>& names,
-                     std::vector<int>& out) {
+                     std::vector<int>& out,
+                     std::vector<std::string>& missing) {
   out.clear();
   for (const std::string& name : names) {
     const int idx = sampler.series_index(name);
-    if (idx >= 0) out.push_back(idx);
+    if (idx >= 0) {
+      out.push_back(idx);
+    } else {
+      missing.push_back(name);
+    }
   }
 }
 }  // namespace
 
-void AttackMonitor::bind(TimeSeriesSampler& sampler,
-                         MetricsRegistry& registry,
-                         std::string_view gauge_name) {
+std::vector<std::string> AttackMonitor::bind(TimeSeriesSampler& sampler,
+                                             MetricsRegistry& registry,
+                                             std::string_view gauge_name) {
+  std::vector<std::string> missing;
   series_.clear();
   for (const std::string& name : wanted_) {
     const int idx = sampler.series_index(name);
-    if (idx < 0) continue;
+    if (idx < 0) {
+      missing.push_back(name);
+      continue;
+    }
     series_.push_back(Watched{name, idx, AnomalyDetector(cfg_)});
   }
-  resolve_indices(sampler, disc_.malicious_series, malicious_idx_);
-  resolve_indices(sampler, disc_.load_series, load_idx_);
-  resolve_indices(sampler, disc_.source_series, source_idx_);
+  resolve_indices(sampler, disc_.malicious_series, malicious_idx_, missing);
+  resolve_indices(sampler, disc_.load_series, load_idx_, missing);
+  resolve_indices(sampler, disc_.source_series, source_idx_, missing);
   registry.attach_gauge(gauge_name, under_attack_);
   under_attack_.set(0);
   if (discriminate_) {
@@ -111,6 +120,7 @@ void AttackMonitor::bind(TimeSeriesSampler& sampler,
   }
   sampler.set_on_window(
       [this](const TimeSeriesSampler::Window& w) { on_window(w); });
+  return missing;
 }
 
 double AttackMonitor::sum_deltas(const TimeSeriesSampler::Window& w,

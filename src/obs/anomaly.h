@@ -124,10 +124,13 @@ class AttackMonitor {
   void set_discriminator(DiscriminatorConfig cfg);
 
   /// Installs this monitor as `sampler`'s window callback and attaches the
-  /// under-attack gauge to `registry`. Series that do not exist in the
-  /// sampler are dropped (a warning is up to the caller via watched()).
-  void bind(TimeSeriesSampler& sampler, MetricsRegistry& registry,
-            std::string_view gauge_name = "anomaly.under_attack");
+  /// under-attack gauge to `registry`. Returns the watched and
+  /// discriminator series the sampler does not have, in the order they
+  /// were configured; the monitor runs without them, so a caller that
+  /// needs every series fails on a non-empty result.
+  [[nodiscard]] std::vector<std::string> bind(
+      TimeSeriesSampler& sampler, MetricsRegistry& registry,
+      std::string_view gauge_name = "anomaly.under_attack");
 
   /// True while any watched series is in an *attack*-classified anomaly;
   /// flash-crowd anomalies do NOT raise this (that is the point).

@@ -49,10 +49,7 @@ enum class Stage : std::uint8_t {
   kResolverService,   // recursive resolver
   kGuardService,      // guard process(): classify + per-scheme handling
   kOutboxFlush,       // Node::flush_outbox_at release event
-  kGuardBatchPrepass, // shard burst pre-pass (decode + jobs + bulk verify)
   kGuardDecode,       // dns::Message::decode of an incoming request
-  kGuardPrefetch,     // RL1/RL2 bucket prefetch in the batch pre-pass
-  kGuardVerifyJobs,   // CookieEngine::verify_jobs bulk verification
   kGuardMint,         // cookie mint / cookie-label / cookie-address make
   kGuardVerify,       // per-packet cookie verification (any encoding)
   kGuardRl1,          // Rate-Limiter1: SpaceSaving + bucket table + bucket
@@ -76,7 +73,7 @@ inline constexpr std::size_t kMaxDepth = 16;
 /// plausible TSC rate, so the last bucket saturates harmlessly.
 inline constexpr std::size_t kHistBuckets = 40;
 
-/// Human-readable stage name (e.g. "guard.verify_jobs"); never nullptr.
+/// Human-readable stage name (e.g. "guard.verify"); never nullptr.
 [[nodiscard]] const char* stage_name(Stage s) noexcept;
 
 /// Reads the raw timestamp counter. On x86-64 this is rdtsc (unserialized

@@ -24,9 +24,6 @@ enum class TraceEvent : std::uint8_t {
   kDrop,       // packet discarded; `reason` says why
   kTx,         // packet emitted toward the network
   kQueueDrop,  // arrival discarded before rx (receive queue full)
-  kBatch,      // shard batch started; `info` is the burst size (the
-               // per-packet classify trace is amortized into this one
-               // entry on the sharded hot path)
 };
 
 [[nodiscard]] std::string_view trace_event_name(TraceEvent e);

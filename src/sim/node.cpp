@@ -61,8 +61,8 @@ void Node::serve_lane(std::size_t lane_idx) {
   while (n < batch_max_ && lane.ring.try_pop(batch_[n])) ++n;
   if (n == 0) return;
 
-  // Attribute this burst's spans (batch pre-pass, per-packet process) to
-  // this lane's profiler cells; merged again only at report time.
+  // Attribute this burst's spans to this lane's profiler cells; merged
+  // again only at report time.
   obs::prof::LaneScope prof_lane(lane_idx);
   in_batch_ = true;
   on_batch_begin(lane_idx, batch_.data(), n);
@@ -72,7 +72,6 @@ void Node::serve_lane(std::size_t lane_idx) {
   // completion time — the same release discipline as the sequential path.
   SimTime t = std::max(now(), lane.busy_until);
   for (std::size_t k = 0; k < n; ++k) {
-    batch_index_ = k;
     in_process_ = true;
     SimDuration cost;
     {
@@ -88,7 +87,6 @@ void Node::serve_lane(std::size_t lane_idx) {
     if (!outbox_.empty()) flush_outbox_at(t);
   }
   lane.busy_until = t;
-  on_batch_end(lane_idx, n);
   in_batch_ = false;
 
   maybe_schedule_lane(lane_idx);

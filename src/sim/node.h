@@ -125,26 +125,19 @@ class Node {
     return 0;
   }
 
-  /// Batch hooks: a lane's burst of `n` packets is announced before the
-  /// per-packet process() calls and closed after them. Subclasses use
-  /// them to prefetch state, pre-verify cookies in bulk and amortize
-  /// metric updates; the default is a no-op.
+  /// Batch hook: a lane's burst of `n` packets is announced before the
+  /// per-packet process() calls; the default is a no-op.
+  /// hostbench/replay.cpp's TimedGuard overrides it to time each burst.
   virtual void on_batch_begin(std::size_t lane, const net::Packet* batch,
                               std::size_t n) {
     (void)lane;
     (void)batch;
     (void)n;
   }
-  virtual void on_batch_end(std::size_t lane, std::size_t n) {
-    (void)lane;
-    (void)n;
-  }
 
-  /// True while a shard burst is being processed; batch_index() is the
-  /// current packet's position within it (matches the `batch` array the
-  /// hooks saw).
+  /// True while a shard burst is being processed (hostbench's TimedGuard
+  /// reads it to share a burst's hook time over its packets).
   [[nodiscard]] bool in_batch() const { return in_batch_; }
-  [[nodiscard]] std::size_t batch_index() const { return batch_index_; }
 
   /// Emits a packet into the routed network (released at service end).
   void send(net::Packet packet);
@@ -203,7 +196,6 @@ class Node {
   std::vector<ShardLane> lanes_;       // empty => classic discipline
   std::vector<net::Packet> batch_;     // burst scratch, sized batch_max
   std::size_t batch_max_ = 0;
-  std::size_t batch_index_ = 0;
   bool in_batch_ = false;
   obs::prof::Stage prof_stage_ = obs::prof::Stage::kNodeService;
   NodeStats stats_;

@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "attack/attackers.h"
 #include "guard/remote_guard.h"
@@ -124,8 +125,8 @@ TEST(AttackMonitor, RaisesGaugeAndRecordsEventsFromSampler) {
 
   AttackMonitor mon;
   mon.watch("guard.spoofs_dropped");
-  mon.watch("no.such.series");  // silently dropped at bind
-  mon.bind(ts, reg);
+  mon.watch("no.such.series");  // reported by bind, then left out
+  EXPECT_EQ(mon.bind(ts, reg), std::vector<std::string>{"no.such.series"});
   EXPECT_EQ(mon.watched(), 1u);
 
   const obs::Gauge* g = reg.find_gauge("anomaly.under_attack");
@@ -251,7 +252,7 @@ struct DetectionBed {
     sim.start_timeseries(milliseconds(100));
     monitor.watch("guard.spoofs_dropped");
     monitor.watch("guard.drop.bad_cookie");
-    monitor.bind(sim.timeseries(), sim.metrics());
+    EXPECT_TRUE(monitor.bind(sim.timeseries(), sim.metrics()).empty());
     SimTime flood_start = sim.now() + milliseconds(500);
     if (flood) {
       sim.schedule_in(milliseconds(500), [&flood] { flood->start(); });
@@ -337,7 +338,7 @@ struct DiscriminationBed {
   obs::MetricsRegistry reg;
   obs::Counter& requests = reg.counter("guard.requests_seen");
   obs::Counter& drops = reg.counter("guard.spoofs_dropped");
-  obs::Counter& inserts = reg.counter("guard.rl2.table.inserts");
+  obs::Counter& inserts = reg.counter("guard.shard0.rl2.table.inserts");
   obs::TimeSeriesSampler ts;
   AttackMonitor mon;
   std::int64_t t = 0;
@@ -348,10 +349,10 @@ struct DiscriminationBed {
     obs::DiscriminatorConfig disc;
     disc.malicious_series = {"guard.spoofs_dropped"};
     disc.load_series = {"guard.requests_seen"};
-    disc.source_series = {"guard.rl2.table.inserts"};
+    disc.source_series = {"guard.shard0.rl2.table.inserts"};
     disc.attack_mix_threshold = 0.5;
     mon.set_discriminator(disc);
-    mon.bind(ts, reg);
+    EXPECT_TRUE(mon.bind(ts, reg).empty());
     // Steady baseline past warmup: 1000 requests/window, no drops.
     for (int i = 0; i < 6; ++i) window(1000, 0, 10);
   }
@@ -433,7 +434,7 @@ TEST(AttackMonitor, WithoutDiscriminatorEveryOnsetIsAttack) {
   ts.start(reg, at(0), milliseconds(100), 64);
   AttackMonitor mon;
   mon.watch("guard.requests_seen");
-  mon.bind(ts, reg);
+  EXPECT_TRUE(mon.bind(ts, reg).empty());
 
   std::int64_t t = 0;
   for (int i = 0; i < 6; ++i) {
@@ -449,6 +450,28 @@ TEST(AttackMonitor, WithoutDiscriminatorEveryOnsetIsAttack) {
   EXPECT_TRUE(mon.under_attack());
   EXPECT_FALSE(mon.in_flash_crowd());
   EXPECT_EQ(reg.find_gauge("anomaly.flash_crowd"), nullptr);
+}
+
+TEST(AttackMonitor, BindReportsDiscriminatorSeriesTheSamplerLacks) {
+  // A misspelled series used to vanish at bind: the discriminator then
+  // summed nothing and reported zero source growth without any failure.
+  obs::MetricsRegistry reg;
+  reg.counter("guard.requests_seen");
+  reg.counter("guard.spoofs_dropped");
+  reg.counter("guard.shard0.rl1.table.inserts");
+  obs::TimeSeriesSampler ts;
+  ts.start(reg, at(0), milliseconds(100), 64);
+  AttackMonitor mon;
+  mon.watch("guard.requests_seen");
+  obs::DiscriminatorConfig disc;
+  disc.malicious_series = {"guard.spoofs_dropped"};
+  disc.load_series = {"guard.requests_seen"};
+  disc.source_series = {"guard.shard0.rl1.table.inserts",
+                        "guard.rl1.table.inserts"};
+  mon.set_discriminator(disc);
+  EXPECT_EQ(mon.bind(ts, reg),
+            std::vector<std::string>{"guard.rl1.table.inserts"});
+  EXPECT_EQ(mon.watched(), 1u);
 }
 
 }  // namespace

@@ -314,57 +314,5 @@ TEST(CookieAddress, RetiredAddressClassifiedStaleOnFailure) {
   EXPECT_FALSE(out_of_range.stale);
 }
 
-TEST(VerifyJobs, BatchMatchesScalarVerifiersPerKind) {
-  CookieEngine e(77);
-  Ipv4Address base(10, 7, 7, 0);
-  const std::uint32_t r_y = 250;
-
-  std::vector<CookieEngine::VerifyJob> jobs;
-  // kFull: one valid, one forged.
-  Ipv4Address a(10, 0, 6, 1);
-  crypto::Cookie good = e.mint(a);
-  crypto::Cookie bad = good;
-  bad[5] ^= 0xff;
-  jobs.push_back({CookieEngine::VerifyJob::Kind::kFull, a, good, 0, {}});
-  jobs.push_back({CookieEngine::VerifyJob::Kind::kFull, a, bad, 0, {}});
-  // kPrefix: one valid, one forged.
-  Ipv4Address b(10, 0, 6, 2);
-  std::uint32_t prefix = crypto::cookie_prefix32(e.mint(b));
-  jobs.push_back({CookieEngine::VerifyJob::Kind::kPrefix, b, {}, prefix, {}});
-  jobs.push_back(
-      {CookieEngine::VerifyJob::Kind::kPrefix, b, {}, prefix ^ 0x2, {}});
-  // kAddress: one valid, one wrong offset.
-  Ipv4Address c(10, 0, 6, 3);
-  Ipv4Address c2 = e.make_cookie_address(c, base, r_y);
-  Ipv4Address wrong(c2.value() == base.value() + 1 ? base.value() + 2
-                                                   : base.value() + 1);
-  jobs.push_back({CookieEngine::VerifyJob::Kind::kAddress, c, {}, 0, c2});
-  jobs.push_back({CookieEngine::VerifyJob::Kind::kAddress, c, {}, 0, wrong});
-
-  std::vector<crypto::VerifyResult> out(jobs.size());
-  e.verify_jobs(jobs.data(), out.data(), jobs.size(), base, r_y);
-
-  EXPECT_TRUE(out[0].ok);
-  EXPECT_FALSE(out[1].ok);
-  EXPECT_TRUE(out[2].ok);
-  EXPECT_FALSE(out[3].ok);
-  EXPECT_TRUE(out[4].ok);
-  EXPECT_FALSE(out[5].ok);
-  // And each agrees with its scalar counterpart, field for field.
-  const crypto::VerifyResult scalar[] = {
-      e.verify_ex(a, good),
-      e.verify_ex(a, bad),
-      e.verify_prefix_ex(b, prefix),
-      e.verify_prefix_ex(b, prefix ^ 0x2),
-      e.verify_cookie_address_ex(c, c2, base, r_y),
-      e.verify_cookie_address_ex(c, wrong, base, r_y),
-  };
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    EXPECT_EQ(out[i].ok, scalar[i].ok) << i;
-    EXPECT_EQ(out[i].used_previous, scalar[i].used_previous) << i;
-    EXPECT_EQ(out[i].stale, scalar[i].stale) << i;
-  }
-}
-
 }  // namespace
 }  // namespace dnsguard::guard

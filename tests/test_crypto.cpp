@@ -1,8 +1,6 @@
 // MD5 (RFC 1321 appendix test suite) and the paper's cookie construction.
 #include <gtest/gtest.h>
 
-#include <vector>
-
 #include "common/hex.h"
 #include "crypto/cookie_hash.h"
 #include "crypto/md5.h"
@@ -242,34 +240,6 @@ TEST(RotatingKeys, RetiredGenerationCookieClassifiedStaleNotForged) {
   EXPECT_FALSE(fr.stale);
   // And never on success.
   EXPECT_FALSE(keys.verify_ex(0x0a000001, keys.mint(0x0a000001)).stale);
-}
-
-TEST(RotatingKeys, Prefix32BatchMatchesScalarAcrossRotation) {
-  RotatingKeys keys(901);
-  // A mix of current, previous-generation, retired and forged prefixes.
-  std::vector<std::uint32_t> ips;
-  std::vector<std::uint32_t> prefixes;
-  for (std::uint32_t i = 0; i < 8; ++i) {
-    ips.push_back(0x0a010000u + i);
-    prefixes.push_back(cookie_prefix32(keys.mint(0x0a010000u + i)));
-  }
-  keys.rotate(902);
-  for (std::uint32_t i = 8; i < 16; ++i) {
-    ips.push_back(0x0a010000u + i);
-    prefixes.push_back(cookie_prefix32(keys.mint(0x0a010000u + i)) ^
-                       (i % 3 == 0 ? 0x5au : 0x0u));
-  }
-  keys.rotate(903);
-
-  std::vector<VerifyResult> batch(ips.size());
-  keys.verify_prefix32_batch(ips.data(), prefixes.data(), batch.data(),
-                             ips.size());
-  for (std::size_t i = 0; i < ips.size(); ++i) {
-    VerifyResult scalar = keys.verify_prefix32_ex(ips[i], prefixes[i]);
-    EXPECT_EQ(batch[i].ok, scalar.ok) << i;
-    EXPECT_EQ(batch[i].used_previous, scalar.used_previous) << i;
-    EXPECT_EQ(batch[i].stale, scalar.stale) << i;
-  }
 }
 
 }  // namespace

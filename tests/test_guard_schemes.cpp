@@ -4,6 +4,9 @@
 // activation threshold (§IV.C) and both rate limiters in situ.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <type_traits>
+
 #include "attack/attackers.h"
 #include "guard/remote_guard.h"
 #include "server/authoritative_node.h"
@@ -495,10 +498,16 @@ TEST(RateLimiter1, BoundsCookieReflection) {
 
 // Parameterized zero-false-positive sweep: under a heavy spoofed flood,
 // every scheme keeps serving its legitimate requester without timeouts.
+// gtest names each case after the raw bytes of its parameter, so the bytes
+// that would be padding after the 1-byte Scheme are explicit zeros: left as
+// padding they hold whatever memory held before, and the names change from
+// run to run.
 struct SchemeModeParam {
   Scheme scheme;
+  std::uint8_t zero[3] = {};
   DriveMode mode;
 };
+static_assert(std::has_unique_object_representations_v<SchemeModeParam>);
 
 class ZeroFalsePositives
     : public ::testing::TestWithParam<SchemeModeParam> {};
@@ -522,13 +531,20 @@ TEST_P(ZeroFalsePositives, LegitNeverDropped) {
 INSTANTIATE_TEST_SUITE_P(
     AllSchemes, ZeroFalsePositives,
     ::testing::Values(
-        SchemeModeParam{Scheme::NsName, DriveMode::NsNameMiss},
-        SchemeModeParam{Scheme::NsName, DriveMode::NsNameHit},
-        SchemeModeParam{Scheme::FabricatedNsIp, DriveMode::FabricatedMiss},
-        SchemeModeParam{Scheme::FabricatedNsIp, DriveMode::FabricatedHit},
-        SchemeModeParam{Scheme::ModifiedDns, DriveMode::ModifiedMiss},
-        SchemeModeParam{Scheme::ModifiedDns, DriveMode::ModifiedHit},
-        SchemeModeParam{Scheme::TcpRedirect, DriveMode::TcpWithRedirect}));
+        SchemeModeParam{.scheme = Scheme::NsName,
+                        .mode = DriveMode::NsNameMiss},
+        SchemeModeParam{.scheme = Scheme::NsName,
+                        .mode = DriveMode::NsNameHit},
+        SchemeModeParam{.scheme = Scheme::FabricatedNsIp,
+                        .mode = DriveMode::FabricatedMiss},
+        SchemeModeParam{.scheme = Scheme::FabricatedNsIp,
+                        .mode = DriveMode::FabricatedHit},
+        SchemeModeParam{.scheme = Scheme::ModifiedDns,
+                        .mode = DriveMode::ModifiedMiss},
+        SchemeModeParam{.scheme = Scheme::ModifiedDns,
+                        .mode = DriveMode::ModifiedHit},
+        SchemeModeParam{.scheme = Scheme::TcpRedirect,
+                        .mode = DriveMode::TcpWithRedirect}));
 
 }  // namespace
 }  // namespace dnsguard

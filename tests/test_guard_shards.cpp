@@ -1,7 +1,6 @@
 // Shard-per-core guard: determinism (same seed + same shard count =>
-// byte-identical run), counter equivalence between the classic service
-// path and the ring/batch path, counter equivalence across shard counts,
-// and per-shard divided table caps under a million-source spoofed flood
+// byte-identical run), counter equivalence across shard counts for every
+// scheme, and per-shard divided caps under a million-source spoofed flood
 // (DESIGN.md §13).
 #include <gtest/gtest.h>
 
@@ -22,6 +21,7 @@
 namespace dnsguard {
 namespace {
 
+using attack::CookieGuessNode;
 using guard::RemoteGuardNode;
 using guard::Scheme;
 using net::Ipv4Address;
@@ -29,13 +29,14 @@ using workload::DriveMode;
 using workload::LrsSimulatorNode;
 
 constexpr Ipv4Address kAnsIp(10, 1, 1, 254);
+constexpr Ipv4Address kSubnetBase(10, 1, 1, 0);
 
 struct Bed {
   sim::Simulator sim;
   server::AnsSimulatorNode ans{sim, "ans", {.address = kAnsIp}};
   std::unique_ptr<RemoteGuardNode> guard;
   std::vector<std::unique_ptr<LrsSimulatorNode>> drivers;
-  std::vector<std::unique_ptr<attack::SpoofedFloodNode>> floods;
+  std::vector<std::unique_ptr<attack::FloodNodeBase>> floods;
 
   void make_guard(
       Scheme scheme,
@@ -44,11 +45,11 @@ struct Bed {
     gc.guard_address = Ipv4Address(10, 1, 1, 253);
     gc.ans_address = kAnsIp;
     gc.protected_zone = dns::DomainName{};
-    gc.subnet_base = Ipv4Address(10, 1, 1, 0);
+    gc.subnet_base = kSubnetBase;
     gc.scheme = scheme;
     // Generous limits: equivalence tests must not sit on a rate-limiter
-    // edge, where the batch path's classify-at-burst-start timestamps
-    // could legitimately flip a marginal allow/deny.
+    // edge, where a lane's per-burst service timing could legitimately
+    // flip a marginal allow/deny.
     gc.rl1.per_address_rate = 1e7;
     gc.rl1.per_address_burst = 1e6;
     gc.rl2.per_host_rate = 1e7;
@@ -82,6 +83,22 @@ struct Bed {
                                       .seed = seed},
         spoof));
   }
+
+  /// Forged cookies in `mode`'s encoding, spoofed from one victim.
+  void add_guesser(double rate, std::uint64_t seed,
+                   CookieGuessNode::Mode mode) {
+    floods.push_back(std::make_unique<CookieGuessNode>(
+        sim, "guesser",
+        attack::FloodNodeBase::Config{.own_address = Ipv4Address(10, 9, 9, 8),
+                                      .target = {kAnsIp, net::kDnsPort},
+                                      .rate = rate,
+                                      .seed = seed},
+        CookieGuessNode::GuessConfig{.mode = mode,
+                                     .victim = Ipv4Address(10, 99, 0, 1),
+                                     .subnet_base = kSubnetBase,
+                                     .r_y = 250,
+                                     .zone = dns::DomainName{}}));
+  }
 };
 
 using CounterMap = std::map<std::string, std::uint64_t>;
@@ -100,25 +117,49 @@ CounterMap counter_values(
   return out;
 }
 
-/// Table metrics move between "guard.rl1.*"-style names (1 shard) and
-/// "guard.shard<k>.rl1.*" names (N shards), and their per-name values
-/// split across shards; everything else must be partition-invariant.
-bool is_partitioned_metric(const std::string& name) {
-  static const char* kPrefixes[] = {
-      "guard.shard",         "guard.rl1.",  "guard.rl2.",
-      "guard.pending.",      "guard.nat.",  "guard.conn_buckets.",
-  };
-  for (const char* p : kPrefixes) {
-    if (name.rfind(p, 0) == 0) return true;
-  }
-  return false;
+/// Table metrics are bound per shard ("guard.shard<k>.rl1.*"), so their
+/// names and per-name values split across shards. One shard serves from
+/// the FIFO receive queue and N from lanes, which dispatch one service
+/// event per burst, so the scheduler's own event tally differs too. Every
+/// other counter must be partition-invariant.
+bool is_partition_dependent(const std::string& name) {
+  return name == "sim.events_dispatched" || name.rfind("guard.shard", 0) == 0;
 }
 
-/// The ring path dispatches one lane-service event per burst instead of
-/// one per packet, so the scheduler's own event tally legitimately
-/// differs between service paths; every packet-level counter must not.
-bool is_service_path_dependent(const std::string& name) {
-  return name == "sim.events_dispatched" || is_partitioned_metric(name);
+/// One scheme's traffic for the shard checks: a legitimate closed-loop
+/// driver, a spoofed flood over a /16 so every shard sees attack traffic
+/// (cookie-less, or with random TXT cookies), and cookie guessers aimed
+/// at the scheme's own verifiers. `free_guard` zeroes the guard's cost
+/// model (see run_workload).
+struct Mix {
+  std::string label;
+  Scheme scheme;
+  DriveMode mode;
+  bool txt_flood;
+  std::vector<CookieGuessNode::Mode> guesses;
+  bool free_guard = false;
+};
+
+const Mix kModifiedDns{"modified_dns", Scheme::ModifiedDns,
+                       DriveMode::ModifiedHit, true, {}};
+
+std::vector<Mix> every_scheme() {
+  using Mode = CookieGuessNode::Mode;
+  return {
+      kModifiedDns,
+      {"ns_name_hit", Scheme::NsName, DriveMode::NsNameHit, false,
+       {Mode::NsNameLabel}},
+      // Four guard transits per request: with costs on, this closed loop
+      // completes 1964 requests on 2 shards vs 1960 on one, because it
+      // offers load at the rate its replies return and queueing differs
+      // between one FIFO queue and N lanes. Verdicts do not.
+      {"ns_name_miss", Scheme::NsName, DriveMode::NsNameMiss, false,
+       {Mode::NsNameLabel}, /*free_guard=*/true},
+      {"fabricated_ns_ip", Scheme::FabricatedNsIp, DriveMode::FabricatedMiss,
+       false, {Mode::NsNameLabel, Mode::SubnetAddress}},
+      {"tcp_redirect", Scheme::TcpRedirect, DriveMode::TcpWithRedirect, false,
+       {}},
+  };
 }
 
 struct RunOutcome {
@@ -129,21 +170,29 @@ struct RunOutcome {
   std::uint64_t spoofs_dropped = 0;
 };
 
-RunOutcome run_workload(std::size_t num_shards, bool force_shard_service,
-                        std::uint64_t seed) {
+/// With `mix.free_guard` set, every packet leaves the guard at its arrival
+/// instant under either service discipline. Otherwise the guard charges
+/// its default per-packet and per-cookie costs, so lanes build busy
+/// clocks and drain multi-packet bursts.
+RunOutcome run_workload(std::size_t num_shards, std::uint64_t seed,
+                        const Mix& mix = kModifiedDns) {
   Bed bed;
-  bed.make_guard(Scheme::ModifiedDns, [&](RemoteGuardNode::Config& c) {
+  bed.make_guard(mix.scheme, [&](RemoteGuardNode::Config& c) {
     c.num_shards = num_shards;
-    c.force_shard_service = force_shard_service;
+    if (mix.free_guard) {
+      c.costs = {.packet = {}, .cookie = {}, .transform = {}, .drop = {},
+                 .proxy_segment = {}, .proxy_connection = {},
+                 .proxy_table_per_conn = {}};
+    }
   });
-  auto* d =
-      bed.add_driver(DriveMode::ModifiedHit, 8, Ipv4Address(10, 0, 1, 1), seed);
-  // Spoofed sources spread across a /16 so every shard sees flood
-  // traffic; random TXT cookies exercise the batched verify path.
+  auto* d = bed.add_driver(mix.mode, 8, Ipv4Address(10, 0, 1, 1), seed);
   bed.add_flood(20000, seed + 1,
                 {.spoof_base = Ipv4Address(10, 200, 0, 0),
                  .spoof_range = 1u << 16,
-                 .random_txt_cookie = true});
+                 .random_txt_cookie = mix.txt_flood});
+  for (std::size_t i = 0; i < mix.guesses.size(); ++i) {
+    bed.add_guesser(2000, seed + 2 + i, mix.guesses[i]);
+  }
   std::uint64_t hash = 0;
   bed.sim.set_tap([&hash](SimTime t, const sim::Node*, const sim::Node*,
                           const net::Packet& p) {
@@ -152,13 +201,13 @@ RunOutcome run_workload(std::size_t num_shards, bool force_shard_service,
            p.payload.size() + static_cast<std::uint64_t>(t.ns & 0xffff);
   });
   d->start();
-  bed.floods[0]->start();
+  for (auto& f : bed.floods) f->start();
   bed.sim.run_for(milliseconds(300));
-  bed.floods[0]->stop();
+  for (auto& f : bed.floods) f->stop();
   d->stop();
   bed.sim.run_for(milliseconds(50));
   return RunOutcome{counter_values(bed),
-                    counter_values(bed, is_service_path_dependent), hash,
+                    counter_values(bed, is_partition_dependent), hash,
                     d->driver_stats().completed,
                     bed.guard->guard_stats().spoofs_dropped};
 }
@@ -175,8 +224,8 @@ void expect_counter_maps_equal(const CounterMap& a, const CounterMap& b,
 
 TEST(ShardDeterminism, SameSeedSameShardCountIsByteIdentical) {
   for (std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-    RunOutcome a = run_workload(n, /*force_shard_service=*/n == 1, 42);
-    RunOutcome b = run_workload(n, /*force_shard_service=*/n == 1, 42);
+    RunOutcome a = run_workload(n, 42);
+    RunOutcome b = run_workload(n, 42);
     EXPECT_EQ(a.traffic_hash, b.traffic_hash) << n << " shards";
     EXPECT_EQ(a.completed, b.completed) << n << " shards";
     expect_counter_maps_equal(a.all_counters, b.all_counters,
@@ -184,40 +233,28 @@ TEST(ShardDeterminism, SameSeedSameShardCountIsByteIdentical) {
   }
 }
 
-TEST(ShardEquivalence, ForceShardServiceMatchesClassicCounters) {
-  // One shard, ring/batch service path vs the classic rx-queue path:
-  // same metric names, and (away from limiter edges) the same value for
-  // every counter in the registry — batching only re-times work, it must
-  // not reclassify any packet.
-  RunOutcome classic = run_workload(1, false, 42);
-  RunOutcome batched = run_workload(1, true, 42);
-  EXPECT_GT(classic.completed, 100u);
-  EXPECT_GT(classic.spoofs_dropped, 1000u);
-  EXPECT_EQ(classic.completed, batched.completed);
-  // Same shard count on both sides, so even the (legacy-named) table
-  // metrics must agree; only the scheduler's event tally may differ.
-  CounterMap a = classic.all_counters;
-  CounterMap b = batched.all_counters;
-  a.erase("sim.events_dispatched");
-  b.erase("sim.events_dispatched");
-  expect_counter_maps_equal(a, b, "classic vs batched");
-}
-
 TEST(ShardEquivalence, CounterTotalsInvariantAcrossShardCounts) {
   // Partitioning the tables must not change any externally observable
-  // tally: same verdicts, same drops, same forwards for 1, 2, 8 shards.
-  RunOutcome one = run_workload(1, false, 42);
-  RunOutcome two = run_workload(2, false, 42);
-  RunOutcome eight = run_workload(8, false, 42);
-  EXPECT_GT(one.completed, 100u);
-  EXPECT_EQ(one.completed, two.completed);
-  EXPECT_EQ(one.completed, eight.completed);
-  EXPECT_EQ(one.spoofs_dropped, two.spoofs_dropped);
-  EXPECT_EQ(one.spoofs_dropped, eight.spoofs_dropped);
-  expect_counter_maps_equal(one.invariant_counters, two.invariant_counters,
-                            "1 vs 2 shards");
-  expect_counter_maps_equal(one.invariant_counters, eight.invariant_counters,
-                            "1 vs 8 shards");
+  // tally: same verdicts, same drops, same forwards for 1, 2, 8 shards,
+  // on every scheme's mint, verify and forged-cookie paths. Every mix but
+  // the NS-name miss loop runs with the guard's costs on, so lane burst
+  // timing is covered too.
+  for (const Mix& mix : every_scheme()) {
+    RunOutcome one = run_workload(1, 42, mix);
+    EXPECT_GT(one.completed, 100u) << mix.label;
+    if (mix.txt_flood || !mix.guesses.empty()) {
+      EXPECT_GT(one.spoofs_dropped, 100u) << mix.label;
+    }
+    for (std::size_t n : {std::size_t{2}, std::size_t{8}}) {
+      RunOutcome many = run_workload(n, 42, mix);
+      const std::string label =
+          mix.label + ": 1 vs " + std::to_string(n) + " shards";
+      EXPECT_EQ(one.completed, many.completed) << label;
+      EXPECT_EQ(one.spoofs_dropped, many.spoofs_dropped) << label;
+      expect_counter_maps_equal(one.invariant_counters,
+                                many.invariant_counters, label);
+    }
+  }
 }
 
 // --- per-shard divided caps under a spoofed flood ---------------------------

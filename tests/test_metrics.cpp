@@ -436,7 +436,7 @@ TEST(MetricsScenario, EverySubsystemRegistersMetrics) {
            "guard.requests_seen",           // remote guard
            "guard.scheme.ns_name.minted",   // per-scheme attribution
            "guard.drop.bad_cookie",         // drop taxonomy
-           "guard.rl1.allowed",             // rate limiters
+           "guard.shard0.rl1.allowed",      // rate limiters
            "guard.tcp.syns_received",       // kernel TCP proxy
            "server.ans_sim.udp_queries",    // protected server
        }) {

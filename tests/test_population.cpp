@@ -35,7 +35,9 @@ TEST(ZipfSampler, ProbabilitiesAreNormalizedAndMonotone) {
   double sum = 0.0;
   for (std::uint32_t r = 0; r < z.universe(); ++r) {
     sum += z.probability(r);
-    if (r > 0) EXPECT_LE(z.probability(r), z.probability(r - 1)) << r;
+    if (r > 0) {
+      EXPECT_LE(z.probability(r), z.probability(r - 1)) << r;
+    }
   }
   EXPECT_NEAR(sum, 1.0, 1e-9);
   // Zipf(1) head: P(0) = 1/H_1000 with H_1000 ~ 7.4855.

@@ -216,14 +216,14 @@ TEST_F(ProfilerTest, LaneStacksAreIndependent) {
     LaneScope shard(5);
     // The shard lane's stack is empty, so its span parents under the
     // context even though lane 0 has kGuardService open.
-    ASSERT_TRUE(profiler.span_begin(Stage::kGuardVerifyJobs));
-    profiler.span_end(Stage::kGuardVerifyJobs, 20);
+    ASSERT_TRUE(profiler.span_begin(Stage::kGuardVerify));
+    profiler.span_end(Stage::kGuardVerify, 20);
   }
   EXPECT_EQ(profiler.lane(), 0u);
   profiler.span_end(Stage::kGuardService, 80);
 
   const Report r = profiler.report();
-  EXPECT_DOUBLE_EQ(edge_ticks(r, Stage::kRoot, Stage::kGuardVerifyJobs), 20.0);
+  EXPECT_DOUBLE_EQ(edge_ticks(r, Stage::kRoot, Stage::kGuardVerify), 20.0);
   EXPECT_DOUBLE_EQ(edge_ticks(r, Stage::kRoot, Stage::kGuardService), 80.0);
   EXPECT_EQ(r.mismatched_spans, 0u);
 }

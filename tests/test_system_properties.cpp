@@ -4,8 +4,10 @@
 // floods (DESIGN.md §10).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <functional>
 #include <limits>
+#include <type_traits>
 
 #include "attack/attackers.h"
 #include "guard/comparison.h"
@@ -185,11 +187,17 @@ TEST(MultiLrs, CookiesAreNotTransferableBetweenSources) {
 
 // Table I metadata vs live behaviour: packet counts per request measured
 // through the network tap must match the profile table's claims.
+// gtest names each case after the raw bytes of its parameter, so the bytes
+// that would be padding after the 1-byte Scheme are explicit zeros: left as
+// padding they hold whatever memory held before, and the names change from
+// run to run.
 struct ProfileCase {
   Scheme scheme;
+  std::uint8_t zero[3] = {};
   DriveMode miss_mode;
   DriveMode hit_mode;
 };
+static_assert(std::has_unique_object_representations_v<ProfileCase>);
 
 class ProfilePacketCounts : public ::testing::TestWithParam<ProfileCase> {};
 
@@ -231,12 +239,15 @@ TEST_P(ProfilePacketCounts, MatchComparisonTable) {
 INSTANTIATE_TEST_SUITE_P(
     Schemes, ProfilePacketCounts,
     ::testing::Values(
-        ProfileCase{Scheme::NsName, DriveMode::NsNameMiss,
-                    DriveMode::NsNameHit},
-        ProfileCase{Scheme::FabricatedNsIp, DriveMode::FabricatedMiss,
-                    DriveMode::FabricatedHit},
-        ProfileCase{Scheme::ModifiedDns, DriveMode::ModifiedMiss,
-                    DriveMode::ModifiedHit}));
+        ProfileCase{.scheme = Scheme::NsName,
+                    .miss_mode = DriveMode::NsNameMiss,
+                    .hit_mode = DriveMode::NsNameHit},
+        ProfileCase{.scheme = Scheme::FabricatedNsIp,
+                    .miss_mode = DriveMode::FabricatedMiss,
+                    .hit_mode = DriveMode::FabricatedHit},
+        ProfileCase{.scheme = Scheme::ModifiedDns,
+                    .miss_mode = DriveMode::ModifiedMiss,
+                    .hit_mode = DriveMode::ModifiedHit}));
 
 // --- bounded per-source state under a spoofed-source flood ------------------
 //
@@ -305,9 +316,9 @@ TEST(StateExhaustion, MillionSourceFloodKeepsEveryTableBounded) {
       },
       [&](const Bed& bed) {
         for (const char* g :
-             {"guard.rl1.table.size", "guard.rl2.table.size",
-              "guard.pending.size", "guard.nat.size",
-              "guard.conn_buckets.size", "guard.tcp.table.size"}) {
+             {"guard.shard0.rl1.table.size", "guard.shard0.rl2.table.size",
+              "guard.shard0.pending.size", "guard.shard0.nat.size",
+              "guard.shard0.conn_buckets.size", "guard.tcp.table.size"}) {
           EXPECT_LE(gauge_high_water(bed, g), kCap) << g;
         }
         // The flood really pressed on the cap: ~100k distinct sources hit

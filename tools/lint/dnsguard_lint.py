@@ -22,7 +22,7 @@ runtime and that ordinary code review keeps failing to protect:
   shard-isolation  In classes that carry a per-shard `struct Shard`,
                    per-source mutable state (BoundedTable / *Limiter
                    members) must live inside Shard, and functions on the
-                   sharded batch path (process / serve_lane / on_batch_*)
+                   sharded batch path (process / serve_lane / on_batch_begin)
                    must not index `shards_` with a hard-coded constant.
                    Deliberately global state carries `shardsafe`.
   determinism      Across src/ and bench/: no rand()/std::random_device,
@@ -131,12 +131,11 @@ HOT_PATH_ROOTS = (
     "TokenBucket::try_consume",
     "Packet::release_payload",
     "Node::deliver",
-    # Shard service path: ring transfer, batched MD5, and table prefetch
-    # all run once per packet (or per burst) inside serve_lane.
+    # Shard service path: ring transfer and the midstate MD5 run once per
+    # packet (or per burst) inside serve_lane.
     "SpscRing::try_push",
     "SpscRing::try_pop",
     "CookieHasher::compute",
-    "BoundedTable::prefetch",
     "Node::maybe_schedule_lane",
     "Node::flush_outbox_at",
     # Wall-clock profiler probes (obs/profiler.h): a probe fires inside
@@ -236,9 +235,8 @@ SHARD_PER_SOURCE_DECL = re.compile(
 # but a cross-shard leak on the batch path.
 SHARD_LITERAL_INDEX = re.compile(r"\bshards_\s*\[\s*\d+\s*\]")
 # Functions whose bodies (and transitive callees) form the sharded batch
-# path: the per-packet service entry and the batch hooks.
-SHARD_BATCH_ROOTS = ("process", "serve_lane", "on_batch_begin",
-                     "on_batch_end")
+# path: the per-packet service entry and the batch hook.
+SHARD_BATCH_ROOTS = ("process", "serve_lane", "on_batch_begin")
 
 # --- determinism -----------------------------------------------------------
 DETERMINISM_PATTERNS = (
@@ -762,7 +760,7 @@ def check_shard_isolation(sources, frontend=None):
          shardsafe annotation marks deliberately global members (the TCP
          framer table, a cookie key schedule).
       2. batch-path dataflow: BFS over the unit's call graph from the
-         batch roots (process / serve_lane / on_batch_*); any function
+         batch roots (process / serve_lane / on_batch_begin); any function
          reached may not index `shards_` with a hard-coded constant —
          cold setup code (constructors, bind_metrics) legitimately pins
          shard 0, but on the batch path that is a cross-shard leak."""
