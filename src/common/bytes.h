@@ -28,16 +28,19 @@ class ByteWriter {
   /// re-serialize into recycled storage without reallocating.
   explicit ByteWriter(Bytes&& reuse) : buf_(std::move(reuse)) { buf_.clear(); }
 
-  void u8(std::uint8_t v) { buf_.push_back(v); }
+  void u8(std::uint8_t v) {
+    // DNSGUARD_LINT_ALLOW(alloc): grows the buffer only past its capacity;
+    // the hot-path encoders (Message::encode_to, encode_pooled) write into
+    // a warmed buffer
+    buf_.push_back(v);
+  }
   void u16(std::uint16_t v) {
-    buf_.push_back(static_cast<std::uint8_t>(v >> 8));
-    buf_.push_back(static_cast<std::uint8_t>(v));
+    u8(static_cast<std::uint8_t>(v >> 8));
+    u8(static_cast<std::uint8_t>(v));
   }
   void u32(std::uint32_t v) {
-    buf_.push_back(static_cast<std::uint8_t>(v >> 24));
-    buf_.push_back(static_cast<std::uint8_t>(v >> 16));
-    buf_.push_back(static_cast<std::uint8_t>(v >> 8));
-    buf_.push_back(static_cast<std::uint8_t>(v));
+    u16(static_cast<std::uint16_t>(v >> 16));
+    u16(static_cast<std::uint16_t>(v));
   }
   void raw(BytesView bytes) { buf_.insert(buf_.end(), bytes.begin(), bytes.end()); }
   void raw(std::string_view s) {

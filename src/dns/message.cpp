@@ -3,6 +3,24 @@
 #include "common/pool.h"
 
 namespace dnsguard::dns {
+namespace {
+
+/// decode_into keeps a section's storage for the next message up to this
+/// many entries (a root referral carries 13 NS and their glue). Storage
+/// left by a larger message, possibly a hostile one, is released, so a
+/// reused message holds at most this many entries per section.
+constexpr std::size_t kRetainedEntries = 64;
+
+template <typename T>
+void reset_section(std::vector<T>& section) {
+  if (section.capacity() > kRetainedEntries) {
+    section = std::vector<T>();
+  } else {
+    section.clear();
+  }
+}
+
+}  // namespace
 
 void Question::encode(ByteWriter& w, NameCompressor& compressor) const {
   compressor.write(w, qname);
@@ -10,15 +28,11 @@ void Question::encode(ByteWriter& w, NameCompressor& compressor) const {
   w.u16(static_cast<std::uint16_t>(qclass));
 }
 
-std::optional<Question> Question::decode(Cursor& c) {
-  Question q;
-  auto name = read_name(c);
-  if (!name) return std::nullopt;
-  q.qname = std::move(*name);
-  q.qtype = static_cast<RrType>(c.u16());
-  q.qclass = static_cast<RrClass>(c.u16());
-  if (!c.ok()) return std::nullopt;
-  return q;
+bool Question::decode_into(Cursor& c, Question& out) {
+  if (!read_name(c, out.qname)) return false;
+  out.qtype = static_cast<RrType>(c.u16());
+  out.qclass = static_cast<RrClass>(c.u16());
+  return c.ok();
 }
 
 std::string Question::to_string() const {
@@ -65,43 +79,50 @@ void Message::encode_to(Bytes& out) const {
   out = std::move(w).take();
 }
 
-std::optional<Message> Message::decode(BytesView wire) {
+bool Message::decode_into(BytesView wire, Message& out) {
   Cursor c(wire);
-  Message m;
-  m.header.id = c.u16();
+  out.header.id = c.u16();
   std::uint16_t flags = c.u16();
   std::uint16_t qdcount = c.u16();
   std::uint16_t ancount = c.u16();
   std::uint16_t nscount = c.u16();
   std::uint16_t arcount = c.u16();
-  if (!c.ok()) return std::nullopt;
+  if (!c.ok()) return false;
 
-  m.header.qr = (flags & 0x8000) != 0;
-  m.header.opcode = static_cast<Opcode>((flags >> 11) & 0xf);
-  m.header.aa = (flags & 0x0400) != 0;
-  m.header.tc = (flags & 0x0200) != 0;
-  m.header.rd = (flags & 0x0100) != 0;
-  m.header.ra = (flags & 0x0080) != 0;
-  m.header.rcode = static_cast<Rcode>(flags & 0xf);
+  out.header.qr = (flags & 0x8000) != 0;
+  out.header.opcode = static_cast<Opcode>((flags >> 11) & 0xf);
+  out.header.aa = (flags & 0x0400) != 0;
+  out.header.tc = (flags & 0x0200) != 0;
+  out.header.rd = (flags & 0x0100) != 0;
+  out.header.ra = (flags & 0x0080) != 0;
+  out.header.rcode = static_cast<Rcode>(flags & 0xf);
 
+  // Entries are appended one at a time, not resized to the claimed count:
+  // a lying count fails at the first missing entry instead of growing the
+  // section to 65,535 entries.
+  reset_section(out.questions);
   for (std::uint16_t i = 0; i < qdcount; ++i) {
-    auto q = Question::decode(c);
-    if (!q) return std::nullopt;
-    m.questions.push_back(std::move(*q));
+    if (!Question::decode_into(c, out.questions.emplace_back())) return false;
   }
   auto read_section = [&c](std::uint16_t count,
-                           std::vector<ResourceRecord>& out) {
+                           std::vector<ResourceRecord>& section) {
+    reset_section(section);
     for (std::uint16_t i = 0; i < count; ++i) {
-      auto rr = ResourceRecord::decode(c);
-      if (!rr) return false;
-      out.push_back(std::move(*rr));
+      if (!ResourceRecord::decode_into(c, section.emplace_back())) {
+        return false;
+      }
     }
     return true;
   };
-  if (!read_section(ancount, m.answers)) return std::nullopt;
-  if (!read_section(nscount, m.authority)) return std::nullopt;
-  if (!read_section(arcount, m.additional)) return std::nullopt;
-  if (!c.at_end()) return std::nullopt;  // trailing garbage
+  if (!read_section(ancount, out.answers)) return false;
+  if (!read_section(nscount, out.authority)) return false;
+  if (!read_section(arcount, out.additional)) return false;
+  return c.at_end();  // no trailing garbage
+}
+
+std::optional<Message> Message::decode(BytesView wire) {
+  Message m;
+  if (!decode_into(wire, m)) return std::nullopt;
   return m;
 }
 

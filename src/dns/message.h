@@ -50,7 +50,8 @@ struct Question {
   RrClass qclass = RrClass::IN;
 
   void encode(ByteWriter& w, NameCompressor& compressor) const;
-  [[nodiscard]] static std::optional<Question> decode(Cursor& c);
+  /// Decodes the question at the cursor into `out`; false on malformation.
+  [[nodiscard]] static bool decode_into(Cursor& c, Question& out);
   [[nodiscard]] std::string to_string() const;
   bool operator==(const Question&) const = default;
 };
@@ -70,6 +71,12 @@ struct Message {
   /// consumed packets return their payloads there (sim::Node), closing the
   /// recycle loop for guard/server fast paths.
   [[nodiscard]] Bytes encode_pooled() const;
+  /// Decodes `wire` into `out`, reusing the capacity of its section
+  /// vectors: a message decoded into again and again stops allocating once
+  /// the sections have grown to the traffic's shape (TXT strings and raw
+  /// RDATA still allocate). A section's storage is kept only up to 64
+  /// entries. Returns false on malformed input, leaving `out` unspecified.
+  [[nodiscard]] static bool decode_into(BytesView wire, Message& out);
   [[nodiscard]] static std::optional<Message> decode(BytesView wire);
 
   /// Builds a standard query (one question, RD set for stub->LRS usage).

@@ -94,63 +94,52 @@ void ResourceRecord::encode(ByteWriter& w, NameCompressor& compressor) const {
   w.patch_u16(rdlength_at, static_cast<std::uint16_t>(w.size() - rdata_start));
 }
 
-std::optional<ResourceRecord> ResourceRecord::decode(Cursor& c) {
-  ResourceRecord rr;
-  auto name = read_name(c);
-  if (!name) return std::nullopt;
-  rr.name = std::move(*name);
+bool ResourceRecord::decode_into(Cursor& c, ResourceRecord& rr) {
+  if (!read_name(c, rr.name)) return false;
   std::uint16_t type = c.u16();
   std::uint16_t rclass = c.u16();
   rr.ttl = c.u32();
   std::uint16_t rdlength = c.u16();
-  if (!c.ok() || !c.push_window(rdlength)) return std::nullopt;
+  if (!c.ok() || !c.push_window(rdlength)) return false;
 
   rr.type = static_cast<RrType>(type);
   rr.rclass = static_cast<RrClass>(rclass);
 
   switch (rr.type) {
     case RrType::A: {
-      if (rdlength != 4) return std::nullopt;
+      if (rdlength != 4) return false;
       rr.rdata = ARdata{net::Ipv4Address(c.u32())};
       break;
     }
     case RrType::NS: {
-      auto n = read_name(c);
-      if (!n || !c.at_limit()) return std::nullopt;
-      rr.rdata = NsRdata{std::move(*n)};
+      auto& ns = rr.rdata.emplace<NsRdata>();
+      if (!read_name(c, ns.nsdname) || !c.at_limit()) return false;
       break;
     }
     case RrType::CNAME: {
-      auto n = read_name(c);
-      if (!n || !c.at_limit()) return std::nullopt;
-      rr.rdata = CnameRdata{std::move(*n)};
+      auto& cname = rr.rdata.emplace<CnameRdata>();
+      if (!read_name(c, cname.target) || !c.at_limit()) return false;
       break;
     }
     case RrType::SOA: {
-      SoaRdata soa;
-      auto mname = read_name(c);
-      auto rname = read_name(c);
-      if (!mname || !rname) return std::nullopt;
-      soa.mname = std::move(*mname);
-      soa.rname = std::move(*rname);
+      auto& soa = rr.rdata.emplace<SoaRdata>();
+      if (!read_name(c, soa.mname) || !read_name(c, soa.rname)) return false;
       soa.serial = c.u32();
       soa.refresh = c.u32();
       soa.retry = c.u32();
       soa.expire = c.u32();
       soa.minimum = c.u32();
-      if (!c.ok() || !c.at_limit()) return std::nullopt;
-      rr.rdata = std::move(soa);
+      if (!c.ok() || !c.at_limit()) return false;
       break;
     }
     case RrType::TXT: {
-      TxtRdata txt;
+      auto& txt = rr.rdata.emplace<TxtRdata>();
       while (!c.at_limit()) {
         std::uint8_t len = c.u8();
         BytesView s = c.raw(len);
-        if (!c.ok()) return std::nullopt;
+        if (!c.ok()) return false;
         txt.strings.emplace_back(s.begin(), s.end());
       }
-      rr.rdata = std::move(txt);
       break;
     }
     case RrType::OPT: {
@@ -158,20 +147,20 @@ std::optional<ResourceRecord> ResourceRecord::decode(Cursor& c) {
       rr.rclass = RrClass::IN;
       rr.rdata = OptRdata{rclass};
       c.skip(rdlength);
-      if (!c.ok()) return std::nullopt;
+      if (!c.ok()) return false;
       break;
     }
     default: {
       BytesView raw = c.raw(rdlength);
-      if (!c.ok()) return std::nullopt;
+      if (!c.ok()) return false;
       rr.rdata = RawRdata{type, Bytes(raw.begin(), raw.end())};
       break;
     }
   }
 
-  if (!c.at_limit()) return std::nullopt;
+  if (!c.at_limit()) return false;
   c.pop_window();
-  return rr;
+  return true;
 }
 
 std::string ResourceRecord::to_string() const {

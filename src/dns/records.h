@@ -13,7 +13,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <variant>
 #include <vector>
@@ -117,7 +116,10 @@ struct ResourceRecord {
   /// the compressor; names inside RDATA are written uncompressed so RDATA
   /// lengths are context-independent.
   void encode(ByteWriter& w, NameCompressor& compressor) const;
-  [[nodiscard]] static std::optional<ResourceRecord> decode(Cursor& c);
+  /// Decodes the record at the cursor into `out`, reading its names
+  /// straight into place. Returns false on malformation, leaving `out`
+  /// unspecified.
+  [[nodiscard]] static bool decode_into(Cursor& c, ResourceRecord& out);
 
   [[nodiscard]] std::string to_string() const;
   bool operator==(const ResourceRecord&) const = default;

@@ -314,7 +314,8 @@ bool RemoteGuardNode::pass_rl1(const net::Packet& packet) {
   return false;
 }
 
-void RemoteGuardNode::reply(const net::Packet& to, dns::Message response,
+void RemoteGuardNode::reply(const net::Packet& to,
+                            const dns::Message& response,
                             std::optional<net::Ipv4Address> src_override) {
   charge(config_.costs.transform);
   trace(obs::TraceEvent::kRewrite, to);
@@ -324,7 +325,7 @@ void RemoteGuardNode::reply(const net::Packet& to, dns::Message response,
 }
 
 void RemoteGuardNode::forward_to_ans(const net::Packet& original,
-                                     dns::Message query) {
+                                     const dns::Message& query) {
   stats_.forwarded_to_ans++;
   if (cur_jkey_valid_ && query.question() != nullptr) {
     // The question may have been restored/rewritten: teach the journey the
@@ -418,24 +419,24 @@ SimDuration RemoteGuardNode::process(const net::Packet& packet) {
     return cost_;
   }
 
-  std::optional<dns::Message> m;
+  bool decoded;
   {
     DNSGUARD_PROF_SCOPE(obs::prof::Stage::kGuardDecode);
-    m = dns::Message::decode(BytesView(packet.payload));
+    decoded = dns::Message::decode_into(BytesView(packet.payload), rx_);
   }
-  if (!m || m->header.qr || m->question() == nullptr) {
+  if (!decoded || rx_.header.qr || rx_.question() == nullptr) {
     stats_.malformed++;
     drop_other(packet, obs::DropReason::kMalformed);
     charge(config_.costs.drop);
     return cost_;
   }
 
-  handle_request(packet, *m);
+  handle_request(packet, rx_);
   return cost_;
 }
 
 void RemoteGuardNode::handle_request(const net::Packet& packet,
-                                     const dns::Message& query) {
+                                     dns::Message& query) {
   stats_.requests_seen++;
   trace(obs::TraceEvent::kClassify, packet);
   if (sim().journeys().enabled()) {
@@ -490,7 +491,7 @@ void RemoteGuardNode::handle_request(const net::Packet& packet,
 // --- modified-DNS scheme (§III.D) -------------------------------------------
 
 void RemoteGuardNode::do_modified_dns(const net::Packet& packet,
-                                      const dns::Message& query,
+                                      dns::Message& query,
                                       const crypto::Cookie& cookie) {
   if (CookieEngine::is_zero_cookie(cookie)) {
     // msg 2: a cookie request. Reply msg 3 (same size; no amplification),
@@ -504,7 +505,7 @@ void RemoteGuardNode::do_modified_dns(const net::Packet& packet,
     CookieEngine::attach_txt_cookie(resp, engine_.mint(packet.src_ip),
                                     config_.cookie_ttl);
     stats_.cookie_replies++;
-    reply(packet, std::move(resp));
+    reply(packet, resp);
     return;
   }
 
@@ -513,17 +514,16 @@ void RemoteGuardNode::do_modified_dns(const net::Packet& packet,
     return;
   }
   // msg 5: strip the extension; the ANS never sees cookies.
-  dns::Message stripped = query;
-  CookieEngine::strip_txt_cookie(stripped);
+  CookieEngine::strip_txt_cookie(query);
   charge(config_.costs.transform);
   trace(obs::TraceEvent::kRewrite, packet);
-  forward_to_ans(packet, std::move(stripped));
+  forward_to_ans(packet, query);
 }
 
 // --- DNS-based scheme, NS-name variant (§III.B.1, Fig. 2(a)) ----------------
 
 void RemoteGuardNode::do_ns_name(const net::Packet& packet,
-                                 const dns::Message& query) {
+                                 dns::Message& query) {
   const dns::Question& q = *query.question();
   const auto& zone = config_.protected_zone;
 
@@ -555,9 +555,8 @@ void RemoteGuardNode::do_ns_name(const net::Packet& packet,
       cur_shard_->pending.erase(pkey);
       cur_shard_->pending.try_emplace(pkey, now(), std::move(action));
 
-      dns::Message rewritten = query;
-      rewritten.questions.front().qname = *restored;
-      forward_to_ans(packet, std::move(rewritten));
+      query.questions.front().qname = *restored;
+      forward_to_ans(packet, query);
       return;
     }
   }
@@ -592,7 +591,7 @@ void RemoteGuardNode::do_ns_name(const net::Packet& packet,
   resp.authority.push_back(dns::ResourceRecord::ns(
       next_level, *fabricated, config_.fabricated_ns_ttl));
   stats_.fabricated_referrals++;
-  reply(packet, std::move(resp));
+  reply(packet, resp);
 }
 
 // --- DNS-based scheme, fabricated NS+IP variant (§III.B.2, Fig. 2(b)) -------
@@ -639,7 +638,7 @@ void RemoteGuardNode::do_fabricated_ns_ip(const net::Packet& packet,
       resp.answers.push_back(
           dns::ResourceRecord::a(q.qname, cookie2, config_.cookie_ttl));
       stats_.cookie_replies++;
-      reply(packet, std::move(resp));
+      reply(packet, resp);
       return;
     }
   }
@@ -669,7 +668,7 @@ void RemoteGuardNode::do_fabricated_ns_ip(const net::Packet& packet,
   resp.authority.push_back(dns::ResourceRecord::ns(
       q.qname, *fabricated, config_.fabricated_ns_ttl));
   stats_.fabricated_referrals++;
-  reply(packet, std::move(resp));
+  reply(packet, resp);
 }
 
 // --- TCP-based scheme (§III.C) ----------------------------------------------
@@ -681,7 +680,7 @@ void RemoteGuardNode::do_tcp_redirect(const net::Packet& packet,
   resp.header.tc = true;  // same size as the request: no amplification
   stats_.tc_redirects++;
   jmark("guard.tc_redirect");
-  reply(packet, std::move(resp));
+  reply(packet, resp);
 }
 
 void RemoteGuardNode::proxy_on_data(tcp::ConnId conn, BytesView data) {
@@ -694,19 +693,20 @@ void RemoteGuardNode::proxy_on_data(tcp::ConnId conn, BytesView data) {
     return;
   }
   for (Bytes& msg : ins.value->push(data)) {
-    auto query = dns::Message::decode(BytesView(msg));
-    if (!query || query->header.qr || query->question() == nullptr) {
+    if (!dns::Message::decode_into(BytesView(msg), rx_) || rx_.header.qr ||
+        rx_.question() == nullptr) {
       stats_.malformed++;
       drops_.count(obs::DropReason::kMalformed);
       continue;
     }
+    const dns::Message& query = rx_;
     auto remote = tcp_->remote_of(conn);
     if (!remote) continue;
-    if (sim().journeys().enabled() && query->question() != nullptr) {
+    if (sim().journeys().enabled()) {
       // Merge the TCP-handshake journey (keyed by the client endpoint)
       // with the DNS query it carried.
-      cur_jkey_ = {remote->ip.value(), query->header.id,
-                   query->question()->qname.hash32()};
+      cur_jkey_ = {remote->ip.value(), query.header.id,
+                   query.question()->qname.hash32()};
       cur_jkey_valid_ = true;
       sim().journeys().alias({remote->ip.value(), remote->port, 0},
                              cur_jkey_);
@@ -737,7 +737,7 @@ void RemoteGuardNode::proxy_on_data(tcp::ConnId conn, BytesView data) {
         sh.next_nat_port = sh.nat_port_base;
       }
       auto r = sh.nat.try_emplace(candidate, now(),
-                                  NatEntry{conn, query->header.id});
+                                  NatEntry{conn, query.header.id});
       if (r.inserted) {
         port = candidate;
         break;
@@ -753,7 +753,7 @@ void RemoteGuardNode::proxy_on_data(tcp::ConnId conn, BytesView data) {
     emit_direct(ans_, net::Packet::make_udp(
                           {config_.guard_address, *port},
                           {config_.ans_address, net::kDnsPort},
-                          query->encode_pooled()));
+                          query.encode_pooled()));
   }
 }
 
@@ -788,21 +788,22 @@ void RemoteGuardNode::handle_ans_response(const net::Packet& packet) {
   // Amortized reaping of expired rewrite state.
   cur_shard_->pending.reap(now(), 16);
 
-  auto m = dns::Message::decode(BytesView(packet.payload));
-  if (!m || !m->header.qr) {
+  if (!dns::Message::decode_into(BytesView(packet.payload), rx_) ||
+      !rx_.header.qr) {
     // Not a DNS response we can interpret; pass through untouched.
     emit(packet);
     return;
   }
+  const dns::Message& m = rx_;
 
-  if (sim().journeys().enabled() && m->question() != nullptr) {
-    cur_jkey_ = {packet.dst_ip.value(), m->header.id,
-                 m->question()->qname.hash32()};
+  if (sim().journeys().enabled() && m.question() != nullptr) {
+    cur_jkey_ = {packet.dst_ip.value(), m.header.id,
+                 m.question()->qname.hash32()};
     cur_jkey_valid_ = true;
     jmark("guard.relay");
   }
 
-  const PendingKey pkey{m->header.id, packet.dst_ip.value()};
+  const PendingKey pkey{m.header.id, packet.dst_ip.value()};
   PendingAction* found = cur_shard_->pending.find(pkey, now());
   if (found == nullptr) {
     stats_.responses_relayed++;
@@ -817,7 +818,7 @@ void RemoteGuardNode::handle_ans_response(const net::Packet& packet) {
       // msg 5 -> msg 6: return the next-level servers' addresses as the
       // fabricated name's A records (Fig. 2(a)).
       std::vector<dns::ResourceRecord> addresses;
-      for (const auto* section : {&m->answers, &m->additional}) {
+      for (const auto* section : {&m.answers, &m.additional}) {
         for (const auto& rr : *section) {
           if (rr.type == dns::RrType::A) {
             addresses.push_back(dns::ResourceRecord::a(
@@ -827,7 +828,7 @@ void RemoteGuardNode::handle_ans_response(const net::Packet& packet) {
         }
       }
       dns::Message resp;
-      resp.header.id = m->header.id;
+      resp.header.id = m.header.id;
       resp.header.qr = true;
       resp.header.aa = true;
       resp.questions.push_back(dns::Question{action.fabricated_qname,

@@ -265,22 +265,22 @@ class RemoteGuardNode : public sim::Node {
   };
 
   // --- packet paths ---
-  void handle_request(const net::Packet& packet, const dns::Message& query);
+  void handle_request(const net::Packet& packet, dns::Message& query);
   void handle_ans_response(const net::Packet& packet);
   void handle_proxy_nat_response(const net::Packet& packet);
 
   // --- scheme handlers (charge their own costs via charge()) ---
-  void do_modified_dns(const net::Packet& packet, const dns::Message& query,
+  void do_modified_dns(const net::Packet& packet, dns::Message& query,
                        const crypto::Cookie& cookie);
-  void do_ns_name(const net::Packet& packet, const dns::Message& query);
+  void do_ns_name(const net::Packet& packet, dns::Message& query);
   void do_fabricated_ns_ip(const net::Packet& packet,
                            const dns::Message& query, bool to_subnet);
   void do_tcp_redirect(const net::Packet& packet, const dns::Message& query);
 
   Scheme effective_scheme(net::Ipv4Address src) const;
 
-  void forward_to_ans(const net::Packet& original, dns::Message query);
-  void reply(const net::Packet& to, dns::Message response,
+  void forward_to_ans(const net::Packet& original, const dns::Message& query);
+  void reply(const net::Packet& to, const dns::Message& response,
              std::optional<net::Ipv4Address> src_override = std::nullopt);
   void drop_spoof(const net::Packet& packet, Scheme scheme,
                   obs::DropReason reason);
@@ -350,6 +350,10 @@ class RemoteGuardNode : public sim::Node {
   Config config_;
   sim::Node* ans_;
   CookieEngine engine_;
+  /// Every request, proxied query and ANS reply is decoded into this one
+  /// message, and the handlers strip, restore and forward it in place; its
+  /// sections stop allocating once they fit the traffic.
+  dns::Message rx_;
   ratelimit::RateEstimator request_rate_;
 
   std::vector<std::unique_ptr<Shard>> shards_;

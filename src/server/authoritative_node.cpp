@@ -153,8 +153,9 @@ SimDuration AnsSimulatorNode::process(const net::Packet& packet) {
   if (!packet.is_udp() || packet.udp().dst_port != net::kDnsPort) {
     return SimDuration{0};
   }
-  auto query = dns::Message::decode(BytesView(packet.payload));
-  if (!query || query->header.qr || query->question() == nullptr) {
+  dns::Message& m = rx_;
+  if (!dns::Message::decode_into(BytesView(packet.payload), m) ||
+      m.header.qr || m.question() == nullptr) {
     ans_stats_.malformed++;
     drops_.count(obs::DropReason::kMalformed);
     trace(obs::TraceEvent::kDrop, packet, obs::DropReason::kMalformed);
@@ -162,18 +163,26 @@ SimDuration AnsSimulatorNode::process(const net::Packet& packet) {
   }
   ans_stats_.udp_queries++;
   if (sim().journeys().enabled()) {
-    sim().journeys().mark({packet.src_ip.value(), query->header.id,
-                           query->question()->qname.hash32()},
+    sim().journeys().mark({packet.src_ip.value(), m.header.id,
+                           m.question()->qname.hash32()},
                           "ans.answer", now());
   }
-  dns::Message resp = dns::Message::response_to(*query);
-  resp.header.aa = true;
-  resp.answers.push_back(dns::ResourceRecord::a(query->question()->qname,
-                                                config_.answer_address,
-                                                config_.answer_ttl));
+  // The query becomes its own response, as Message::response_to would
+  // build it (id, opcode, RD and questions kept, QR set), plus AA and the
+  // fixed answer.
+  m.header = dns::Header{.id = m.header.id,
+                         .qr = true,
+                         .opcode = m.header.opcode,
+                         .aa = true,
+                         .rd = m.header.rd};
+  m.answers.clear();
+  m.authority.clear();
+  m.additional.clear();
+  m.answers.push_back(dns::ResourceRecord::a(
+      m.questions.front().qname, config_.answer_address, config_.answer_ttl));
   ans_stats_.responses++;
   send(net::Packet::make_udp({config_.address, net::kDnsPort}, packet.src(),
-                             resp.encode_pooled()));
+                             m.encode_pooled()));
   return config_.query_cost;
 }
 

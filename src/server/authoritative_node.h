@@ -129,6 +129,9 @@ class AnsSimulatorNode : public sim::Node {
 
  private:
   Config config_;
+  /// Each query is decoded into this message and answered in place, so
+  /// steady-state service reuses its sections instead of allocating.
+  dns::Message rx_;
   AnsStats ans_stats_;
   obs::DropCounters drops_;  // bound as "server.ans_sim.drop.<reason>"
 };

@@ -137,11 +137,7 @@ std::optional<dns::DomainName> resolve_name(std::string_view text,
   }
   auto relative = dns::DomainName::parse(text);
   if (!relative) return std::nullopt;
-  std::vector<std::string> labels = relative->labels();
-  labels.insert(labels.end(), origin.labels().begin(), origin.labels().end());
-  dns::DomainName out(std::move(labels));
-  if (!out.valid()) return std::nullopt;
-  return out;
+  return dns::DomainName::concat(*relative, origin);
 }
 
 bool is_type_token(std::string_view t) {

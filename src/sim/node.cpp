@@ -95,6 +95,10 @@ void Node::serve_lane(std::size_t lane_idx) {
 void Node::flush_outbox_at(SimTime at) {
   auto sends = std::move(outbox_);
   outbox_.clear();
+  if (!spare_outboxes_.empty()) {
+    outbox_ = std::move(spare_outboxes_.back());
+    spare_outboxes_.pop_back();
+  }
   sim_.schedule_at(at, [this, sends = std::move(sends)]() mutable {
     DNSGUARD_PROF_SCOPE(obs::prof::Stage::kOutboxFlush);
     for (auto& s : sends) {
@@ -106,6 +110,10 @@ void Node::flush_outbox_at(SimTime at) {
         sim_.send_packet(this, std::move(s.packet));
       }
     }
+    sends.clear();
+    // DNSGUARD_LINT_ALLOW(alloc): the spare list grows only to the number
+    // of flushes pending at once (at most lanes x burst), then recycles
+    spare_outboxes_.push_back(std::move(sends));
   });
 }
 

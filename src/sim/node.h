@@ -190,6 +190,9 @@ class Node {
   std::size_t rx_capacity_;
   std::deque<net::Packet> rx_queue_;
   std::vector<PendingSend> outbox_;
+  /// Emptied outboxes of flushes that already ran, reused by the next
+  /// flush_outbox_at() so an emitting service does not reallocate outbox_.
+  std::vector<std::vector<PendingSend>> spare_outboxes_;
   SimTime busy_until_{};
   bool service_scheduled_ = false;
   bool in_process_ = false;

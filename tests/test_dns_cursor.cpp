@@ -154,16 +154,17 @@ TEST(CursorFuzz, TruncatedNamesNeverOverread) {
   for (std::size_t cut = 0; cut < wire.size(); ++cut) {
     BytesView head(wire.data(), cut);
     Cursor c{head};
-    auto first = read_name(c);
-    if (!first.has_value()) continue;
-    (void)read_name(c);  // second name may also truncate; must not crash
+    DomainName first;
+    if (!read_name(c, first)) continue;
+    (void)read_name(c, first);  // second name may also truncate; must not crash
   }
   // The untruncated wire decodes both names.
   Cursor c{BytesView(wire)};
-  ASSERT_TRUE(read_name(c).has_value());
-  auto second = read_name(c);
-  ASSERT_TRUE(second.has_value());
-  EXPECT_EQ(second->to_string(), "mail.example.com.");
+  DomainName first;
+  DomainName second;
+  ASSERT_TRUE(read_name(c, first));
+  ASSERT_TRUE(read_name(c, second));
+  EXPECT_EQ(second.to_string(), "mail.example.com.");
 }
 
 // Random label/pointer soup: bytes that look like length-prefixed labels
@@ -197,9 +198,16 @@ TEST(CursorFuzz, RandomPointerGraphsTerminate) {
     std::size_t start = rng.bounded(wire.size());
     Cursor c{BytesView(wire)};
     c.skip(start);
-    auto name = read_name(c);
-    if (name.has_value()) {
-      EXPECT_TRUE(name->valid());
+    DomainName name;
+    if (read_name(c, name)) {
+      // Every label and the whole name respect RFC 1035's limits.
+      EXPECT_LE(name.wire_length(), kMaxNameLength);
+      for (std::size_t at = 0; at < name.wire().size();) {
+        const std::size_t len = static_cast<std::uint8_t>(name.wire()[at]);
+        EXPECT_GE(len, 1u);
+        EXPECT_LE(len, kMaxLabelLength);
+        at += 1 + len;
+      }
     }
   }
 }

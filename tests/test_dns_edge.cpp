@@ -3,8 +3,12 @@
 // messages, and adversarial structures.
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <string>
+
 #include "common/rng.h"
 #include "dns/message.h"
+#include "dns_reference_encoder.h"
 
 namespace dnsguard::dns {
 namespace {
@@ -28,9 +32,9 @@ TEST(CompressionEdge, PointerToPointerChainDecodes) {
 
   Cursor r(w.view());
   r.skip(c_at);
-  auto name = read_name(r);
-  ASSERT_TRUE(name.has_value());
-  EXPECT_EQ(name->to_string(), "www.foo.com.");
+  DomainName name;
+  ASSERT_TRUE(read_name(r, name));
+  EXPECT_EQ(name.to_string(), "www.foo.com.");
 }
 
 TEST(CompressionEdge, MaxJumpBudgetEnforced) {
@@ -47,36 +51,125 @@ TEST(CompressionEdge, MaxJumpBudgetEnforced) {
   }
   Cursor r(w.view());
   r.skip(offsets.back());
-  EXPECT_FALSE(read_name(r).has_value());
+  DomainName name;
+  EXPECT_FALSE(read_name(r, name));
 }
 
 TEST(CompressionEdge, CompressorSkipsUnreachableOffsets) {
   // Names written beyond offset 0x3fff cannot be pointer targets; the
   // compressor must fall back to literal labels (and decode must work).
   ByteWriter w;
+  ByteWriter ref;
   NameCompressor c;
+  oracle::ReferenceCompressor rc;
   Bytes padding(0x4000, 0);
   w.raw(BytesView(padding));
+  ref.raw(BytesView(padding));
   auto name = *DomainName::parse("deep.example.com");
   c.write(w, name);   // at offset 0x4000: recorded but unreachable
+  rc.write(ref, name);
   std::size_t second_at = w.size();
   c.write(w, name);   // must NOT emit a pointer to 0x4000
+  rc.write(ref, name);
+  EXPECT_EQ(w.bytes(), ref.bytes());
   Cursor r(w.view());
   r.skip(second_at);
-  auto decoded = read_name(r);
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(*decoded, name);
+  DomainName decoded;
+  ASSERT_TRUE(read_name(r, decoded));
+  EXPECT_EQ(decoded, name);
 }
 
 TEST(CompressionEdge, CaseInsensitiveSuffixSharing) {
-  // "WWW.FOO.COM" then "mail.foo.com": the compressor's canonical keys
-  // are case-insensitive, so the suffix is shared.
+  // "WWW.FOO.COM" then "mail.foo.com": the compressor matches suffixes
+  // case-insensitively, so the suffix is shared.
   ByteWriter w;
   NameCompressor c;
   c.write(w, *DomainName::parse("WWW.FOO.COM"));
   std::size_t first = w.size();
   c.write(w, *DomainName::parse("mail.foo.com"));
   EXPECT_EQ(w.size() - first, 5u + 2u);  // "mail" + pointer
+
+  ByteWriter ref;
+  oracle::ReferenceCompressor rc;
+  rc.write(ref, *DomainName::parse("WWW.FOO.COM"));
+  rc.write(ref, *DomainName::parse("mail.foo.com"));
+  EXPECT_EQ(w.bytes(), ref.bytes());
+}
+
+TEST(CompressionEdge, DottedLabelRoundTrips) {
+  // A response whose question is a.b.c (three labels) and whose answer
+  // owner is the two labels "a.b" and "c". Dotted suffix text cannot tell
+  // them apart; the wire form can, so the owner must not be compressed
+  // into a pointer to the question.
+  const Bytes wire{0x00, 0x01, 0x84, 0x00, 0x00, 0x01, 0x00, 0x01, 0x00,
+                   0x00, 0x00, 0x00, 0x01, 0x61, 0x01, 0x62, 0x01, 0x63,
+                   0x00, 0x00, 0x01, 0x00, 0x01, 0x03, 0x61, 0x2e, 0x62,
+                   0x01, 0x63, 0x00, 0x00, 0x01, 0x00, 0x01, 0x00, 0x00,
+                   0x00, 0x3c, 0x00, 0x04, 0xc0, 0x00, 0x02, 0x01};
+  ASSERT_EQ(wire.size(), 44u);
+  auto m = Message::decode(BytesView(wire));
+  ASSERT_TRUE(m.has_value());
+  EXPECT_EQ(m->questions[0].qname.label_count(), 3u);
+  EXPECT_EQ(m->answers[0].name.label_count(), 2u);
+  EXPECT_NE(m->answers[0].name, m->questions[0].qname);
+  const Bytes encoded = m->encode();
+  EXPECT_EQ(encoded, oracle::reference_encode(*m));
+  auto d = Message::decode(BytesView(encoded));
+  ASSERT_TRUE(d.has_value());
+  EXPECT_EQ(d->answers[0].name.label_count(), 2u);
+  EXPECT_EQ(*d, *m);
+}
+
+TEST(CompressionEdge, OracleAgreesOnMixedCaseAndMaximalNames) {
+  // 63 + 63 + 63 + 61 label bytes and 4 length bytes: 255 wire bytes with
+  // the terminating zero, the largest legal name.
+  const std::string label63(63, 'a');
+  const std::string maximal = label63 + "." + std::string(63, 'B') + "." +
+                              label63 + "." + std::string(61, 'c');
+  Message m;
+  m.header.qr = true;
+  m.questions.push_back(
+      Question{*DomainName::parse("WWW.Example.COM"), RrType::A, RrClass::IN});
+  m.answers.push_back(ResourceRecord::a(*DomainName::parse("www.example.com"),
+                                        net::Ipv4Address(1, 2, 3, 4), 60));
+  m.answers.push_back(ResourceRecord::a(*DomainName::parse("Mail.EXAMPLE.com"),
+                                        net::Ipv4Address(1, 2, 3, 5), 60));
+  const DomainName big = *DomainName::parse(maximal);
+  ASSERT_EQ(big.wire_length(), kMaxNameLength);
+  m.answers.push_back(ResourceRecord::a(big, net::Ipv4Address(1, 2, 3, 6), 60));
+  m.answers.push_back(ResourceRecord::a(*DomainName::parse(maximal.substr(64)),
+                                        net::Ipv4Address(1, 2, 3, 7), 60));
+  std::string upper = maximal;
+  for (char& ch : upper) ch = static_cast<char>(std::toupper(ch));
+  m.authority.push_back(ResourceRecord::ns(*DomainName::parse(upper),
+                                           *DomainName::parse("ns.example.com"),
+                                           60));
+  const Bytes encoded = m.encode();
+  EXPECT_EQ(encoded, oracle::reference_encode(m));
+  auto d = Message::decode(BytesView(encoded));
+  ASSERT_TRUE(d.has_value());
+  EXPECT_EQ(*d, m);
+}
+
+TEST(CompressionEdge, FullCompressorStaysValid) {
+  // More distinct suffixes than the compressor remembers, each owner
+  // written twice. The second copies of the owners it could not record
+  // go out literally, so the message is longer than the reference
+  // encoding but still decodes to the same records.
+  Message m;
+  m.header.qr = true;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (std::size_t i = 0; i < NameCompressor::kCapacity + 50; ++i) {
+      m.answers.push_back(ResourceRecord::a(
+          *DomainName::parse("n" + std::to_string(i) + ".example"),
+          net::Ipv4Address(static_cast<std::uint32_t>(i)), 60));
+    }
+  }
+  const Bytes encoded = m.encode();
+  EXPECT_GT(encoded.size(), oracle::reference_encode(m).size());
+  auto d = Message::decode(BytesView(encoded));
+  ASSERT_TRUE(d.has_value());
+  EXPECT_EQ(*d, m);
 }
 
 TEST(OptEdge, OptRecordRoundTripsWithPayloadSize) {
@@ -113,10 +206,32 @@ TEST(MessageEdge, ManyRecordsRoundTrip) {
         *DomainName::parse("n" + std::to_string(i) + ".example"),
         net::Ipv4Address(static_cast<std::uint32_t>(i)), 60));
   }
+  EXPECT_EQ(m.encode(), oracle::reference_encode(m));  // 201 suffixes fit
   auto d = Message::decode(BytesView(m.encode()));
   ASSERT_TRUE(d.has_value());
   EXPECT_EQ(d->answers.size(), 200u);
   EXPECT_EQ(*d, m);
+}
+
+TEST(MessageEdge, DecodeIntoReleasesOversizeSections) {
+  // A reused message keeps section storage for small messages only: a
+  // large one cannot pin its records' memory in a long-lived decode
+  // target.
+  Message big;
+  big.header.qr = true;
+  for (int i = 0; i < 200; ++i) {
+    big.answers.push_back(ResourceRecord::a(
+        *DomainName::parse("n" + std::to_string(i) + ".example"),
+        net::Ipv4Address(static_cast<std::uint32_t>(i)), 60));
+  }
+  const Message small =
+      Message::query(1, *DomainName::parse("a.example"), RrType::A, false);
+  Message m;
+  ASSERT_TRUE(Message::decode_into(BytesView(big.encode()), m));
+  EXPECT_EQ(m, big);
+  ASSERT_TRUE(Message::decode_into(BytesView(small.encode()), m));
+  EXPECT_EQ(m, small);
+  EXPECT_LE(m.answers.capacity(), 64u);
 }
 
 TEST(MessageEdge, EmptyTxtStringAllowed) {
@@ -196,6 +311,7 @@ TEST_P(KitchenSink, FullMessageRoundTrip) {
       DomainName{}, TxtRdata::single(BytesView(cookie)), 0));
   m.additional.push_back(ResourceRecord{DomainName{}, RrType::OPT,
                                         RrClass::IN, 0, OptRdata{1232}});
+  EXPECT_EQ(m.encode(), oracle::reference_encode(m));
   auto d = Message::decode(BytesView(m.encode()));
   ASSERT_TRUE(d.has_value());
   EXPECT_EQ(*d, m);

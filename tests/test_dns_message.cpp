@@ -4,11 +4,15 @@
 
 #include "common/rng.h"
 #include "dns/message.h"
+#include "dns_reference_encoder.h"
 
 namespace dnsguard::dns {
 namespace {
 
+/// Decodes m's encoding. Also checks that encoding against the reference
+/// (map-based) compressor, byte for byte.
 Message round_trip(const Message& m) {
+  EXPECT_EQ(m.encode(), oracle::reference_encode(m));
   auto decoded = Message::decode(BytesView(m.encode()));
   EXPECT_TRUE(decoded.has_value());
   return decoded.value_or(Message{});

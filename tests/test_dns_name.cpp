@@ -1,6 +1,9 @@
 // Domain name parsing, limits, relations and wire codec incl. compression.
 #include <gtest/gtest.h>
 
+#include <string_view>
+#include <type_traits>
+
 #include "dns/name.h"
 
 namespace dnsguard::dns {
@@ -77,15 +80,52 @@ TEST(DomainName, WithPrefixLabel) {
   EXPECT_FALSE(com.with_prefix_label(std::string(64, 'x')).has_value());
 }
 
+TEST(DomainName, ConcatJoinsLabelsWithinLimits) {
+  auto joined = DomainName::concat(*DomainName::parse("www"),
+                                   *DomainName::parse("foo.com"));
+  ASSERT_TRUE(joined.has_value());
+  EXPECT_EQ(joined->to_string(), "www.foo.com.");
+  EXPECT_EQ(joined->label_count(), 3u);
+  EXPECT_EQ(*joined, *DomainName::parse("www.foo.com"));
+  EXPECT_EQ(DomainName::concat(*DomainName::parse("foo.com"), DomainName{})
+                ->to_string(),
+            "foo.com.");
+  // Two 63-byte labels are 128 wire bytes; twice that plus the root byte
+  // exceeds 255.
+  auto half =
+      *DomainName::parse(std::string(63, 'a') + "." + std::string(63, 'b'));
+  EXPECT_FALSE(DomainName::concat(half, half).has_value());
+}
+
+// The name is its inline wire form: 255 bytes plus a length and a label
+// count, copied as plain bytes.
+static_assert(sizeof(DomainName) == kMaxNameLength + 2);
+static_assert(std::is_trivially_copyable_v<DomainName>);
+
+TEST(DomainName, WireFormIsLengthPrefixedLabels) {
+  EXPECT_EQ(DomainName::parse("www.Foo.com")->wire(),
+            std::string_view("\x03" "www" "\x03" "Foo" "\x03" "com"));
+  EXPECT_TRUE(DomainName{}.wire().empty());
+}
+
+TEST(DomainName, Hash32KeepsFnv1aValues) {
+  // Journeys key on qname hashes; these are the values the label-vector
+  // implementation produced, so journey keys do not move.
+  EXPECT_EQ(DomainName{}.hash32(), 0x811c9dc5u);
+  EXPECT_EQ(DomainName::parse("com")->hash32(), 0x35b6be4bu);
+  EXPECT_EQ(DomainName::parse("www.Example.COM")->hash32(), 0x0e191bcau);
+  EXPECT_EQ(DomainName::parse("www.example.com")->hash32(), 0x0e191bcau);
+}
+
 TEST(NameWire, UncompressedRoundTrip) {
   auto n = *DomainName::parse("a.bc.def.example");
   ByteWriter w;
   write_name_uncompressed(w, n);
   EXPECT_EQ(w.size(), n.wire_length());
   Cursor r(w.view());
-  auto d = read_name(r);
-  ASSERT_TRUE(d.has_value());
-  EXPECT_EQ(*d, n);
+  DomainName d;
+  ASSERT_TRUE(read_name(r, d));
+  EXPECT_EQ(d, n);
   EXPECT_TRUE(r.at_end());
 }
 
@@ -101,12 +141,12 @@ TEST(NameWire, CompressionReusesSuffix) {
   EXPECT_EQ(w.size() - first, 5u + 2u);
 
   Cursor r(w.view());
-  auto da = read_name(r);
-  auto db = read_name(r);
-  ASSERT_TRUE(da.has_value());
-  ASSERT_TRUE(db.has_value());
-  EXPECT_EQ(*da, a);
-  EXPECT_EQ(*db, b);
+  DomainName da;
+  DomainName db;
+  ASSERT_TRUE(read_name(r, da));
+  ASSERT_TRUE(read_name(r, db));
+  EXPECT_EQ(da, a);
+  EXPECT_EQ(db, b);
 }
 
 TEST(NameWire, IdenticalNameBecomesPurePointer) {
@@ -123,26 +163,30 @@ TEST(NameWire, PointerLoopRejected) {
   // A name whose pointer points at itself.
   Bytes evil{0xc0, 0x00};
   Cursor r{BytesView(evil)};
-  EXPECT_FALSE(read_name(r).has_value());
+  DomainName d;
+  EXPECT_FALSE(read_name(r, d));
 }
 
 TEST(NameWire, ForwardPointerRejected) {
   // Pointer to offset beyond itself (forward reference).
   Bytes evil{0xc0, 0x05, 0, 0, 0, 3, 'a', 'b', 'c', 0};
   Cursor r{BytesView(evil)};
-  EXPECT_FALSE(read_name(r).has_value());
+  DomainName d;
+  EXPECT_FALSE(read_name(r, d));
 }
 
 TEST(NameWire, ReservedLabelTypesRejected) {
   Bytes evil{0x80, 'x', 0};  // 10-prefixed label type is reserved
   Cursor r{BytesView(evil)};
-  EXPECT_FALSE(read_name(r).has_value());
+  DomainName d;
+  EXPECT_FALSE(read_name(r, d));
 }
 
 TEST(NameWire, TruncatedNameRejected) {
   Bytes evil{5, 'a', 'b'};  // label promises 5 bytes, only 2 present
   Cursor r{BytesView(evil)};
-  EXPECT_FALSE(read_name(r).has_value());
+  DomainName d;
+  EXPECT_FALSE(read_name(r, d));
 }
 
 TEST(NameWire, OversizeAssembledNameRejected) {
@@ -154,7 +198,8 @@ TEST(NameWire, OversizeAssembledNameRejected) {
   }
   w.u8(0);
   Cursor r(w.view());
-  EXPECT_FALSE(read_name(r).has_value());
+  DomainName d;
+  EXPECT_FALSE(read_name(r, d));
 }
 
 // Property: parse -> wire -> parse is identity for many realistic names.
@@ -167,10 +212,10 @@ TEST_P(NameRoundTrip, Identity) {
   NameCompressor c;
   c.write(w, *n);
   Cursor r(w.view());
-  auto d = read_name(r);
-  ASSERT_TRUE(d.has_value());
-  EXPECT_EQ(*d, *n);
-  EXPECT_EQ(d->to_string(), n->to_string());
+  DomainName d;
+  ASSERT_TRUE(read_name(r, d));
+  EXPECT_EQ(d, *n);
+  EXPECT_EQ(d.to_string(), n->to_string());
 }
 
 INSTANTIATE_TEST_SUITE_P(

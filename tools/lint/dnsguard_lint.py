@@ -138,6 +138,21 @@ HOT_PATH_ROOTS = (
     "CookieHasher::compute",
     "Node::maybe_schedule_lane",
     "Node::flush_outbox_at",
+    # DNS codec: names are inline wire forms, so reading, compressing,
+    # writing and transforming them, and encoding a whole message into a
+    # warmed buffer, never allocate. Message::decode_into is left out: its
+    # sections and TXT strings grow until their capacity settles, which
+    # tests/test_alloc_budget.cpp measures instead.
+    "read_name",
+    "NameCompressor::write",
+    "write_name_uncompressed",
+    "Message::encode_to",
+    "DomainName::suffix",
+    "DomainName::parent",
+    "DomainName::with_prefix_label",
+    "DomainName::equals",
+    "DomainName::is_subdomain_of",
+    "DomainName::hash32",
     # Wall-clock profiler probes (obs/profiler.h): a probe fires inside
     # every hot-path root above, so the probes themselves must stay
     # allocation-free. Profiler::enable()/report() are cold and excluded.
