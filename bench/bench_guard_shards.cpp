@@ -75,7 +75,7 @@ int main() {
   table.print_header();
 
   // Cost attribution at both ends of the sweep: the 1-shard profile is
-  // served from the FIFO receive queue, the 8-shard one from per-shard
+  // served from one lane a packet at a time, the 8-shard one from eight
   // lanes drained in bursts; both run the same per-packet guard path.
   ProfileCollector prof;
   const std::vector<std::size_t> sweep{1, 2, 4, 8};

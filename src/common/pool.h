@@ -10,7 +10,7 @@
 //  - BufferPool: recycles `Bytes` payload buffers. A packet's payload is
 //    allocated when a DNS message is serialized and freed when the packet
 //    is consumed at its destination node; routing them through the pool
-//    turns that into capacity reuse. Node::service_one() returns consumed
+//    turns that into capacity reuse. Node::serve_lane() returns consumed
 //    payloads and the guard/DNS encode paths draw from it.
 //
 // Everything here is single-threaded by design (the discrete-event

@@ -1,11 +1,14 @@
-// Fixed-capacity single-producer/single-consumer ring.
+// Bounded single-producer/single-consumer ring.
 //
-// The shard-per-core guard feeds each shard through one of these: the
-// delivery path pushes arriving packets, the shard's service loop pops
-// them in bursts. Capacity is rounded up to a power of two so push/pop are
-// a masked index increment; the buffer is allocated once at construction
-// and steady state never touches the allocator (same discipline as
-// EventQueue's slot pool).
+// Every sim::Node queues its arrivals in these, one per lane: the delivery
+// path pushes arriving packets, the lane's service loop pops them. The
+// ring holds at most `limit` items, exactly. Its storage is a power of two
+// (push/pop are a masked index increment) that starts at 16 slots and
+// doubles when a push finds it full below the limit. So a queue's memory
+// follows its high-water mark, not its limit: storage is at most twice the
+// high-water mark (three times while a doubling moves the items), and once
+// a queue has reached its high-water mark it never touches the allocator
+// again.
 //
 // In the single-threaded simulator the SPSC contract is trivially met (one
 // producer call site, one consumer call site, never interleaved); the
@@ -14,6 +17,8 @@
 // carrying atomics the simulator doesn't need.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -23,30 +28,36 @@ namespace dnsguard::common {
 template <typename T>
 class SpscRing {
  public:
-  /// `min_capacity` is rounded up to a power of two (at least 2).
-  explicit SpscRing(std::size_t min_capacity) {
-    std::size_t cap = 2;
-    while (cap < min_capacity) cap <<= 1;
-    buf_.resize(cap);
-    mask_ = cap - 1;
-  }
-  SpscRing() : SpscRing(2) {}
+  /// Holds at most `limit` items.
+  explicit SpscRing(std::size_t limit)
+      : limit_(limit), buf_(kInitialSlots), mask_(kInitialSlots - 1) {}
 
   SpscRing(SpscRing&&) = default;
   SpscRing& operator=(SpscRing&&) = default;
   SpscRing(const SpscRing&) = delete;
   SpscRing& operator=(const SpscRing&) = delete;
 
-  [[nodiscard]] std::size_t capacity() const { return mask_ + 1; }
   [[nodiscard]] std::size_t size() const {
     return static_cast<std::size_t>(head_ - tail_);
   }
   [[nodiscard]] bool empty() const { return head_ == tail_; }
-  [[nodiscard]] bool full() const { return size() == capacity(); }
+  [[nodiscard]] bool full() const { return size() >= limit_; }
 
   /// Producer side: false (value untouched) when the ring is full.
   [[nodiscard]] bool try_push(T&& v) {
     if (full()) return false;
+    if (size() == buf_.size()) {
+      // Unwrap the items to the front of the storage, then double it.
+      std::rotate(buf_.begin(),
+                  buf_.begin() + static_cast<std::ptrdiff_t>(tail_ & mask_),
+                  buf_.end());
+      tail_ = 0;
+      head_ = buf_.size();
+      // DNSGUARD_LINT_ALLOW(alloc): storage doubles only when the queue
+      // passes its high-water mark, so a queue in steady state never grows
+      buf_.resize(2 * buf_.size());
+      mask_ = buf_.size() - 1;
+    }
     buf_[static_cast<std::size_t>(head_) & mask_] = std::move(v);
     ++head_;
     return true;
@@ -61,8 +72,11 @@ class SpscRing {
   }
 
  private:
+  static constexpr std::size_t kInitialSlots = 16;
+
+  std::size_t limit_;
   std::vector<T> buf_;
-  std::size_t mask_ = 0;
+  std::size_t mask_;
   std::uint64_t head_ = 0;  // producer position (monotonic)
   std::uint64_t tail_ = 0;  // consumer position (monotonic)
 };

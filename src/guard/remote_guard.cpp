@@ -117,14 +117,8 @@ RemoteGuardNode::RemoteGuardNode(sim::Simulator& sim, std::string name,
   }
   cur_shard_ = shards_[0].get();
 
-  // One shard keeps the Node's FIFO receive queue: a lane would
-  // preallocate a ring as deep as the whole queue (DESIGN.md §13).
-  if (n > 1) {
-    enable_sharded_service(n,
-                           std::max<std::size_t>(
-                               config_.rx_queue_capacity / n, std::size_t{16}),
-                           kShardBurst);
-  }
+  // One shard keeps the Node's default lane: the whole queue, bursts of one.
+  if (n > 1) enable_sharded_service(n, kShardBurst);
 
   tcp_ = std::make_unique<tcp::TcpStack>(
       [this](net::Packet p) { emit(std::move(p)); },

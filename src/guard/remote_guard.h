@@ -165,19 +165,22 @@ class RemoteGuardNode : public sim::Node {
     /// reset at the cap (§III.C's connection-removal policy).
     std::size_t proxy_max_connections = 16384;
 
-    /// Receive-queue depth. Sized like a kernel backlog: thousands of
-    /// concurrent proxied TCP connections keep one segment each in
-    /// flight, and dropping those (our mini-TCP has no retransmission)
-    /// would stall connections rather than just delay them.
+    /// Receive-queue depth, split evenly over the shards' lanes. Sized
+    /// like a kernel backlog: thousands of concurrent proxied TCP
+    /// connections keep one segment each in flight, and dropping those
+    /// (our mini-TCP has no retransmission) would stall connections rather
+    /// than just delay them. A lane's ring allocates only as deep as its
+    /// queue has ever been, not this limit (DESIGN.md §13).
     std::size_t rx_queue_capacity = 65536;
 
     /// Shard-per-core model: all per-source state (RL1/RL2 buckets,
     /// pending rewrites, NAT entries, connection buckets) is partitioned
-    /// by source hash into this many independent shards. With more than
-    /// one, each shard is fed by its own SPSC ring and drained in bursts;
-    /// 1 (the default) serves from the Node's FIFO receive queue. Table
-    /// capacities above are totals; each shard gets its share (rounded
-    /// up).
+    /// by source hash into this many independent shards. Each shard is
+    /// fed by its own lane of rx_queue_capacity / num_shards packets.
+    /// With more than one, lanes drain in bursts of up to 32 packets; 1
+    /// (the default) keeps the Node's single lane, served one packet at a
+    /// time. Table capacities above are totals; each shard gets its share
+    /// (rounded up).
     std::size_t num_shards = 1;
   };
 

@@ -62,8 +62,8 @@ enum class Stage : std::uint8_t {
 
 inline constexpr std::size_t kStageCount =
     static_cast<std::size_t>(Stage::kCount);
-/// Shard lanes tracked independently (merged at report time). Lane 0 is
-/// the classic sequential discipline; sharded nodes use their lane index.
+/// Shard lanes tracked independently (merged at report time). Every node
+/// serves lane 0 by default; sharded nodes use their lane index.
 inline constexpr std::size_t kMaxLanes = 17;
 /// Maximum span nesting per lane. Deeper spans are counted (overflow) and
 /// dropped rather than recorded with a wrong parent.

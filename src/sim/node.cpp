@@ -14,25 +14,22 @@ void Node::trace(obs::TraceEvent event, const net::Packet& packet,
                 info, reason);
 }
 
-void Node::enable_sharded_service(std::size_t lanes,
-                                  std::size_t ring_capacity,
-                                  std::size_t batch_max) {
+void Node::enable_sharded_service(std::size_t lanes, std::size_t batch_max) {
   if (lanes == 0) lanes = 1;
   if (batch_max == 0) batch_max = 1;
   lanes_.clear();
   lanes_.reserve(lanes);
   for (std::size_t i = 0; i < lanes; ++i) {
-    lanes_.push_back(ShardLane{
-        common::SpscRing<net::Packet>(ring_capacity), SimTime{},
-        SimDuration{}, false});
+    lanes_.push_back(
+        ShardLane{common::SpscRing<net::Packet>(rx_capacity_ / lanes)});
   }
-  batch_max_ = batch_max;
   batch_.resize(batch_max);
 }
 
-void Node::deliver_sharded(net::Packet packet) {
-  const std::size_t lane_idx = shard_of(packet);
-  ShardLane& lane = lanes_[lane_idx < lanes_.size() ? lane_idx : 0];
+void Node::deliver(net::Packet packet) {
+  std::size_t lane_idx = shard_of(packet);
+  if (lane_idx >= lanes_.size()) lane_idx = 0;
+  ShardLane& lane = lanes_[lane_idx];
   if (lane.ring.full()) {
     stats_.dropped_queue_full++;
     sim_.mutable_stats().packets_dropped_queue_full++;
@@ -43,7 +40,7 @@ void Node::deliver_sharded(net::Packet packet) {
   sim_.mutable_stats().packets_delivered++;
   trace(obs::TraceEvent::kRx, packet);
   (void)lane.ring.try_push(std::move(packet));  // full() checked above
-  maybe_schedule_lane(lane_idx < lanes_.size() ? lane_idx : 0);
+  maybe_schedule_lane(lane_idx);
 }
 
 void Node::maybe_schedule_lane(std::size_t lane_idx) {
@@ -58,7 +55,7 @@ void Node::serve_lane(std::size_t lane_idx) {
   ShardLane& lane = lanes_[lane_idx];
   lane.scheduled = false;
   std::size_t n = 0;
-  while (n < batch_max_ && lane.ring.try_pop(batch_[n])) ++n;
+  while (n < batch_.size() && lane.ring.try_pop(batch_[n])) ++n;
   if (n == 0) return;
 
   // Attribute this burst's spans to this lane's profiler cells; merged
@@ -67,9 +64,9 @@ void Node::serve_lane(std::size_t lane_idx) {
   in_batch_ = true;
   on_batch_begin(lane_idx, batch_.data(), n);
 
-  // The burst is classified at one sim instant, but each packet's service
-  // cost advances the lane clock and its emissions leave at its own
-  // completion time — the same release discipline as the sequential path.
+  // The burst is served at one sim instant, but each packet's service cost
+  // advances the lane clock and its emissions leave at its own completion
+  // time, so a burst of one is the classic one-packet-per-event FIFO.
   SimTime t = std::max(now(), lane.busy_until);
   for (std::size_t k = 0; k < n; ++k) {
     in_process_ = true;
@@ -79,10 +76,11 @@ void Node::serve_lane(std::size_t lane_idx) {
       cost = process(batch_[k]);
     }
     in_process_ = false;
+    // The packet is consumed: recycle its payload buffer for the encode
+    // paths (handlers that keep the packet copy it, payload included).
     batch_[k].release_payload();
     if (cost.ns < 0) cost.ns = 0;
     stats_.busy = stats_.busy + cost;
-    lane.busy = lane.busy + cost;
     t = t + cost;
     if (!outbox_.empty()) flush_outbox_at(t);
   }
@@ -115,61 +113,6 @@ void Node::flush_outbox_at(SimTime at) {
     // of flushes pending at once (at most lanes x burst), then recycles
     spare_outboxes_.push_back(std::move(sends));
   });
-}
-
-void Node::deliver(net::Packet packet) {
-  if (!lanes_.empty()) {
-    deliver_sharded(std::move(packet));
-    return;
-  }
-  if (rx_queue_.size() >= rx_capacity_) {
-    stats_.dropped_queue_full++;
-    sim_.mutable_stats().packets_dropped_queue_full++;
-    trace(obs::TraceEvent::kQueueDrop, packet, obs::DropReason::kQueueFull);
-    return;
-  }
-  stats_.rx++;
-  sim_.mutable_stats().packets_delivered++;
-  trace(obs::TraceEvent::kRx, packet);
-  // DNSGUARD_LINT_ALLOW(alloc): deque push moves the packet (payloads are
-  // pooled); the queue is capped at rx_capacity_ so its chunk storage
-  // reaches steady state after warmup
-  rx_queue_.push_back(std::move(packet));
-  maybe_schedule_service();
-}
-
-void Node::maybe_schedule_service() {
-  if (service_scheduled_ || rx_queue_.empty()) return;
-  service_scheduled_ = true;
-  SimTime start = std::max(now(), busy_until_);
-  sim_.schedule_at(start, [this] { service_one(); });
-}
-
-void Node::service_one() {
-  service_scheduled_ = false;
-  if (rx_queue_.empty()) return;
-  net::Packet packet = std::move(rx_queue_.front());
-  rx_queue_.pop_front();
-
-  in_process_ = true;
-  SimDuration cost;
-  {
-    DNSGUARD_PROF_SCOPE(prof_stage_);
-    cost = process(packet);
-  }
-  in_process_ = false;
-  // The packet is consumed: recycle its payload buffer for the encode
-  // paths (handlers that keep the packet copy it, payload included).
-  packet.release_payload();
-  if (cost.ns < 0) cost.ns = 0;
-
-  stats_.busy = stats_.busy + cost;
-  busy_until_ = now() + cost;
-
-  // Packets emitted during process() leave when the service time elapses.
-  if (!outbox_.empty()) flush_outbox_at(busy_until_);
-
-  maybe_schedule_service();
 }
 
 void Node::send(net::Packet packet) {

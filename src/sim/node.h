@@ -10,20 +10,20 @@
 // the receive queue is full, arrivals are dropped — which is what pushes a
 // saturated BIND server's goodput off a cliff in Fig. 5.
 //
-// Shard-per-core mode (enable_sharded_service): the node models N
-// independent cores, each fed by a fixed-capacity SPSC ring. deliver()
-// routes arrivals by the subclass's shard_of(); each lane drains its ring
-// in bursts of up to batch_max packets, with its own busy clock.
-// Determinism rules: the simulator is single-threaded, lane service
-// events tie-break in schedule order (EventQueue FIFO at equal
+// The queue is a lane: a bounded SPSC ring (common::SpscRing) with its own
+// busy clock. A node starts with one lane holding the whole queue, served
+// in bursts of one packet, which is the discipline above. Shard-per-core
+// mode (enable_sharded_service) models N independent cores instead: N
+// lanes of rx_queue_capacity / N packets, each drained in bursts of up to
+// batch_max packets; deliver() routes arrivals by the subclass's
+// shard_of(). Determinism rules: the simulator is single-threaded, lane
+// service events tie-break in schedule order (EventQueue FIFO at equal
 // timestamps), a burst is processed at one sim instant, and every
 // packet's emissions are released at that packet's own completion time on
-// its lane — so a 1-lane node below saturation behaves exactly like the
-// sequential discipline, and N-lane runs are bit-for-bit reproducible.
+// its lane — so N-lane runs are bit-for-bit reproducible.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <utility>
 #include <vector>
@@ -52,6 +52,7 @@ class Node {
                 std::size_t rx_queue_capacity = 4096)
       : sim_(sim), name_(std::move(name)), rx_capacity_(rx_queue_capacity) {
     sim_.add_node(this);
+    enable_sharded_service(1, 1);
   }
   virtual ~Node() { sim_.remove_node(this); }
   Node(const Node&) = delete;
@@ -66,10 +67,7 @@ class Node {
   [[nodiscard]] Simulator& sim() { return sim_; }
   [[nodiscard]] const Simulator& sim() const { return sim_; }
   [[nodiscard]] const NodeStats& stats() const { return stats_; }
-  void reset_stats() {
-    stats_ = NodeStats{};
-    for (auto& lane : lanes_) lane.busy = SimDuration{};
-  }
+  void reset_stats() { stats_ = NodeStats{}; }
 
   /// CPU utilization between `reset_stats()` (or construction) and now,
   /// given the elapsed window length.
@@ -81,23 +79,6 @@ class Node {
 
   /// Entry point used by the Simulator: enqueue an arriving packet.
   void deliver(net::Packet packet);
-
-  [[nodiscard]] std::size_t rx_queue_depth() const {
-    if (!lanes_.empty()) {
-      std::size_t total = 0;
-      for (const auto& lane : lanes_) total += lane.ring.size();
-      return total;
-    }
-    return rx_queue_.size();
-  }
-
-  /// Number of shard lanes (0 when the node runs the classic sequential
-  /// discipline).
-  [[nodiscard]] std::size_t shard_lane_count() const { return lanes_.size(); }
-  /// CPU time accumulated by one lane since the last reset_stats().
-  [[nodiscard]] SimDuration shard_busy(std::size_t lane) const {
-    return lanes_[lane].busy;
-  }
 
   /// The node's packet-lifecycle trace ring (rx -> classify -> rewrite /
   /// drop -> tx). Bounded, always on, dumpable on test failure:
@@ -113,13 +94,12 @@ class Node {
 
   // --- shard-per-core service (opt-in) -------------------------------------
 
-  /// Switches this node to N shard lanes, each a `ring_capacity` SPSC ring
-  /// drained in bursts of up to `batch_max` packets. Call once, from the
-  /// subclass constructor, before any packet is delivered.
-  void enable_sharded_service(std::size_t lanes, std::size_t ring_capacity,
-                              std::size_t batch_max);
+  /// Splits the receive queue into N shard lanes of rx_queue_capacity / N
+  /// packets each, drained in bursts of up to `batch_max` packets. Call
+  /// once, from the subclass constructor, before any packet is delivered.
+  void enable_sharded_service(std::size_t lanes, std::size_t batch_max);
 
-  /// Maps an arriving packet to a lane index in [0, shard_lane_count()).
+  /// Maps an arriving packet to a lane index in [0, lanes).
   /// Must be a pure function of the packet (determinism).
   [[nodiscard]] virtual std::size_t shard_of(const net::Packet&) const {
     return 0;
@@ -135,7 +115,7 @@ class Node {
     (void)n;
   }
 
-  /// True while a shard burst is being processed (hostbench's TimedGuard
+  /// True while a lane's burst is being processed (hostbench's TimedGuard
   /// reads it to share a burst's hook time over its packets).
   [[nodiscard]] bool in_batch() const { return in_batch_; }
 
@@ -173,13 +153,9 @@ class Node {
   struct ShardLane {
     common::SpscRing<net::Packet> ring;
     SimTime busy_until{};
-    SimDuration busy{};
     bool scheduled = false;
   };
 
-  void maybe_schedule_service();
-  void service_one();
-  void deliver_sharded(net::Packet packet);
   void maybe_schedule_lane(std::size_t lane);
   void serve_lane(std::size_t lane);
   void flush_outbox_at(SimTime at);
@@ -188,17 +164,13 @@ class Node {
   std::uint64_t sim_id_ = 0;
   std::string name_;
   std::size_t rx_capacity_;
-  std::deque<net::Packet> rx_queue_;
   std::vector<PendingSend> outbox_;
   /// Emptied outboxes of flushes that already ran, reused by the next
   /// flush_outbox_at() so an emitting service does not reallocate outbox_.
   std::vector<std::vector<PendingSend>> spare_outboxes_;
-  SimTime busy_until_{};
-  bool service_scheduled_ = false;
   bool in_process_ = false;
-  std::vector<ShardLane> lanes_;       // empty => classic discipline
+  std::vector<ShardLane> lanes_;
   std::vector<net::Packet> batch_;     // burst scratch, sized batch_max
-  std::size_t batch_max_ = 0;
   bool in_batch_ = false;
   obs::prof::Stage prof_stage_ = obs::prof::Stage::kNodeService;
   NodeStats stats_;

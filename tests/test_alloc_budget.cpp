@@ -193,15 +193,13 @@ TEST(AllocBudget, DecodeIntoWarmedMessageDoesNotAllocate) {
 
 /// Passes a packet back and forth with its peer, decrementing the hop
 /// count in its first payload byte, until the count reaches zero. Served
-/// from one shard lane, whose ring never allocates, so the measurement
-/// covers the emit path: pooled payloads, outbox recycling and event
-/// scheduling.
+/// by the default discipline (one lane, bursts of one), so the measurement
+/// covers the receive queue and the emit path: the ring, pooled payloads,
+/// outbox recycling and event scheduling.
 class PingPongNode final : public sim::Node {
  public:
   PingPongNode(sim::Simulator& sim, std::string name)
-      : sim::Node(sim, std::move(name)) {
-    enable_sharded_service(1, 64, 32);
-  }
+      : sim::Node(sim, std::move(name)) {}
   PingPongNode* peer = nullptr;
   std::uint64_t served = 0;
 

@@ -118,9 +118,9 @@ CounterMap counter_values(
 }
 
 /// Table metrics are bound per shard ("guard.shard<k>.rl1.*"), so their
-/// names and per-name values split across shards. One shard serves from
-/// the FIFO receive queue and N from lanes, which dispatch one service
-/// event per burst, so the scheduler's own event tally differs too. Every
+/// names and per-name values split across shards. One shard serves its
+/// lane one packet per service event and N shards serve theirs in bursts
+/// of up to 32, so the scheduler's own event tally differs too. Every
 /// other counter must be partition-invariant.
 bool is_partition_dependent(const std::string& name) {
   return name == "sim.events_dispatched" || name.rfind("guard.shard", 0) == 0;
@@ -152,7 +152,8 @@ std::vector<Mix> every_scheme() {
       // Four guard transits per request: with costs on, this closed loop
       // completes 1964 requests on 2 shards vs 1960 on one, because it
       // offers load at the rate its replies return and queueing differs
-      // between one FIFO queue and N lanes. Verdicts do not.
+      // between one lane served a packet at a time and N lanes served in
+      // bursts. Verdicts do not.
       {"ns_name_miss", Scheme::NsName, DriveMode::NsNameMiss, false,
        {Mode::NsNameLabel}, /*free_guard=*/true},
       {"fabricated_ns_ip", Scheme::FabricatedNsIp, DriveMode::FabricatedMiss,
@@ -171,7 +172,7 @@ struct RunOutcome {
 };
 
 /// With `mix.free_guard` set, every packet leaves the guard at its arrival
-/// instant under either service discipline. Otherwise the guard charges
+/// instant at any shard count. Otherwise the guard charges
 /// its default per-packet and per-cookie costs, so lanes build busy
 /// clocks and drain multi-packet bursts.
 RunOutcome run_workload(std::size_t num_shards, std::uint64_t seed,

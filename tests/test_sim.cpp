@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "common/rng.h"
+#include "common/spsc_ring.h"
 #include "sim/event_queue.h"
 #include "sim/node.h"
 #include "sim/simulator.h"
@@ -196,6 +197,65 @@ TEST(Latency, PerPairOverridesDefault) {
   EXPECT_EQ(b.arrivals[0].ns, milliseconds(5).ns);
 }
 
+TEST(SpscRing, FifoOrderSurvivesDoublingWhileWrapped) {
+  common::SpscRing<int> ring(1000);
+  int next_in = 0;
+  int next_out = 0;
+  int out = -1;
+  // Advance the indices so the 16 initial slots wrap, then fill them.
+  for (int i = 0; i < 10; ++i) ASSERT_TRUE(ring.try_push(next_in++));
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(ring.try_pop(out));
+    EXPECT_EQ(out, next_out++);
+  }
+  for (int i = 0; i < 16; ++i) ASSERT_TRUE(ring.try_push(next_in++));
+  // The next pushes double the storage twice, the first time wrapped.
+  for (int i = 0; i < 40; ++i) ASSERT_TRUE(ring.try_push(next_in++));
+  EXPECT_EQ(ring.size(), 56u);
+  for (int i = 0; i < 20; ++i) {
+    ASSERT_TRUE(ring.try_pop(out));
+    EXPECT_EQ(out, next_out++);
+  }
+  for (int i = 0; i < 30; ++i) ASSERT_TRUE(ring.try_push(next_in++));
+  while (ring.try_pop(out)) EXPECT_EQ(out, next_out++);
+  EXPECT_EQ(next_out, next_in);
+  EXPECT_TRUE(ring.empty());
+}
+
+TEST(SpscRing, FullAtExactlyANonPowerOfTwoLimit) {
+  for (const std::size_t limit : {5u, 100u}) {
+    SCOPED_TRACE(limit);
+    common::SpscRing<int> ring(limit);
+    for (std::size_t i = 0; i < limit; ++i) {
+      EXPECT_FALSE(ring.full());
+      ASSERT_TRUE(ring.try_push(static_cast<int>(i)));
+    }
+    EXPECT_TRUE(ring.full());
+    EXPECT_EQ(ring.size(), limit);
+    int out = -1;
+    ASSERT_TRUE(ring.try_pop(out));
+    EXPECT_FALSE(ring.full());
+  }
+}
+
+TEST(SpscRing, PushPastTheLimitFailsAndKeepsTheValue) {
+  common::SpscRing<std::unique_ptr<int>> ring(3);
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(ring.try_push(std::make_unique<int>(i)));
+  }
+  auto extra = std::make_unique<int>(99);
+  EXPECT_FALSE(ring.try_push(std::move(extra)));
+  ASSERT_NE(extra, nullptr);
+  EXPECT_EQ(*extra, 99);
+  EXPECT_EQ(ring.size(), 3u);
+  std::unique_ptr<int> out;
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(ring.try_pop(out));
+    EXPECT_EQ(*out, i);
+  }
+  EXPECT_FALSE(ring.try_pop(out));
+}
+
 TEST(CpuModel, ServiceTimesSerialize) {
   // Two packets arriving together at a 1 ms/packet server: the second is
   // serviced 1 ms after the first.
@@ -237,20 +297,26 @@ TEST(CpuModel, UtilizationMatchesLoad) {
 }
 
 TEST(CpuModel, SaturationDropsAtFullQueue) {
-  // A server with 1 ms service and a 4-packet queue hit with 100 packets
-  // at once: 4 queued + 1 in service progression; most are dropped.
-  Simulator sim;
-  ProbeNode server(sim, "server", milliseconds(1), /*queue_cap=*/4);
-  ProbeNode client(sim, "client", SimDuration{});
-  sim.add_host_route(Ipv4Address(10, 0, 0, 1), &server);
+  // A server with 1 ms service hit with 300 packets at once: every packet
+  // arrives before the first service event, so the queue accepts exactly
+  // its depth and drops the rest. A queue that rounded its depth up to a
+  // power of two would accept 8 at depth 5 and 128 at depth 100.
+  for (const std::size_t depth : {4u, 5u, 100u}) {
+    SCOPED_TRACE(depth);
+    Simulator sim;
+    ProbeNode server(sim, "server", milliseconds(1), depth);
+    ProbeNode client(sim, "client", SimDuration{});
+    sim.add_host_route(Ipv4Address(10, 0, 0, 1), &server);
 
-  for (int i = 0; i < 100; ++i) {
-    sim.send_packet(&client, make_pkt(Ipv4Address(10, 0, 0, 9),
-                                      Ipv4Address(10, 0, 0, 1)));
+    for (int i = 0; i < 300; ++i) {
+      sim.send_packet(&client, make_pkt(Ipv4Address(10, 0, 0, 9),
+                                        Ipv4Address(10, 0, 0, 1)));
+    }
+    sim.run_all();
+    EXPECT_EQ(server.stats().rx.value(), depth);
+    EXPECT_EQ(server.stats().dropped_queue_full.value(), 300u - depth);
+    EXPECT_EQ(server.arrivals.size(), depth);
   }
-  sim.run_all();
-  EXPECT_GT(server.stats().dropped_queue_full, 90u);
-  EXPECT_EQ(server.stats().rx + server.stats().dropped_queue_full, 100u);
 }
 
 TEST(Conservation, SentEqualsDeliveredPlusDropped) {

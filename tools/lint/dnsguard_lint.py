@@ -74,6 +74,7 @@ import json
 import os
 import re
 import sys
+from collections import deque
 from dataclasses import dataclass, field, asdict
 
 # --------------------------------------------------------------------------
@@ -437,6 +438,10 @@ KEYWORD_NONFUNC = {
     "new", "delete", "sizeof", "alignas", "alignof", "case", "default",
 }
 
+# A class or struct head: `class Foo final : public Bar<T> {`.
+CLASS_HEAD = re.compile(r"\b(?:class|struct)\s+(\w+)\s*(?:final\s*)?"
+                        r"(?::[^;{}]*)?\{")
+
 CALL_SITE = re.compile(r"(?<![.>\w:])([A-Za-z_]\w*)\s*\(")
 METHOD_CALL_SITE = re.compile(r"(?:\.|->|::)\s*([A-Za-z_]\w*)\s*\(")
 
@@ -457,6 +462,8 @@ def extract_functions(sf: SourceFile) -> list:
     front-end replaces it when libclang is available."""
     text = "\n".join(sf.code_lines)
     line_of = _line_index(text)
+    classes = [(m.end() - 1, _match_brace(text, m.end() - 1), m.group(1))
+               for m in CLASS_HEAD.finditer(text)]
     funcs = []
     for m in FUNC_DEF.finditer(text):
         name = m.group("name")
@@ -468,8 +475,12 @@ def extract_functions(sf: SourceFile) -> list:
         body_end = _match_brace(text, open_idx)
         if body_end == -1:
             continue
-        # Class name context: walk back for "ClassName::" already captured;
-        # nested in-class definitions just get the unqualified name.
+        # A definition inside a class body is qualified with the innermost
+        # enclosing class, like an out-of-class "Class::name" definition.
+        if not qual:
+            enclosing = [c for c in classes if c[0] < open_idx < c[1]]
+            if enclosing:
+                qual = max(enclosing)[2]
         qualified = f"{qual}::{name}" if qual else name
         funcs.append(FunctionDef(
             qualified=qualified,
@@ -541,7 +552,10 @@ def check_hot_path_alloc(sources, roots=HOT_PATH_ROOTS, max_depth=3):
     """BFS over the name-resolved call graph from the hot-path roots;
     every reached function is scanned for direct allocation constructs.
     Depth is bounded (default 3) because name-based resolution loses
-    precision with distance; the clang engine raises it."""
+    precision with distance; the clang engine raises it. The walk is
+    breadth-first, so a function is first reached, and expanded, at its
+    smallest depth from any root: which root is listed first cannot hide
+    a callee behind a longer path."""
     by_name: dict = {}
     all_funcs = []
     func_src: dict = {}
@@ -554,12 +568,12 @@ def check_hot_path_alloc(sources, roots=HOT_PATH_ROOTS, max_depth=3):
             func_src[id(fn)] = sf
 
     # Seed with roots.
-    work = [(fn, 0, fn.qualified)
-            for fn in all_funcs if root_matches(fn.qualified, fn.name, roots)]
+    work = deque((fn, 0, fn.qualified) for fn in all_funcs
+                 if root_matches(fn.qualified, fn.name, roots))
     seen = {id(fn) for fn, _, _ in work}
     findings = []
     while work:
-        fn, depth, path = work.pop()
+        fn, depth, path = work.popleft()
         sf = func_src[id(fn)]
         findings.extend(_scan_alloc(fn, sf, path))
         if depth >= max_depth:
@@ -1174,12 +1188,13 @@ def try_clang_engine(root, compile_commands):
             visit(tu.cursor)
 
         by_path = {os.path.join(root, sf.path): sf for sf in sources}
-        work = [(usr, 0, info[2]) for usr, info in defs.items()
-                if root_matches(info[2], info[2].split("::")[-1], roots)]
+        # Breadth-first, like the text engine: smallest depth first.
+        work = deque((usr, 0, info[2]) for usr, info in defs.items()
+                     if root_matches(info[2], info[2].split("::")[-1], roots))
         seen = {usr for usr, _, _ in work}
         findings = []
         while work:
-            usr, depth, trail = work.pop()
+            usr, depth, trail = work.popleft()
             for fpath, line, what in alloc_sites.get(usr, []):
                 sf = by_path.get(os.path.abspath(fpath)) or by_path.get(fpath)
                 rel = sf.path if sf else os.path.relpath(fpath, root)

@@ -35,6 +35,8 @@ DUAL_ENGINE_RULES = {"shard-isolation", "determinism", "decode-bounds"}
 CASES = [
     ("hot_path_alloc_pass.cpp", "hot-path-alloc", 0),
     ("hot_path_alloc_fail.cpp", "hot-path-alloc", 1),
+    ("hot_path_alloc_depth_fail.cpp", "hot-path-alloc", 1),
+    ("hot_path_alloc_inclass_fail.cpp", "hot-path-alloc", 1),
     ("drop_reason_pass.cpp", "drop-reason", 0),
     ("drop_reason_fail.cpp", "drop-reason", 1),
     ("bounded_state_pass.cpp", "bounded-state", 0),
