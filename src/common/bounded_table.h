@@ -27,11 +27,12 @@
 //
 // Reentrancy rule: the eviction callback runs after the entry has been
 // fully unlinked (it receives the moved-out key and value), so it may
-// touch *other* tables, send packets, and even erase() or insert *other*
-// entries of the evicting table itself (slot storage is stable and the
-// evicted entry is already off the index/LRU when the callback runs —
-// the guard's NAT-evict -> TCP-close -> NAT-erase_if chain relies on
-// this). The one thing it must not do is clear() the evicting table.
+// touch *other* tables, send packets, and even look up, erase() or insert
+// *other* entries of the evicting table itself (slot storage is stable
+// and the evicted entry is already off the index/LRU when the callback
+// runs — the guard's NAT eviction callback relies on this to unlink the
+// entry from its connection's list of NAT ports). The one thing it must
+// not do is clear() the evicting table.
 #pragma once
 
 #include <cstdint>
@@ -178,6 +179,18 @@ class BoundedTable {
     return find_bucket(key) != kNoBucket;
   }
 
+  /// The value occupying `key`'s slot, expired or not, or nullptr: no LRU
+  /// touch, no lazy eviction, no stats. For bookkeeping that must leave
+  /// the table's observable state alone, such as links between entries.
+  [[nodiscard]] Value* occupant(const Key& key) {
+    const std::size_t b = find_bucket(key);
+    return b == kNoBucket ? nullptr : &*slots_[index_[b] - 1].value;
+  }
+  [[nodiscard]] const Value* occupant(const Key& key) const {
+    const std::size_t b = find_bucket(key);
+    return b == kNoBucket ? nullptr : &*slots_[index_[b] - 1].value;
+  }
+
   /// Inserts Value{args...} under `key` if absent. An existing live entry
   /// is returned with inserted=false (and touched); an expired one is
   /// evicted first. At capacity: LRU-evict if configured, else refuse
@@ -242,21 +255,6 @@ class BoundedTable {
     if (b == kNoBucket) return false;
     remove_bucket(b, std::nullopt);
     return true;
-  }
-
-  /// Removes every entry matching pred(key, value); returns the count.
-  /// Voluntary (no callback) — the caller already knows.
-  template <typename Pred>
-  std::size_t erase_if(Pred&& pred) {
-    std::size_t erased = 0;
-    for (std::uint32_t si = 0; si < slots_.size(); ++si) {
-      if (slots_[si].value && pred(std::as_const(slots_[si].key),
-                                   *slots_[si].value)) {
-        remove_slot(si, std::nullopt);
-        ++erased;
-      }
-    }
-    return erased;
   }
 
   /// Evicts expired entries, scanning at most `max_scan` slots from a

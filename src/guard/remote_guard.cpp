@@ -127,19 +127,7 @@ RemoteGuardNode::RemoteGuardNode(sim::Simulator& sim, std::string name,
           .on_established = {},
           .on_data = [this](tcp::ConnId id,
                             BytesView data) { proxy_on_data(id, data); },
-          .on_closed =
-              [this](tcp::ConnId id) {
-                framers_.erase(id);
-                // A connection's NAT entries live in the shard of its
-                // client address; close can fire from timer context where
-                // cur_shard_ is stale, so sweep every shard.
-                for (auto& sh : shards_) {
-                  sh->nat.erase_if(
-                      [id](const std::uint16_t&, const NatEntry& e) {
-                        return e.conn == id;
-                      });
-                }
-              },
+          .on_closed = [this](tcp::ConnId id) { proxy_on_closed(id); },
       },
       tcp::TcpStack::Options{.syn_cookies = true,
                              .syn_cookie_secret = config_.key_seed ^
@@ -157,6 +145,7 @@ RemoteGuardNode::RemoteGuardNode(sim::Simulator& sim, std::string name,
       drops_.count(reason == common::EvictReason::kCapacity
                        ? obs::DropReason::kStateTableFull
                        : obs::DropReason::kProxyTimeout);
+      nat_unlink(e);
       tcp_->close(e.conn);
     });
   }
@@ -343,18 +332,19 @@ std::size_t RemoteGuardNode::shard_of_ip(net::Ipv4Address ip) const {
       (static_cast<std::uint64_t>(h) * shards_.size()) >> 32);
 }
 
+std::size_t RemoteGuardNode::shard_of_nat_port(std::uint16_t port) const {
+  if (port < kNatPortBase || nat_ports_per_shard_ == 0) return 0;
+  const std::size_t k = (port - kNatPortBase) / nat_ports_per_shard_;
+  return k < shards_.size() ? k : 0;
+}
+
 std::size_t RemoteGuardNode::shard_of(const net::Packet& packet) const {
   if (shards_.size() == 1) return 0;
   if (packet.is_udp() && packet.src_ip == config_.ans_address) {
     if (packet.dst_ip == config_.guard_address) {
       // Proxied-query reply: the NAT destination port identifies the
       // shard that allocated it (the client's shard).
-      const std::uint32_t port = packet.udp().dst_port;
-      if (port >= kNatPortBase && nat_ports_per_shard_ > 0) {
-        const std::size_t k = (port - kNatPortBase) / nat_ports_per_shard_;
-        return k < shards_.size() ? k : 0;
-      }
-      return 0;
+      return shard_of_nat_port(packet.udp().dst_port);
     }
     // Plain ANS response: owned by the requester's shard.
     return shard_of_ip(packet.dst_ip);
@@ -686,7 +676,8 @@ void RemoteGuardNode::proxy_on_data(tcp::ConnId conn, BytesView data) {
     tcp_->abort(conn);
     return;
   }
-  for (Bytes& msg : ins.value->push(data)) {
+  ProxyConn& pc = *ins.value;
+  for (Bytes& msg : pc.framer.push(data)) {
     if (!dns::Message::decode_into(BytesView(msg), rx_) || rx_.header.qr ||
         rx_.question() == nullptr) {
       stats_.malformed++;
@@ -723,7 +714,8 @@ void RemoteGuardNode::proxy_on_data(tcp::ConnId conn, BytesView data) {
     // shard's disjoint port range so the ANS reply routes back here.
     Shard& sh = *cur_shard_;
     sh.nat.reap(now(), 16);
-    std::optional<std::uint16_t> port;
+    std::uint16_t port = 0;
+    NatEntry* entry = nullptr;
     for (int probe = 0; probe < config_.nat_port_probe_limit; ++probe) {
       const std::uint16_t candidate = sh.next_nat_port++;
       if (sh.next_nat_port < sh.nat_port_base ||
@@ -734,18 +726,24 @@ void RemoteGuardNode::proxy_on_data(tcp::ConnId conn, BytesView data) {
                                   NatEntry{conn, query.header.id});
       if (r.inserted) {
         port = candidate;
+        entry = r.value;
         break;
       }
       if (r.value == nullptr) break;  // table refused the insert
     }
-    if (!port) {
+    if (entry == nullptr) {
       drops_.count(obs::DropReason::kStateTableFull);
       continue;
     }
+    // Push the port on the connection's list only now: the insert may
+    // have evicted (and unlinked) an entry of this same connection.
+    entry->next_port = pc.nat_head;
+    if (pc.nat_head != 0) sh.nat.occupant(pc.nat_head)->prev_port = port;
+    pc.nat_head = port;
     charge(config_.costs.transform);
     stats_.forwarded_to_ans++;
     emit_direct(ans_, net::Packet::make_udp(
-                          {config_.guard_address, *port},
+                          {config_.guard_address, port},
                           {config_.ans_address, net::kDnsPort},
                           query.encode_pooled()));
   }
@@ -768,14 +766,44 @@ void RemoteGuardNode::handle_proxy_nat_response(const net::Packet& packet) {
                             "guard.proxy_relay", now());
     }
   }
+  nat_unlink(entry);
   cur_shard_->nat.erase(port);
   charge(config_.costs.transform);
-  stats_.responses_relayed++;
-  tcp_->send_data(entry.conn,
-                  BytesView(tcp::StreamFramer::frame(BytesView(packet.payload))));
+  if (tcp_->send_data(entry.conn, BytesView(tcp::StreamFramer::frame(
+                                      BytesView(packet.payload))))) {
+    stats_.responses_relayed++;
+  } else {
+    // The connection can no longer send: an earlier pipelined query's
+    // reply already closed it, or the client half-closed. The reply is
+    // lost, so it must say why.
+    drop_other(packet, obs::DropReason::kUnmatchedResponse);
+  }
   // DNS-over-TCP here is one query per connection; closing after the
   // response keeps the proxy's connection table small (§III.C's concern).
   tcp_->close(entry.conn);
+}
+
+void RemoteGuardNode::proxy_on_closed(tcp::ConnId conn) {
+  ProxyConn* pc = framers_.occupant(conn);
+  if (pc == nullptr) return;  // closed before sending any data
+  // Close can fire from timer context where cur_shard_ is stale; each
+  // port names its shard.
+  for (std::uint16_t port = pc->nat_head; port != 0;) {
+    auto& nat = shards_[shard_of_nat_port(port)]->nat;
+    const std::uint16_t next = nat.occupant(port)->next_port;
+    nat.erase(port);
+    port = next;
+  }
+  framers_.erase(conn);
+}
+
+void RemoteGuardNode::nat_unlink(const NatEntry& e) {
+  if (e.prev_port != 0) {
+    nat_occupant(e.prev_port)->next_port = e.next_port;
+  } else if (ProxyConn* pc = framers_.occupant(e.conn)) {
+    pc->nat_head = e.next_port;
+  }
+  if (e.next_port != 0) nat_occupant(e.next_port)->prev_port = e.prev_port;
 }
 
 void RemoteGuardNode::handle_ans_response(const net::Packet& packet) {

@@ -314,12 +314,25 @@ class RemoteGuardNode : public sim::Node {
 
   // --- TCP proxy ---
   void proxy_on_data(tcp::ConnId conn, BytesView data);
+  void proxy_on_closed(tcp::ConnId conn);
   void proxy_reap_loop();
   void rotation_loop();
 
   struct NatEntry {
     tcp::ConnId conn;
     std::uint16_t query_id;
+    /// Neighbours on the connection's list of NAT ports (ProxyConn); 0
+    /// ends the list, since NAT ports start at 20000.
+    std::uint16_t prev_port = 0;
+    std::uint16_t next_port = 0;
+  };
+  /// One proxied connection: its DNS framing buffer and the head of the
+  /// list of NAT ports its in-flight queries hold, so that closing it
+  /// erases exactly those entries. All of them live in the shard of the
+  /// client's address, and each port identifies that shard.
+  struct ProxyConn {
+    tcp::StreamFramer framer;
+    std::uint16_t nat_head = 0;
   };
 
   /// One shard owns every piece of per-source state for its slice of the
@@ -349,6 +362,17 @@ class RemoteGuardNode : public sim::Node {
 
   /// The shard owning `ip`'s per-source state (multiply-shift hash).
   [[nodiscard]] std::size_t shard_of_ip(net::Ipv4Address ip) const;
+  /// The shard whose NAT port range holds `port`.
+  [[nodiscard]] std::size_t shard_of_nat_port(std::uint16_t port) const;
+  /// The NAT entry holding `port`, expired or not, with no table side
+  /// effects (list fix-ups must not move LRU positions or counters).
+  [[nodiscard]] NatEntry* nat_occupant(std::uint16_t port) {
+    return shards_[shard_of_nat_port(port)]->nat.occupant(port);
+  }
+  /// Takes `e` off its connection's list of NAT ports. Every path that
+  /// removes a NAT entry calls this, except a close, which drops the
+  /// whole list.
+  void nat_unlink(const NatEntry& e);
 
   Config config_;
   sim::Node* ans_;
@@ -366,13 +390,13 @@ class RemoteGuardNode : public sim::Node {
   std::size_t nat_ports_per_shard_ = 0;
 
   std::unique_ptr<tcp::TcpStack> tcp_;
-  /// Per-connection DNS framing buffers. Connections are attacker-opened,
-  /// so this table is capped at proxy_max_connections like the TCP stack's
-  /// own connection table it shadows.
+  /// Per-connection framing buffers and NAT lists. Connections are
+  /// attacker-opened, so this table is capped at proxy_max_connections like
+  /// the TCP stack's own connection table it shadows.
   // DNSGUARD_LINT_ALLOW(shardsafe): deliberately shared across shards —
   // the TCP stack itself is one shared instance and connections are keyed
   // by ConnId, not by the per-source address hash that defines shards.
-  common::BoundedTable<tcp::ConnId, tcp::StreamFramer> framers_;
+  common::BoundedTable<tcp::ConnId, ProxyConn> framers_;
 
   GuardStats stats_;
   std::array<SchemeCounters, kSchemeCount> scheme_counters_;

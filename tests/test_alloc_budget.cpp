@@ -19,6 +19,7 @@
 #include "common/pool.h"
 #include "dns/message.h"
 #include "guard/remote_guard.h"
+#include "ratelimit/limiters.h"
 #include "server/authoritative_node.h"
 #include "sim/simulator.h"
 
@@ -401,6 +402,24 @@ TEST(AllocBudget, GuardNsNameMiss) {
   // The referral built by response_to: its question and authority
   // vectors.
   EXPECT_EQ(counts.request, 2.0);
+}
+
+TEST(AllocBudget, Rl1UnseenSourceDoesNotAllocate) {
+  // A spoofed flood sends every packet from a fresh source, so each one
+  // evicts an RL1 tracker entry. With the tracker full, that eviction
+  // and the heavy-hitter bucket behind it must not touch the allocator.
+  ratelimit::CookieResponseLimiter rl1(ratelimit::CookieResponseLimiter::Config{
+      .tracker_capacity = 256, .heavy_hitter_threshold = 4, .max_buckets = 64});
+  std::uint32_t next_source = 0x0a000001;
+  auto fresh = [&] { return net::Ipv4Address(next_source++); };
+  SimTime t{};
+  // Fill the tracker, then warm its index free list and the bucket table.
+  for (int i = 0; i < 4096; ++i) rl1.allow(fresh(), t);
+  const std::uint64_t allocs = allocations_in([&] {
+    for (int i = 0; i < 4096; ++i) rl1.allow(fresh(), t);
+  });
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_GT(rl1.tracked_buckets(), 0u) << "the bucket path ran too";
 }
 
 }  // namespace

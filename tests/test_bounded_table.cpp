@@ -9,6 +9,7 @@
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -202,21 +203,40 @@ TEST(BoundedTable, IncrementalReapCoversTableAcrossCalls) {
   EXPECT_TRUE(t.empty());
 }
 
-TEST(BoundedTable, EraseIfAndForEach) {
+TEST(BoundedTable, ForEachVisitsLiveEntriesOnly) {
   Table t({.capacity = 16});
   for (std::uint32_t k = 0; k < 10; ++k) {
     t.try_emplace(k, at(0), k % 2 ? "odd" : "even");
   }
-  EXPECT_EQ(t.erase_if([](const std::uint32_t&, const std::string& v) {
-              return v == "odd";
-            }),
-            5u);
+  for (std::uint32_t k = 1; k < 10; k += 2) t.erase(k);
   std::unordered_set<std::uint32_t> seen;
   t.for_each([&](const std::uint32_t& k, std::string& v) {
     EXPECT_EQ(v, "even");
     seen.insert(k);
   });
   EXPECT_EQ(seen.size(), 5u);
+}
+
+TEST(BoundedTable, OccupantLeavesLruStatsAndExpiryAlone) {
+  Table t({.capacity = 2, .ttl = milliseconds(5)});
+  t.try_emplace(1, at(0), "a");
+  t.try_emplace(2, at(0), "b");
+  const auto hits = t.stats().hits.value();
+  const auto misses = t.stats().misses.value();
+  std::string* v = t.occupant(1);
+  ASSERT_NE(v, nullptr);
+  *v = "a2";
+  EXPECT_EQ(t.occupant(3), nullptr);
+  EXPECT_EQ(*t.lru_key(), 1u) << "occupant() must not refresh the LRU";
+  EXPECT_EQ(t.stats().hits.value(), hits);
+  EXPECT_EQ(t.stats().misses.value(), misses);
+  // An expired entry is still an occupant, and looking does not evict it.
+  ASSERT_NE(t.occupant(1), nullptr);
+  EXPECT_EQ(*std::as_const(t).occupant(1), "a2");
+  EXPECT_EQ(t.peek(1, at(10)), nullptr);
+  EXPECT_NE(t.occupant(1), nullptr);
+  EXPECT_EQ(t.size(), 2u);
+  EXPECT_EQ(t.stats().expired_ttl.value(), 0u);
 }
 
 TEST(BoundedTable, MetricsBindExportsOccupancyAndEvictions) {
@@ -295,8 +315,9 @@ TEST(BoundedTable, FullTableOfExpiredEntriesChargesExpiryNotCapacity) {
 
 TEST(BoundedTable, ReapSurvivesCallbackErasingSiblingEntries) {
   // The eviction callback may erase *other* entries of the evicting
-  // table (the guard's NAT-evict -> TCP-close -> NAT-erase_if chain);
-  // the reap cursor must neither crash nor skip live slots over it.
+  // table (the header's reentrancy rule, which the guard's NAT callback
+  // also relies on to relink its neighbours on a connection's port
+  // list); the reap cursor must neither crash nor skip live slots over it.
   Table t({.capacity = 8, .ttl = milliseconds(10)});
   for (std::uint32_t k = 1; k <= 8; ++k) t.try_emplace(k, at(0), "v");
   t.set_evict_callback(

@@ -5,9 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <type_traits>
 
 #include "attack/attackers.h"
+#include "common/rng.h"
 #include "guard/remote_guard.h"
 #include "server/authoritative_node.h"
 #include "sim/simulator.h"
@@ -349,6 +351,193 @@ TEST(TcpScheme, NatTableCapacityRecyclesLruNotUnbounded) {
                 obs::DropReason::kStateTableFull),
             4u);
   EXPECT_LE(bed.guard->nat_table_stats().occupancy.max(), 4);
+}
+
+// A DNS-over-TCP client that writes several framed queries in one segment
+// (pipelining) and resets or half-closes its connections on demand. It
+// never closes on its own, so a connection the guard FINs stays half-open
+// until the test resets it.
+class PipelineClient : public sim::Node {
+ public:
+  PipelineClient(sim::Simulator& s, std::string name, Ipv4Address ip)
+      : sim::Node(s, std::move(name)),
+        ip_(ip),
+        tcp_([this](net::Packet p) { send(std::move(p)); },
+             [this] { return now(); },
+             tcp::TcpStack::Callbacks{
+                 .on_established =
+                     [this](tcp::ConnId id) {
+                       Conn& c = conns_[id];
+                       tcp_.send_data(id, BytesView(c.request));
+                       if (c.half_close) tcp_.close(id);
+                     },
+                 .on_data =
+                     [this](tcp::ConnId id, BytesView data) {
+                       Conn& c = conns_[id];
+                       c.responses += c.framer.push(data).size();
+                     },
+                 .on_closed = {}},
+             tcp::TcpStack::Options{}) {
+    s.add_host_route(ip, this);
+  }
+
+  /// Connects from `port`; once established, sends `queries` queries in
+  /// one segment, followed by a FIN when `half_close` is set.
+  tcp::ConnId open(std::uint16_t port, int queries, bool half_close = false) {
+    Bytes request;
+    for (int q = 0; q < queries; ++q) {
+      const Bytes framed = tcp::StreamFramer::frame(BytesView(
+          dns::Message::query(next_qid_++,
+                              *dns::DomainName::parse("www.example.com"),
+                              dns::RrType::A, false)
+              .encode()));
+      request.insert(request.end(), framed.begin(), framed.end());
+    }
+    const tcp::ConnId id = tcp_.connect({ip_, port}, {kAnsIp, net::kDnsPort});
+    conns_[id] = Conn{std::move(request), half_close, {}, 0};
+    return id;
+  }
+
+  /// RST: the guard's side of the connection goes at once.
+  void reset(tcp::ConnId id) { tcp_.abort(id); }
+  std::size_t responses(tcp::ConnId id) { return conns_[id].responses; }
+
+ protected:
+  SimDuration process(const net::Packet& p) override {
+    tcp_.handle_packet(p);
+    return {};
+  }
+
+ private:
+  struct Conn {
+    Bytes request;
+    bool half_close = false;
+    tcp::StreamFramer framer;
+    std::size_t responses = 0;
+  };
+  Ipv4Address ip_;
+  tcp::TcpStack tcp_;
+  std::map<tcp::ConnId, Conn> conns_;
+  std::uint16_t next_qid_ = 1;
+};
+
+std::uint64_t nat_counter_sum(const sim::Simulator& sim, std::size_t shards,
+                              const char* field) {
+  std::uint64_t total = 0;
+  for (std::size_t k = 0; k < shards; ++k) {
+    const std::string name =
+        "guard.shard" + std::to_string(k) + ".nat." + field;
+    if (const auto* c = sim.metrics().find_counter(name)) total += c->value();
+  }
+  return total;
+}
+
+TEST(TcpScheme, CloseErasesOnlyItsOwnNatEntries) {
+  // Two connections from one client address share a shard; the ANS never
+  // answers, so their NAT entries stay until a close takes them.
+  for (const std::size_t shards : {1u, 4u}) {
+    SCOPED_TRACE(::testing::Message() << shards << " shard(s)");
+    NatBed bed([&](RemoteGuardNode::Config& gc) { gc.num_shards = shards; });
+    PipelineClient client(bed.sim, "client", Ipv4Address(10, 0, 1, 1));
+    const tcp::ConnId a = client.open(4001, 3);
+    client.open(4002, 1);
+    bed.sim.run_for(milliseconds(10));
+    ASSERT_EQ(bed.guard->proxy_connections(), 2u);
+    ASSERT_EQ(bed.guard->nat_entries(), 4u);
+
+    client.reset(a);
+    bed.sim.run_for(milliseconds(10));
+    EXPECT_EQ(bed.guard->proxy_connections(), 1u);
+    EXPECT_EQ(bed.guard->nat_entries(), 1u)
+        << "A's three entries go with it; B's one stays";
+  }
+}
+
+TEST(TcpScheme, NatListsSurviveEvictionChurn) {
+  // Pipelined connections against a 4-entry NAT table with a 3 ms TTL:
+  // capacity and TTL evictions take entries from the head, middle and
+  // tail of connections' port lists, and reuse their ports, while other
+  // connections close. Once every connection is gone, no NAT entry may
+  // be left behind.
+  for (const std::size_t shards : {1u, 4u}) {
+    SCOPED_TRACE(::testing::Message() << shards << " shard(s)");
+    NatBed bed([&](RemoteGuardNode::Config& gc) {
+      gc.num_shards = shards;
+      gc.nat_table_capacity = 4;
+      gc.nat_ttl = milliseconds(3);
+    });
+    std::vector<std::unique_ptr<PipelineClient>> clients;
+    for (std::uint8_t i = 1; i <= 3; ++i) {
+      clients.push_back(std::make_unique<PipelineClient>(
+          bed.sim, "client" + std::to_string(i), Ipv4Address(10, 0, 1, i)));
+    }
+    struct Open {
+      PipelineClient* client;
+      tcp::ConnId id;
+    };
+    std::vector<Open> open;
+    std::vector<Open> all;
+    std::uint16_t next_port = 4000;
+    Rng rng(0xc1053);
+    for (int step = 0; step < 300; ++step) {
+      const std::uint64_t action = rng.bounded(10);
+      if (action < 5) {
+        PipelineClient* c = clients[rng.bounded(clients.size())].get();
+        const int queries = 1 + static_cast<int>(rng.bounded(3));
+        const Open o{c, c->open(next_port++, queries)};
+        open.push_back(o);
+        all.push_back(o);
+      } else if (action < 8 && !open.empty()) {
+        const std::size_t i = rng.bounded(open.size());
+        open[i].client->reset(open[i].id);
+        open.erase(open.begin() + static_cast<std::ptrdiff_t>(i));
+      }
+      bed.sim.run_for(microseconds(700));
+    }
+    EXPECT_GT(nat_counter_sum(bed.sim, shards, "evicted_capacity"), 0u);
+    EXPECT_GT(nat_counter_sum(bed.sim, shards, "expired_ttl"), 0u);
+
+    for (const Open& o : all) o.client->reset(o.id);
+    bed.sim.run_for(milliseconds(10));
+    EXPECT_EQ(bed.guard->proxy_connections(), 0u);
+    EXPECT_EQ(bed.guard->nat_entries(), 0u);
+  }
+}
+
+TEST(TcpScheme, UnsendableProxyRepliesAreDroppedNotRelayed) {
+  // A reply the proxy can no longer send is lost: count it as a drop, not
+  // as relayed. (1) Two pipelined queries: the first reply closes the
+  // connection, so the second has nowhere to go. (2) A client that
+  // half-closed after its query.
+  GuardBed bed(Scheme::TcpRedirect, DriveMode::TcpDirect);
+  PipelineClient client(bed.sim, "client", Ipv4Address(10, 0, 1, 9));
+  const tcp::ConnId pipelined = client.open(4001, 2);
+  bed.sim.run_for(milliseconds(10));
+  const auto& g = bed.guard->guard_stats();
+  EXPECT_EQ(g.proxy_queries, 2u);
+  EXPECT_EQ(client.responses(pipelined), 1u);
+  EXPECT_EQ(g.responses_relayed, 1u);
+  EXPECT_EQ(bed.guard->drop_counters().value(
+                obs::DropReason::kUnmatchedResponse),
+            1u);
+
+  const tcp::ConnId half_closed = client.open(4002, 1, /*half_close=*/true);
+  bed.sim.run_for(milliseconds(10));
+  EXPECT_EQ(g.proxy_queries, 3u);
+  EXPECT_EQ(client.responses(half_closed), 0u);
+  EXPECT_EQ(g.responses_relayed, 1u);
+  EXPECT_EQ(bed.guard->drop_counters().value(
+                obs::DropReason::kUnmatchedResponse),
+            2u);
+  EXPECT_EQ(bed.ans->ans_stats().udp_queries, 3u);
+
+  // The replies unlinked their NAT entries; closing what is left of the
+  // connections must find nothing more to erase.
+  client.reset(pipelined);
+  client.reset(half_closed);
+  bed.sim.run_for(milliseconds(10));
+  EXPECT_EQ(bed.guard->proxy_connections(), 0u);
+  EXPECT_EQ(bed.guard->nat_entries(), 0u);
 }
 
 TEST(ModifiedScheme, CookieExchangeThenQuery) {

@@ -2,9 +2,13 @@
 // two rate limiters.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
+#include "common/rng.h"
 #include "ratelimit/limiters.h"
 #include "ratelimit/token_bucket.h"
 #include "ratelimit/topk.h"
+#include "space_saving_reference.h"
 
 namespace dnsguard::ratelimit {
 namespace {
@@ -175,6 +179,58 @@ TEST(SpaceSaving, TopIsSortedByCount) {
   ASSERT_GE(top.size(), 3u);
   EXPECT_EQ(top[0].key, 1);
   EXPECT_EQ(top[1].key, 2);
+}
+
+TEST(SpaceSaving, MatchesLinearScanReference) {
+  // The heap must evict exactly the entry the linear scan picks (the
+  // lowest slot among the minimum counts), so every observable agrees:
+  // record() returns, probes of random keys, and top() including the
+  // order of ties. Uniform streams over a large key space are the
+  // spoofer's fresh-source-per-packet pattern; log-skewed ones mix heavy
+  // hitters with a long tail.
+  constexpr int kRecords = 20000;
+  std::uint64_t records = 0;
+  Rng rng(0x70b5eed);
+  for (const std::size_t capacity : {1, 2, 3, 7, 64, 256, 1024}) {
+    for (const std::uint32_t keys : {4u, 64u, 4096u, 1u << 20}) {
+      for (const bool skewed : {false, true}) {
+        SCOPED_TRACE(::testing::Message() << "capacity " << capacity
+                                          << ", keys " << keys
+                                          << (skewed ? ", log-skewed"
+                                                     : ", uniform"));
+        const double log_keys = std::log(static_cast<double>(keys));
+        auto draw = [&]() -> std::uint32_t {
+          if (!skewed) return static_cast<std::uint32_t>(rng.bounded(keys));
+          const auto k = static_cast<std::uint32_t>(
+              std::exp(rng.uniform01() * log_keys)) - 1;
+          return k < keys ? k : keys - 1;
+        };
+        SpaceSaving<std::uint32_t> heap(capacity);
+        oracle::ReferenceSpaceSaving<std::uint32_t> scan(capacity);
+        for (int i = 0; i < kRecords; ++i) {
+          const std::uint32_t key = draw();
+          ASSERT_EQ(heap.record(key), scan.record(key)) << "record " << i;
+          ++records;
+          const std::uint32_t probe = draw();
+          ASSERT_EQ(heap.contains(probe), scan.contains(probe));
+          ASSERT_EQ(heap.estimate(probe), scan.estimate(probe));
+          ASSERT_EQ(heap.error(probe), scan.error(probe));
+          if (i % 997 == 0 || i == kRecords - 1) {
+            const auto a = heap.top();
+            const auto b = scan.top();
+            ASSERT_EQ(a.size(), b.size());
+            for (std::size_t j = 0; j < a.size(); ++j) {
+              ASSERT_EQ(a[j].key, b[j].key) << "top()[" << j << "]";
+              ASSERT_EQ(a[j].count, b[j].count);
+              ASSERT_EQ(a[j].error, b[j].error);
+            }
+          }
+        }
+        EXPECT_EQ(heap.size(), scan.size());
+      }
+    }
+  }
+  EXPECT_EQ(records, 7u * 4u * 2u * kRecords);
 }
 
 TEST(CookieResponseLimiter, LightRequestersNeverThrottled) {
