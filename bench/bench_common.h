@@ -175,8 +175,10 @@ class JsonResultWriter {
 class ProfileCollector {
  public:
   /// Snapshots the profiler under `label`. `measured_wall_ns` is the wall
-  /// time of the measurement window the snapshot covers (gives each stage
-  /// a "share" field and the report a "root_share" coverage figure).
+  /// time of the measurement window the snapshot covers: it caps the
+  /// report's attributed total (Profiler::report's `deflation`) and gives
+  /// each stage a "share" field and the report a "root_share" coverage
+  /// figure.
   void capture(const std::string& label, double measured_wall_ns) {
     if (!obs::prof::profiler.enabled()) return;
     entries_.emplace_back(
@@ -344,18 +346,11 @@ struct Testbed {
   /// Enable the wall-clock cost-attribution profiler for the measurement
   /// window (reset after warmup, so warmup samples never pollute the
   /// report). Unlike journeys/timeseries this reads *host* time: virtual
-  /// results stay identical, but host throughput pays the probes' ~1-2%.
+  /// results stay identical, but host throughput pays the probes' ~1%.
+  /// Probes arm for the first obs::prof::kSampleBlock events of every
+  /// kSampleStride; ProfileCollector::capture() scales the report to the
+  /// window's event count and to `last_wall_ns`.
   bool enable_profiling = false;
-  /// Event-sampling duty cycle for profiled windows: probes arm for the
-  /// first `profile_sample_block` events of every `profile_sample_stride`
-  /// and the report scales back up. The defaults (16/6361, a prime stride
-  /// against event-pattern aliasing, ~0.25% duty) keep enabled-mode wall
-  /// overhead inside the 2% gate; the block is long enough that the
-  /// cold-entry cost of re-arming probes (cell matrix and probe code fall
-  /// out of cache between blocks) amortizes across the block instead of
-  /// inflating every sampled event. Set both to 1 for exhaustive capture.
-  std::uint32_t profile_sample_stride = 6361;
-  std::uint32_t profile_sample_block = 16;
   /// Wall nanoseconds spent inside the last measure() window — the
   /// denominator for ProfileCollector::capture() shares.
   double last_wall_ns = 0.0;
@@ -399,8 +394,6 @@ struct Testbed {
     }
     if (enable_profiling) {
       if (!obs::prof::profiler.enabled()) obs::prof::profiler.enable();
-      obs::prof::profiler.set_sampling(profile_sample_stride,
-                                       profile_sample_block);
       obs::prof::profiler.reset();
     }
     const WallClock::time_point wall_t0 = wall_now();

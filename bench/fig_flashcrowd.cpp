@@ -178,8 +178,6 @@ ScenarioResult run_scenario(const ScenarioSpec& spec, const Durations& d,
   auto prof_t0 = wall_now();
   if (prof != nullptr) {
     obs::prof::profiler.enable();
-    obs::prof::profiler.set_sampling(bed.profile_sample_stride,
-                                     bed.profile_sample_block);
     obs::prof::profiler.reset();
     prof_t0 = wall_now();
   }

@@ -17,7 +17,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 
 #include "bench/bench_common.h"
 
@@ -60,7 +59,8 @@ RowResult measure_throughput(guard::Scheme scheme, DriveMode mode,
     prof->capture(prof_label, bed.last_wall_ns);
     if (bed.last_wall_ns > 0) {
       out.coverage =
-          obs::prof::profiler.report().root_total_ns() / bed.last_wall_ns;
+          obs::prof::profiler.report(bed.last_wall_ns).root_total_ns() /
+          bed.last_wall_ns;
     }
   }
   if (json != nullptr) {
@@ -95,8 +95,6 @@ OverheadGate profiler_overhead_ratio() {
   driver->start();
   bed.sim.run_for(quick(milliseconds(500), milliseconds(200)));
   obs::prof::profiler.enable();
-  obs::prof::profiler.set_sampling(bed.profile_sample_stride,
-                                   bed.profile_sample_block);
   obs::prof::profiler.reset();
   obs::prof::profiler.disable();
   // Interleaved ABBA blocks of *short* (~1 ms CPU) slices of the same
@@ -137,15 +135,13 @@ OverheadGate profiler_overhead_ratio() {
   OverheadGate gate;
   if (ratios.empty()) return gate;
   std::sort(ratios.begin(), ratios.end());
-  if (std::getenv("DNSGUARD_PROF_GATE_DEBUG") != nullptr) {
-    std::printf("gate block ratios p10/p25/p50/p75/p90:");
-    for (double q : {0.10, 0.25, 0.50, 0.75, 0.90}) {
-      std::printf(" %.4f",
-                  ratios[static_cast<std::size_t>(
-                      q * static_cast<double>(ratios.size() - 1))]);
-    }
-    std::printf("  (n=%zu)\n", ratios.size());
+  std::printf("gate block ratios p10/p25/p50/p75/p90:");
+  for (double q : {0.10, 0.25, 0.50, 0.75, 0.90}) {
+    const auto i =
+        static_cast<std::size_t>(q * static_cast<double>(ratios.size() - 1));
+    std::printf(" %.4f", ratios[i]);
   }
+  std::printf("  (n=%zu)\n", ratios.size());
   // Interquartile mean: robust to the heavy tails, ~40% lower standard
   // error than the median at this sample size. The SE of the central-half
   // values rides along so main() can gate with confidence bounds — on a

@@ -179,7 +179,9 @@ std::string ResourceRecord::to_string() const {
           out += rd.mname.to_string() + " " + rd.rname.to_string() + " " +
                  std::to_string(rd.serial);
         } else if constexpr (std::is_same_v<T, TxtRdata>) {
-          out += "(" + std::to_string(rd.strings.size()) + " strings)";
+          out += '(';
+          out += std::to_string(rd.strings.size());
+          out += " strings)";
         } else if constexpr (std::is_same_v<T, OptRdata>) {
           out += "udp=" + std::to_string(rd.udp_payload_size);
         } else if constexpr (std::is_same_v<T, RawRdata>) {

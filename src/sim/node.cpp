@@ -58,9 +58,6 @@ void Node::serve_lane(std::size_t lane_idx) {
   while (n < batch_.size() && lane.ring.try_pop(batch_[n])) ++n;
   if (n == 0) return;
 
-  // Attribute this burst's spans to this lane's profiler cells; merged
-  // again only at report time.
-  obs::prof::LaneScope prof_lane(lane_idx);
   in_batch_ = true;
   on_batch_begin(lane_idx, batch_.data(), n);
 

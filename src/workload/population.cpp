@@ -1,7 +1,9 @@
 #include "workload/population.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
+#include <string_view>
 #include <utility>
 
 #include "dns/message.h"
@@ -328,6 +330,8 @@ ClientPopulationNode::ClientPopulationNode(sim::Simulator& sim,
                                            std::string name, Config config)
     : sim::Node(sim, std::move(name)),
       config_(std::move(config)),
+      qname_suffix_(dns::DomainName::parse(config_.qname_suffix)
+                        .value_or(dns::DomainName{})),
       engine_(config_.population),
       minter_(config_.population.cookie_key_seed) {
   set_profile_stage(obs::prof::Stage::kDriverService);
@@ -368,8 +372,10 @@ void ClientPopulationNode::pump() {
 }
 
 dns::DomainName ClientPopulationNode::qname_for(std::uint32_t rank) const {
-  std::string text = "q" + std::to_string(rank) + "." + config_.qname_suffix;
-  return dns::DomainName::parse(text).value_or(dns::DomainName{});
+  char label[16] = {'q'};  // "q" + at most 10 decimal digits
+  const char* end = std::to_chars(label + 1, label + sizeof(label), rank).ptr;
+  const std::string_view text(label, static_cast<std::size_t>(end - label));
+  return qname_suffix_.with_prefix_label(text).value_or(dns::DomainName{});
 }
 
 void ClientPopulationNode::emit_arrival(const Arrival& a) {

@@ -303,6 +303,7 @@ class ClientPopulationNode : public sim::Node {
   [[nodiscard]] dns::DomainName qname_for(std::uint32_t rank) const;
 
   Config config_;
+  dns::DomainName qname_suffix_;  // config_.qname_suffix, parsed once
   PopulationEngine engine_;
   guard::CookieEngine minter_;
   PopulationStats stats_;

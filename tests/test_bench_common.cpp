@@ -80,7 +80,6 @@ TEST(ProfileCollectorTest, CaptureIsANoOpWhileProfilingIsDisabled) {
 
 TEST(ProfileCollectorTest, CapturedLabelsRenderAsJsonObjectKeys) {
   obs::prof::profiler.enable();
-  obs::prof::profiler.set_sampling(1, 1);
   obs::prof::profiler.reset();
   obs::prof::profiler.record(obs::prof::Stage::kRoot,
                              obs::prof::Stage::kGuardService, 100);

@@ -324,5 +324,56 @@ TEST(StateExhaustion, MillionSourceFloodRespectsPerShardDividedCaps) {
   EXPECT_GT(d->driver_stats().completed, 100u);
 }
 
+// --- profiler spans on a sharded guard --------------------------------------
+
+TEST(ShardProfile, FourLaneGuardSpansNestOnOneStack) {
+  // Each shard lane serves its burst inside one simulator event and the
+  // simulator is single-threaded, so the spans of all four lanes nest
+  // LIFO on the profiler's one stack: none mismatches or overflows, and
+  // every guard sub-stage parents under an enclosing guard span, never
+  // under the dispatch loop or the root.
+  using obs::prof::profiler;
+  using obs::prof::Stage;
+  Bed bed;
+  bed.make_guard(Scheme::NsName, [](auto& c) { c.num_shards = 4; });
+  for (std::uint8_t i = 1; i <= 8; ++i) {
+    bed.add_driver(DriveMode::NsNameMiss, 8, Ipv4Address(10, 0, 1, i), i);
+  }
+  bed.add_flood(50000, 43,
+                {.spoof_base = Ipv4Address(10, 200, 0, 0),
+                 .spoof_range = 1u << 16,
+                 .random_txt_cookie = false});
+  profiler.enable();
+  profiler.reset();
+  for (auto& d : bed.drivers) d->start();
+  bed.floods[0]->start();
+  bed.sim.run_for(milliseconds(200));
+  const obs::prof::Report r = profiler.report();
+  profiler.reset();
+  profiler.disable();
+
+  EXPECT_EQ(r.mismatched_spans, 0u);
+  EXPECT_EQ(r.overflow_spans, 0u);
+  const Stage nested[] = {Stage::kGuardDecode, Stage::kGuardMint,
+                          Stage::kGuardVerify, Stage::kGuardRl1,
+                          Stage::kGuardRl2,    Stage::kCookieHash};
+  std::map<Stage, std::uint64_t> spans;  // per stage, over every parent
+  for (const obs::prof::EdgeReport& e : r.edges) {
+    spans[e.stage] += e.count;
+    if (e.stage == Stage::kGuardService) {
+      EXPECT_EQ(e.parent, Stage::kSimDispatch);
+    }
+    for (Stage s : nested) {
+      if (e.stage != s) continue;
+      EXPECT_NE(e.parent, Stage::kRoot) << obs::prof::stage_name(s);
+      EXPECT_NE(e.parent, Stage::kSimDispatch) << obs::prof::stage_name(s);
+    }
+  }
+  EXPECT_GT(spans[Stage::kGuardService], 0u);
+  for (Stage s : nested) {
+    EXPECT_GT(spans[s], 0u) << obs::prof::stage_name(s);
+  }
+}
+
 }  // namespace
 }  // namespace dnsguard

@@ -4,13 +4,17 @@
 // single-node run exactly (digest and counter sums).
 #include <gtest/gtest.h>
 
+#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/rng.h"
 #include "common/time.h"
+#include "dns/message.h"
 #include "net/ipv4.h"
 #include "sim/simulator.h"
 #include "workload/population.h"
@@ -294,6 +298,46 @@ TEST(ClientPopulationNode, DeterministicAcrossRerunsAndShardCounts) {
   EXPECT_EQ(single.sent, sharded.sent);
   EXPECT_EQ(single.offered, sharded.offered);
   EXPECT_EQ(single.cache_hits, sharded.cache_hits);
+}
+
+/// Records the qname of every query delivered to it.
+class QnameSink : public sim::Node {
+ public:
+  using sim::Node::Node;
+  std::vector<dns::DomainName> qnames;
+
+ protected:
+  SimDuration process(const net::Packet& p) override {
+    auto m = dns::Message::decode(BytesView(p.payload));
+    if (m && m->question() != nullptr) qnames.push_back(m->question()->qname);
+    return SimDuration{};
+  }
+};
+
+TEST(ClientPopulationNode, QueriesNameTheirRankUnderTheSuffix) {
+  sim::Simulator sim;
+  const net::Ipv4Address target{10, 9, 9, 9};
+  QnameSink sink(sim, "sink");
+  sim.add_host_route(target, &sink);
+  ClientPopulationNode::Config cfg;
+  cfg.population = small_config();
+  cfg.target = {target, net::kDnsPort};
+  ClientPopulationNode pop(sim, "pop", cfg);
+  pop.start();
+  sim.run_for(milliseconds(200));
+  pop.stop();
+
+  ASSERT_GT(sink.qnames.size(), 100u);
+  const dns::DomainName suffix = *dns::DomainName::parse("pop.example.");
+  for (const dns::DomainName& q : sink.qnames) {
+    ASSERT_EQ(q.label_count(), 3u) << q.to_string();
+    EXPECT_EQ(q.parent(), suffix) << q.to_string();
+    const std::string_view label = q.first_label();
+    std::uint32_t rank = 0;
+    std::from_chars(label.data() + 1, label.data() + label.size(), rank);
+    EXPECT_EQ(label, "q" + std::to_string(rank)) << q.to_string();
+    EXPECT_LT(rank, cfg.population.qname_universe) << q.to_string();
+  }
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
-// Wall-clock cost-attribution profiler: span stack discipline, lane
-// merging, histogram bucketing, sampling scale-up, the observer-effect
-// correction and control-based deflation — all driven through the public
-// probe API with hand-fed tick values, so the arithmetic is exact.
+// Wall-clock cost-attribution profiler: span stack discipline, histogram
+// bucketing, the dispatch loop's event sampling and scale-up, and
+// wall-time deflation — all driven through the public probe API with
+// hand-fed tick values, so the arithmetic is exact.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -17,9 +17,9 @@ using obs::prof::DispatchWindow;
 using obs::prof::EdgeReport;
 using obs::prof::kHistBuckets;
 using obs::prof::kMaxDepth;
-using obs::prof::kMaxLanes;
+using obs::prof::kSampleBlock;
+using obs::prof::kSampleStride;
 using obs::prof::kStageCount;
-using obs::prof::LaneScope;
 using obs::prof::profiler;
 using obs::prof::Report;
 using obs::prof::Stage;
@@ -29,22 +29,17 @@ static_assert(DNSGUARD_PROF_COMPILED_IN == 1,
               "tests build with probes compiled in");
 
 /// Every test runs against the process-global profiler, so the fixture
-/// restores a known state: enabled, full sampling, probe-cost model
-/// pinned to zero (set *after* enable(), which recalibrates a zero cost)
+/// restores a known state: enabled, no dispatch loop counted (scale 1),
 /// so reported totals equal the ticks fed in.
 class ProfilerTest : public ::testing::Test {
  protected:
   void SetUp() override {
     profiler.enable();
-    profiler.set_probe_cost(0.0, 0.0);
-    profiler.set_sampling(1, 1);
-    profiler.set_lane(0);
     profiler.set_context(Stage::kRoot);
     profiler.reset();
   }
   void TearDown() override {
     profiler.reset();
-    profiler.set_sampling(1, 1);
     profiler.set_context(Stage::kRoot);
     profiler.disable();
   }
@@ -193,56 +188,13 @@ TEST_F(ProfilerTest, DisabledProfilerForcesRecordingOff) {
   EXPECT_EQ(find_edge(r, Stage::kRoot, Stage::kGuardVerify), nullptr);
 }
 
-// --- lanes -------------------------------------------------------------------
-
-TEST_F(ProfilerTest, LanesMergeAtReportTime) {
-  profiler.record(Stage::kRoot, Stage::kGuardRl1, 100);
-  profiler.set_lane(3);
-  profiler.record(Stage::kRoot, Stage::kGuardRl1, 50);
-  profiler.set_lane(0);
-
-  const Report r = profiler.report();
-  const EdgeReport* e = find_edge(r, Stage::kRoot, Stage::kGuardRl1);
-  ASSERT_NE(e, nullptr);
-  EXPECT_EQ(e->count, 2u);
-  EXPECT_DOUBLE_EQ(e->total_ns / r.ns_per_tick, 150.0);
-  EXPECT_DOUBLE_EQ(e->min_ns / r.ns_per_tick, 50.0);
-  EXPECT_DOUBLE_EQ(e->max_ns / r.ns_per_tick, 100.0);
-}
-
-TEST_F(ProfilerTest, LaneStacksAreIndependent) {
-  ASSERT_TRUE(profiler.span_begin(Stage::kGuardService));
-  {
-    LaneScope shard(5);
-    // The shard lane's stack is empty, so its span parents under the
-    // context even though lane 0 has kGuardService open.
-    ASSERT_TRUE(profiler.span_begin(Stage::kGuardVerify));
-    profiler.span_end(Stage::kGuardVerify, 20);
-  }
-  EXPECT_EQ(profiler.lane(), 0u);
-  profiler.span_end(Stage::kGuardService, 80);
-
-  const Report r = profiler.report();
-  EXPECT_DOUBLE_EQ(edge_ticks(r, Stage::kRoot, Stage::kGuardVerify), 20.0);
-  EXPECT_DOUBLE_EQ(edge_ticks(r, Stage::kRoot, Stage::kGuardService), 80.0);
-  EXPECT_EQ(r.mismatched_spans, 0u);
-}
-
-TEST_F(ProfilerTest, OutOfRangeLaneClampsToZero) {
-  profiler.set_lane(kMaxLanes);
-  EXPECT_EQ(profiler.lane(), 0u);
-  profiler.set_lane(kMaxLanes - 1);
-  EXPECT_EQ(profiler.lane(), kMaxLanes - 1);
-  profiler.set_lane(0);
-}
-
 // --- histogram ---------------------------------------------------------------
 
 TEST_F(ProfilerTest, HistogramLandsSamplesInLog2Buckets) {
-  profiler.record(Stage::kRoot, Stage::kGuardRl2, 0);    // bucket 0
-  profiler.record(Stage::kRoot, Stage::kGuardRl2, 1);    // bucket 0
-  profiler.record(Stage::kRoot, Stage::kGuardRl2, 2);    // bucket 1
   profiler.record(Stage::kRoot, Stage::kGuardRl2, 100);  // bucket 6
+  profiler.record(Stage::kRoot, Stage::kGuardRl2, 2);    // bucket 1
+  profiler.record(Stage::kRoot, Stage::kGuardRl2, 1);    // bucket 0
+  profiler.record(Stage::kRoot, Stage::kGuardRl2, 0);    // bucket 0
   const Report r = profiler.report();
   const EdgeReport* e = find_edge(r, Stage::kRoot, Stage::kGuardRl2);
   ASSERT_NE(e, nullptr);
@@ -252,27 +204,21 @@ TEST_F(ProfilerTest, HistogramLandsSamplesInLog2Buckets) {
   std::uint64_t total = 0;
   for (std::uint64_t b : e->hist) total += b;
   EXPECT_EQ(total, e->count);
+  EXPECT_DOUBLE_EQ(e->total_ns / r.ns_per_tick, 103.0);
+  EXPECT_DOUBLE_EQ(e->min_ns / r.ns_per_tick, 0.0);
+  EXPECT_DOUBLE_EQ(e->max_ns / r.ns_per_tick, 100.0);
 }
 
 // --- sampling ----------------------------------------------------------------
 
-TEST_F(ProfilerTest, SetSamplingClampsDegenerateValues) {
-  profiler.set_sampling(0, 0);
-  EXPECT_EQ(profiler.sample_stride(), 1u);
-  EXPECT_EQ(profiler.sample_block(), 1u);
-  profiler.set_sampling(4, 9);  // block cannot exceed the stride
-  EXPECT_EQ(profiler.sample_stride(), 4u);
-  EXPECT_EQ(profiler.sample_block(), 4u);
-}
-
 TEST_F(ProfilerTest, SampledReportScalesCountsTotalsAndHistograms) {
-  profiler.set_sampling(10, 2);  // 1-in-5 duty: reports scale by 5
+  profiler.add_events(10, 2);  // 1-in-5 duty: reports scale by 5
   for (int i = 0; i < 4; ++i) {
     profiler.record(Stage::kRoot, Stage::kGuardVerify, 100);
   }
   const Report r = profiler.report();
-  EXPECT_EQ(r.sample_stride, 10u);
-  EXPECT_EQ(r.sample_block, 2u);
+  EXPECT_EQ(r.events, 10u);
+  EXPECT_EQ(r.sampled_events, 2u);
   const EdgeReport* e = find_edge(r, Stage::kRoot, Stage::kGuardVerify);
   ASSERT_NE(e, nullptr);
   EXPECT_EQ(e->count, 20u);
@@ -283,121 +229,72 @@ TEST_F(ProfilerTest, SampledReportScalesCountsTotalsAndHistograms) {
   EXPECT_DOUBLE_EQ(e->max_ns / r.ns_per_tick, 100.0);
 }
 
-TEST_F(ProfilerTest, DispatchWindowSamplesAndTimesControlBlocks) {
-  profiler.set_sampling(4, 1);
-  profiler.reset();
+TEST_F(ProfilerTest, DispatchWindowArmsTheFirstBlockOfEachStride) {
+  constexpr std::uint64_t kEvents = 2 * kSampleStride + 3;
   {
     DispatchWindow window;
     EXPECT_EQ(profiler.context(), Stage::kSimDispatch);
-    // Two full strides. Per stride: phase 0 is the sampled block (one
-    // dispatch record), phases 2..3 are the control block, timed as one
-    // slice covering both events.
-    for (int i = 0; i < 8; ++i) {
+    EXPECT_TRUE(profiler.recording());  // event 0 opens a sampled block
+    for (std::uint64_t i = 0; i < kEvents; ++i) {
       window.tick();
-      if (i % 4 == 0) {
-        EXPECT_FALSE(profiler.recording()) << "event " << i;
-      }
+      // After event i, probes are armed iff event i + 1 is in a block.
+      const bool sampled = (i + 1) % kSampleStride < kSampleBlock;
+      ASSERT_EQ(profiler.recording(), sampled) << "event " << i + 1;
     }
   }
   EXPECT_EQ(profiler.context(), Stage::kRoot);
   EXPECT_TRUE(profiler.recording());
 
+  // Two full blocks plus the first 3 events of the third stride.
   const Report r = profiler.report();
+  EXPECT_EQ(r.events, 12725u);
+  EXPECT_EQ(r.sampled_events, 35u);
   const EdgeReport* e = find_edge(r, Stage::kRoot, Stage::kSimDispatch);
   ASSERT_NE(e, nullptr);
-  EXPECT_EQ(e->count, 8u);  // 2 raw records scaled by stride/block = 4
-  EXPECT_EQ(r.control_count, 4u);
-  EXPECT_GT(r.control_ns_per_op, 0.0);
+  // One dispatch slice per sampled event, scaled to every event.
+  EXPECT_EQ(e->count, kEvents);
 }
 
-// --- observer-effect correction ---------------------------------------------
+// --- wall-time deflation -----------------------------------------------------
 
-TEST_F(ProfilerTest, ProbeCostCorrectionSubtractsDescendantProbes) {
-  // One guard.service span (1000 ticks) containing two guard.decode spans
-  // (100 ticks each). With probe_in = 5 and probe_total = 50:
-  //   D(decode)  = 0 (no children)
-  //   D(service) = 2 spans/span * (1 + 0) = 2
-  //   service: 1000 - 1*(5 + 2*50) = 895
-  //   decode:   200 - 2*(5 + 0*50) = 190
-  profiler.set_probe_cost(5.0, 50.0);
-  profiler.record(Stage::kRoot, Stage::kGuardService, 1000);
-  profiler.record(Stage::kGuardService, Stage::kGuardDecode, 100);
-  profiler.record(Stage::kGuardService, Stage::kGuardDecode, 100);
-
-  const Report r = profiler.report();
-  EXPECT_NEAR(edge_ticks(r, Stage::kRoot, Stage::kGuardService), 895.0, 1e-9);
-  EXPECT_NEAR(edge_ticks(r, Stage::kGuardService, Stage::kGuardDecode), 190.0,
-              1e-9);
-}
-
-TEST_F(ProfilerTest, ProbeCostCorrectionNeverGoesNegative) {
-  profiler.set_probe_cost(1000.0, 1000.0);
-  profiler.record(Stage::kRoot, Stage::kGuardMint, 10);
-  const Report r = profiler.report();
-  EXPECT_DOUBLE_EQ(edge_ticks(r, Stage::kRoot, Stage::kGuardMint), 0.0);
-}
-
-TEST_F(ProfilerTest, ProbeCostCorrectionSurvivesRecordedCycles) {
-  // Hand-fed record() data can produce parent cycles real nesting cannot;
-  // the descendant-count DFS must terminate, not recurse forever.
-  profiler.set_probe_cost(1.0, 1.0);
-  profiler.record(Stage::kGuardRl1, Stage::kGuardRl2, 10);
-  profiler.record(Stage::kGuardRl2, Stage::kGuardRl1, 10);
-  const Report r = profiler.report();
-  EXPECT_EQ(r.edges.size(), 2u);
-}
-
-// --- control deflation -------------------------------------------------------
-
-TEST_F(ProfilerTest, ControlSlicesDeflateOverAttributedEdges) {
-  // Sampled dispatch slices claim 800 ticks/event; the control block says
-  // disarmed events really cost 400 — so every edge halves, preserving
-  // stage proportions while the total drops to the probe-free cost.
+TEST_F(ProfilerTest, WallTimeDeflatesOverAttributedEdges) {
+  // Sampled dispatch slices claim 800 ticks/event, but the window's
+  // measured wall time is 400 ticks/event — so every edge halves,
+  // preserving stage proportions while the total drops to the wall.
   for (int i = 0; i < 10; ++i) {
     profiler.record(Stage::kRoot, Stage::kSimDispatch, 800);
     profiler.record(Stage::kSimDispatch, Stage::kGuardService, 600);
   }
-  profiler.record_control(4000, 10);
-
-  const Report r = profiler.report();
-  EXPECT_EQ(r.control_count, 10u);
-  EXPECT_NEAR(r.control_ns_per_op / r.ns_per_tick, 400.0, 1e-9);
+  const Report r = profiler.report(4000.0 * profiler.ns_per_tick());
   EXPECT_NEAR(r.deflation, 0.5, 1e-9);
   EXPECT_NEAR(edge_ticks(r, Stage::kRoot, Stage::kSimDispatch), 4000.0, 1e-6);
   EXPECT_NEAR(edge_ticks(r, Stage::kSimDispatch, Stage::kGuardService),
               3000.0, 1e-6);
+  // Deflation rescales time, not counts.
+  const EdgeReport* e = find_edge(r, Stage::kRoot, Stage::kSimDispatch);
+  ASSERT_NE(e, nullptr);
+  EXPECT_EQ(e->count, 10u);
 }
 
-TEST_F(ProfilerTest, ControlNeverInflatesACheapProfile) {
-  // Control more expensive than the sampled slices (e.g. a steal burst
-  // hit the armed blocks instead): deflation clamps at 1 — attribution is
-  // corrected downward only, never invented upward.
+TEST_F(ProfilerTest, WallTimeNeverInflatesACheapProfile) {
+  // Attribution below the measured wall (time spent outside the dispatch
+  // loop, or probes that broke) stays as measured: the coverage gate must
+  // see the gap, so deflation clamps at 1 and never invents time.
   for (int i = 0; i < 10; ++i) {
     profiler.record(Stage::kRoot, Stage::kSimDispatch, 400);
   }
-  profiler.record_control(8000, 10);
-  const Report r = profiler.report();
+  const Report r = profiler.report(8000.0 * profiler.ns_per_tick());
   EXPECT_DOUBLE_EQ(r.deflation, 1.0);
   EXPECT_NEAR(edge_ticks(r, Stage::kRoot, Stage::kSimDispatch), 4000.0, 1e-6);
-}
-
-TEST_F(ProfilerTest, ControlEstimatorWinsorizesStealBursts) {
-  // Nine honest control blocks at 100 ticks/event plus one block that a
-  // (simulated) hypervisor steal burst stretched to 10000/event. The
-  // winsorized mean clamps the outlier at 3x the median:
-  //   (9*100 + 300) / 10 = 120 ticks/event
-  // (a plain mean would report 1090 and wreck the deflation anchor).
-  for (int i = 0; i < 9; ++i) profiler.record_control(1000, 10);
-  profiler.record_control(100000, 10);
-  const Report r = profiler.report();
-  EXPECT_NEAR(r.control_ns_per_op / r.ns_per_tick, 120.0, 1e-9);
+  // Without a wall time (the flight recorder's snapshot) nothing scales.
+  EXPECT_DOUBLE_EQ(profiler.report().deflation, 1.0);
 }
 
 // --- reporting ---------------------------------------------------------------
 
 TEST_F(ProfilerTest, ResetClearsCellsStacksAndQualityCounters) {
   profiler.record(Stage::kRoot, Stage::kGuardService, 100);
-  profiler.record_control(1000, 10);
+  profiler.add_events(10, 2);
   profiler.span_end(Stage::kGuardDecode, 5);  // mismatch on empty stack
   ASSERT_EQ(profiler.mismatched_spans(), 1u);
 
@@ -405,8 +302,8 @@ TEST_F(ProfilerTest, ResetClearsCellsStacksAndQualityCounters) {
   const Report r = profiler.report();
   EXPECT_TRUE(r.edges.empty());
   EXPECT_EQ(r.mismatched_spans, 0u);
-  EXPECT_EQ(r.control_count, 0u);
-  EXPECT_EQ(profiler.control_count(), 0u);
+  EXPECT_EQ(r.events, 0u);
+  EXPECT_EQ(r.sampled_events, 0u);
 }
 
 TEST_F(ProfilerTest, ReportJsonCarriesCoverageAndStageShares) {
@@ -415,6 +312,8 @@ TEST_F(ProfilerTest, ReportJsonCarriesCoverageAndStageShares) {
   EXPECT_NE(with_wall.find("\"root_share\""), std::string::npos);
   EXPECT_NE(with_wall.find("\"share\""), std::string::npos);
   EXPECT_NE(with_wall.find("\"deflation\""), std::string::npos);
+  EXPECT_NE(with_wall.find("\"events\""), std::string::npos);
+  EXPECT_NE(with_wall.find("\"sampled_events\""), std::string::npos);
   EXPECT_NE(with_wall.find("\"stage\": \"guard.service\""),
             std::string::npos);
   EXPECT_NE(with_wall.find("\"hist_ns\""), std::string::npos);

@@ -19,7 +19,6 @@ using obs::prof::Stage;
 
 TEST(ProfilerDisabledTU, ProbeMacroCompilesToNothing) {
   profiler.enable();
-  profiler.set_sampling(1, 1);
   profiler.reset();
   {
     // In an armed, recording profiler these would open spans; compiled

@@ -9,7 +9,9 @@ virtual-time results are bit-for-bit deterministic.
 
 Direction heuristics: metrics are higher-is-better (throughput,
 events/sec) unless the key matches a lower-is-better pattern (latency,
-cpu, p50/p90/p99).
+cpu, p50/p90/p99, overhead). Standard errors ("*_se") are never
+compared: a standard error has no better direction, and a quieter host
+must not fail the gate.
 
 The "counters" section is mostly informational (absolute counts
 legitimately shift as code evolves): counters that appear or disappear
@@ -49,12 +51,22 @@ LOWER_IS_BETTER_PATTERNS = [
     "*p90*",
     "*p99*",
     "*cpu*",
+    "*overhead*",
 ]
+
+# Metric keys never compared: a standard error measures the host's noise,
+# not the code, so neither direction is a regression.
+UNGATED_METRIC_PATTERNS = ["*_se"]
 
 
 def lower_is_better(key):
     k = key.lower()
     return any(fnmatch.fnmatch(k, pat) for pat in LOWER_IS_BETTER_PATTERNS)
+
+
+def gated_metric(key):
+    k = key.lower()
+    return not any(fnmatch.fnmatch(k, pat) for pat in UNGATED_METRIC_PATTERNS)
 
 
 # Counter keys that gate (everything else in "counters" is warn-only).
@@ -130,6 +142,8 @@ def compare_metrics(name, baseline, current, tolerance):
         if not isinstance(base_value, (int, float)) or isinstance(
             base_value, bool
         ):
+            continue
+        if not gated_metric(key):
             continue
         if key not in current:
             failures.append(f"{name}: metric '{key}' missing from current run")
@@ -315,6 +329,17 @@ def self_test():
     # Synthetic >10% regression across the whole-file API.
     assert len(compare_metrics("t", {"rps": 100}, {"rps": 89}, 0.10)) == 1
     assert compare_metrics("t", {"rps": 100}, {"rps": 91}, 0.10) == []
+    # Profiler overhead gate (table3): the ratio is lower-is-better, and its
+    # standard error is never compared in either direction.
+    gate = {"profiler_overhead_ratio": 1.008, "profiler_overhead_se": 0.0004}
+    quiet = dict(gate, profiler_overhead_se=0.0002)
+    assert compare_metrics("t", gate, quiet, 0.10) == []
+    noisy = dict(gate, profiler_overhead_se=0.002)
+    assert compare_metrics("t", gate, noisy, 0.10) == []
+    cheaper = dict(gate, profiler_overhead_ratio=0.8)
+    assert compare_metrics("t", gate, cheaper, 0.10) == []
+    costlier = dict(gate, profiler_overhead_ratio=1.2)
+    assert len(compare_metrics("t", gate, costlier, 0.10)) == 1
 
     # --- counters section ---
     cbase = {

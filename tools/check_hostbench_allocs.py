@@ -18,8 +18,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # host.allocs_per_guard_pkt at --seed 1 (GCC 12, libstdc++).
 MEASURED = {
-    "legit_steady": 4.507,
-    "spoof_flood": 5.306,
+    "legit_steady": 4.324,
+    "spoof_flood": 5.286,
     "tcp_churn": 2.765,
 }
 SLACK = 0.05
