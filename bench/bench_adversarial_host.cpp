@@ -116,35 +116,30 @@ class RstTimedGuard : public guard::RemoteGuardNode {
   }
 };
 
-/// A DNS-over-TCP client that sends its queries pipelined in one segment.
+/// A DNS-over-TCP client that sends its queries pipelined in one segment:
+/// queries sent during the handshake leave together once it completes.
 class Client : public sim::Node {
  public:
   explicit Client(sim::Simulator& s)
       : sim::Node(s, "client"),
         tcp_([this](net::Packet p) { send(std::move(p)); },
-             [this] { return now(); },
-             tcp::TcpStack::Callbacks{
-                 .on_established =
-                     [this](tcp::ConnId id) {
-                       tcp_.send_data(id, BytesView(request_));
-                     },
-                 .on_data = {},
-                 .on_closed = {}},
+             [this] { return now(); }, tcp::TcpStack::Callbacks{},
              tcp::TcpStack::Options{}) {
     s.add_host_route(kClientIp, this);
   }
 
   tcp::ConnId open(int queries) {
-    request_.clear();
+    const tcp::ConnId id =
+        tcp_.connect({kClientIp, next_port_++}, {kAnsIp, net::kDnsPort});
     for (int q = 0; q < queries; ++q) {
-      const Bytes framed = tcp::StreamFramer::frame(BytesView(
-          dns::Message::query(static_cast<std::uint16_t>(q + 1),
-                              *dns::DomainName::parse("www.example.com"),
-                              dns::RrType::A, false)
-              .encode()));
-      request_.insert(request_.end(), framed.begin(), framed.end());
+      tcp_.send_message(
+          id, BytesView(dns::Message::query(
+                            static_cast<std::uint16_t>(q + 1),
+                            *dns::DomainName::parse("www.example.com"),
+                            dns::RrType::A, false)
+                            .encode()));
     }
-    return tcp_.connect({kClientIp, next_port_++}, {kAnsIp, net::kDnsPort});
+    return id;
   }
   void reset(tcp::ConnId id) { tcp_.abort(id); }
 
@@ -156,7 +151,6 @@ class Client : public sim::Node {
 
  private:
   tcp::TcpStack tcp_;
-  Bytes request_;
   std::uint16_t next_port_ = 1024;
 };
 

@@ -85,8 +85,8 @@ RemoteGuardNode::RemoteGuardNode(sim::Simulator& sim, std::string name,
       config_(std::move(config)),
       ans_(ans),
       engine_(config_.key_seed),
-      framers_({.capacity = config_.proxy_max_connections,
-                .evict_lru_when_full = true}) {
+      nat_heads_({.capacity = config_.proxy_max_connections,
+                  .evict_lru_when_full = true}) {
   set_profile_stage(obs::prof::Stage::kGuardService);
   if (config_.num_shards == 0) config_.num_shards = 1;
   const std::size_t n = config_.num_shards;
@@ -124,9 +124,8 @@ RemoteGuardNode::RemoteGuardNode(sim::Simulator& sim, std::string name,
       [this](net::Packet p) { emit(std::move(p)); },
       [this] { return now(); },
       tcp::TcpStack::Callbacks{
-          .on_established = {},
-          .on_data = [this](tcp::ConnId id,
-                            BytesView data) { proxy_on_data(id, data); },
+          .on_message = [this](tcp::ConnId id,
+                               BytesView m) { proxy_on_message(id, m); },
           .on_closed = [this](tcp::ConnId id) { proxy_on_closed(id); },
       },
       tcp::TcpStack::Options{.syn_cookies = true,
@@ -667,86 +666,82 @@ void RemoteGuardNode::do_tcp_redirect(const net::Packet& packet,
   reply(packet, resp);
 }
 
-void RemoteGuardNode::proxy_on_data(tcp::ConnId conn, BytesView data) {
-  auto ins = framers_.try_emplace(conn, now());
+void RemoteGuardNode::proxy_on_message(tcp::ConnId conn, BytesView message) {
+  auto ins = nat_heads_.try_emplace(conn, now());
   if (ins.value == nullptr) {
     // Refused insert (only possible if eviction were disabled): reset the
-    // connection instead of carrying unframeable stream state.
+    // connection instead of carrying state the close could not find.
     drops_.count(obs::DropReason::kStateTableFull);
     tcp_->abort(conn);
     return;
   }
-  ProxyConn& pc = *ins.value;
-  for (Bytes& msg : pc.framer.push(data)) {
-    if (!dns::Message::decode_into(BytesView(msg), rx_) || rx_.header.qr ||
-        rx_.question() == nullptr) {
-      stats_.malformed++;
-      drops_.count(obs::DropReason::kMalformed);
-      continue;
-    }
-    const dns::Message& query = rx_;
-    auto remote = tcp_->remote_of(conn);
-    if (!remote) continue;
-    if (sim().journeys().enabled()) {
-      // Merge the TCP-handshake journey (keyed by the client endpoint)
-      // with the DNS query it carried.
-      cur_jkey_ = {remote->ip.value(), query.header.id,
-                   query.question()->qname.hash32()};
-      cur_jkey_valid_ = true;
-      sim().journeys().alias({remote->ip.value(), remote->port, 0},
-                             cur_jkey_);
-      jmark("guard.proxy_query");
-    }
-    // TCP handshake completion already proved the source address; still
-    // apply Rate-Limiter2 like any verified requester.
-    if (!cur_shard_->rl2.allow(remote->ip, now())) {
-      stats_.rl2_throttled++;
-      drops_.count(obs::DropReason::kRateLimited2);
-      continue;
-    }
-    stats_.proxy_queries++;
-    DNSGUARD_PROF_SCOPE(obs::prof::Stage::kGuardNat);
-    // Convert to UDP toward the ANS, NATed to the guard's own address.
-    // Source-port allocation probes past ports with a live NAT entry: a
-    // collision used to overwrite the old entry, orphaning its in-flight
-    // ANS query and leaking the client connection. Expired entries are
-    // reaped incrementally on the same path. Candidates stay inside the
-    // shard's disjoint port range so the ANS reply routes back here.
-    Shard& sh = *cur_shard_;
-    sh.nat.reap(now(), 16);
-    std::uint16_t port = 0;
-    NatEntry* entry = nullptr;
-    for (int probe = 0; probe < config_.nat_port_probe_limit; ++probe) {
-      const std::uint16_t candidate = sh.next_nat_port++;
-      if (sh.next_nat_port < sh.nat_port_base ||
-          sh.next_nat_port >= sh.nat_port_limit) {
-        sh.next_nat_port = sh.nat_port_base;
-      }
-      auto r = sh.nat.try_emplace(candidate, now(),
-                                  NatEntry{conn, query.header.id});
-      if (r.inserted) {
-        port = candidate;
-        entry = r.value;
-        break;
-      }
-      if (r.value == nullptr) break;  // table refused the insert
-    }
-    if (entry == nullptr) {
-      drops_.count(obs::DropReason::kStateTableFull);
-      continue;
-    }
-    // Push the port on the connection's list only now: the insert may
-    // have evicted (and unlinked) an entry of this same connection.
-    entry->next_port = pc.nat_head;
-    if (pc.nat_head != 0) sh.nat.occupant(pc.nat_head)->prev_port = port;
-    pc.nat_head = port;
-    charge(config_.costs.transform);
-    stats_.forwarded_to_ans++;
-    emit_direct(ans_, net::Packet::make_udp(
-                          {config_.guard_address, port},
-                          {config_.ans_address, net::kDnsPort},
-                          query.encode_pooled()));
+  std::uint16_t& nat_head = *ins.value;
+  if (!dns::Message::decode_into(message, rx_) || rx_.header.qr ||
+      rx_.question() == nullptr) {
+    stats_.malformed++;
+    drops_.count(obs::DropReason::kMalformed);
+    return;
   }
+  const dns::Message& query = rx_;
+  auto remote = tcp_->remote_of(conn);
+  if (!remote) return;
+  if (sim().journeys().enabled()) {
+    // Merge the TCP-handshake journey (keyed by the client endpoint)
+    // with the DNS query it carried.
+    cur_jkey_ = {remote->ip.value(), query.header.id,
+                 query.question()->qname.hash32()};
+    cur_jkey_valid_ = true;
+    sim().journeys().alias({remote->ip.value(), remote->port, 0}, cur_jkey_);
+    jmark("guard.proxy_query");
+  }
+  // TCP handshake completion already proved the source address; still
+  // apply Rate-Limiter2 like any verified requester.
+  if (!cur_shard_->rl2.allow(remote->ip, now())) {
+    stats_.rl2_throttled++;
+    drops_.count(obs::DropReason::kRateLimited2);
+    return;
+  }
+  stats_.proxy_queries++;
+  DNSGUARD_PROF_SCOPE(obs::prof::Stage::kGuardNat);
+  // Convert to UDP toward the ANS, NATed to the guard's own address.
+  // Source-port allocation probes past ports with a live NAT entry: a
+  // collision used to overwrite the old entry, orphaning its in-flight
+  // ANS query and leaking the client connection. Expired entries are
+  // reaped incrementally on the same path. Candidates stay inside the
+  // shard's disjoint port range so the ANS reply routes back here.
+  Shard& sh = *cur_shard_;
+  sh.nat.reap(now(), 16);
+  std::uint16_t port = 0;
+  NatEntry* entry = nullptr;
+  for (int probe = 0; probe < config_.nat_port_probe_limit; ++probe) {
+    const std::uint16_t candidate = sh.next_nat_port++;
+    if (sh.next_nat_port < sh.nat_port_base ||
+        sh.next_nat_port >= sh.nat_port_limit) {
+      sh.next_nat_port = sh.nat_port_base;
+    }
+    auto r = sh.nat.try_emplace(candidate, now(),
+                                NatEntry{conn, query.header.id});
+    if (r.inserted) {
+      port = candidate;
+      entry = r.value;
+      break;
+    }
+    if (r.value == nullptr) break;  // table refused the insert
+  }
+  if (entry == nullptr) {
+    drops_.count(obs::DropReason::kStateTableFull);
+    return;
+  }
+  // Push the port on the connection's list only now: the insert may have
+  // evicted (and unlinked) an entry of this same connection.
+  entry->next_port = nat_head;
+  if (nat_head != 0) sh.nat.occupant(nat_head)->prev_port = port;
+  nat_head = port;
+  charge(config_.costs.transform);
+  stats_.forwarded_to_ans++;
+  emit_direct(ans_, net::Packet::make_udp({config_.guard_address, port},
+                                          {config_.ans_address, net::kDnsPort},
+                                          query.encode_pooled()));
 }
 
 void RemoteGuardNode::handle_proxy_nat_response(const net::Packet& packet) {
@@ -769,8 +764,7 @@ void RemoteGuardNode::handle_proxy_nat_response(const net::Packet& packet) {
   nat_unlink(entry);
   cur_shard_->nat.erase(port);
   charge(config_.costs.transform);
-  if (tcp_->send_data(entry.conn, BytesView(tcp::StreamFramer::frame(
-                                      BytesView(packet.payload))))) {
+  if (tcp_->send_message(entry.conn, BytesView(packet.payload))) {
     stats_.responses_relayed++;
   } else {
     // The connection can no longer send: an earlier pipelined query's
@@ -784,24 +778,24 @@ void RemoteGuardNode::handle_proxy_nat_response(const net::Packet& packet) {
 }
 
 void RemoteGuardNode::proxy_on_closed(tcp::ConnId conn) {
-  ProxyConn* pc = framers_.occupant(conn);
-  if (pc == nullptr) return;  // closed before sending any data
+  const std::uint16_t* head = nat_heads_.occupant(conn);
+  if (head == nullptr) return;  // closed before sending any query
   // Close can fire from timer context where cur_shard_ is stale; each
   // port names its shard.
-  for (std::uint16_t port = pc->nat_head; port != 0;) {
+  for (std::uint16_t port = *head; port != 0;) {
     auto& nat = shards_[shard_of_nat_port(port)]->nat;
     const std::uint16_t next = nat.occupant(port)->next_port;
     nat.erase(port);
     port = next;
   }
-  framers_.erase(conn);
+  nat_heads_.erase(conn);
 }
 
 void RemoteGuardNode::nat_unlink(const NatEntry& e) {
   if (e.prev_port != 0) {
     nat_occupant(e.prev_port)->next_port = e.next_port;
-  } else if (ProxyConn* pc = framers_.occupant(e.conn)) {
-    pc->nat_head = e.next_port;
+  } else if (std::uint16_t* head = nat_heads_.occupant(e.conn)) {
+    *head = e.next_port;
   }
   if (e.next_port != 0) nat_occupant(e.next_port)->prev_port = e.prev_port;
 }

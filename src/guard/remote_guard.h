@@ -313,26 +313,22 @@ class RemoteGuardNode : public sim::Node {
   void jend(std::string_view stage, bool ok);
 
   // --- TCP proxy ---
-  void proxy_on_data(tcp::ConnId conn, BytesView data);
+  void proxy_on_message(tcp::ConnId conn, BytesView message);
   void proxy_on_closed(tcp::ConnId conn);
   void proxy_reap_loop();
   void rotation_loop();
 
+  /// A proxied query's NAT entry. The entries of one connection form a
+  /// list whose head nat_heads_ holds, so that closing the connection
+  /// erases exactly those entries. All of them live in the shard of the
+  /// client's address, and each port identifies that shard.
   struct NatEntry {
     tcp::ConnId conn;
     std::uint16_t query_id;
-    /// Neighbours on the connection's list of NAT ports (ProxyConn); 0
-    /// ends the list, since NAT ports start at 20000.
+    /// Neighbours on the connection's list of NAT ports; 0 ends the list,
+    /// since NAT ports start at 20000.
     std::uint16_t prev_port = 0;
     std::uint16_t next_port = 0;
-  };
-  /// One proxied connection: its DNS framing buffer and the head of the
-  /// list of NAT ports its in-flight queries hold, so that closing it
-  /// erases exactly those entries. All of them live in the shard of the
-  /// client's address, and each port identifies that shard.
-  struct ProxyConn {
-    tcp::StreamFramer framer;
-    std::uint16_t nat_head = 0;
   };
 
   /// One shard owns every piece of per-source state for its slice of the
@@ -390,13 +386,13 @@ class RemoteGuardNode : public sim::Node {
   std::size_t nat_ports_per_shard_ = 0;
 
   std::unique_ptr<tcp::TcpStack> tcp_;
-  /// Per-connection framing buffers and NAT lists. Connections are
+  /// The head NAT port of each proxied connection's list. Connections are
   /// attacker-opened, so this table is capped at proxy_max_connections like
   /// the TCP stack's own connection table it shadows.
   // DNSGUARD_LINT_ALLOW(shardsafe): deliberately shared across shards —
   // the TCP stack itself is one shared instance and connections are keyed
   // by ConnId, not by the per-source address hash that defines shards.
-  common::BoundedTable<tcp::ConnId, ProxyConn> framers_;
+  common::BoundedTable<tcp::ConnId, std::uint16_t> nat_heads_;
 
   GuardStats stats_;
   std::array<SchemeCounters, kSchemeCount> scheme_counters_;

@@ -9,19 +9,15 @@ namespace dnsguard::server {
 AuthoritativeServerNode::AuthoritativeServerNode(sim::Simulator& sim,
                                                  std::string name,
                                                  Config config)
-    : sim::Node(sim, std::move(name)),
-      config_(config),
-      framers_({.capacity = config.max_tcp_connections,
-                .evict_lru_when_full = true}) {
+    : sim::Node(sim, std::move(name)), config_(config) {
   set_profile_stage(obs::prof::Stage::kAnsService);
   tcp_ = std::make_unique<tcp::TcpStack>(
       [this](net::Packet p) { send(std::move(p)); },
       [this] { return now(); },
       tcp::TcpStack::Callbacks{
-          .on_established = {},
-          .on_data = [this](tcp::ConnId id,
-                            BytesView data) { on_tcp_data(id, data); },
-          .on_closed = [this](tcp::ConnId id) { framers_.erase(id); },
+          .on_message = [this](tcp::ConnId id,
+                               BytesView m) { on_tcp_message(id, m); },
+          .on_closed = {},
       },
       tcp::TcpStack::Options{.syn_cookies = false,
                              .max_connections = config.max_tcp_connections});
@@ -30,7 +26,6 @@ AuthoritativeServerNode::AuthoritativeServerNode(sim::Simulator& sim,
   ans_stats_.bind(this->sim().metrics(), "server.ans");
   drops_.bind(this->sim().metrics(), "server.ans");
   tcp_->bind_metrics(this->sim().metrics(), "server.ans.tcp");
-  framers_.bind_metrics(this->sim().metrics(), "server.ans.framers");
 
   // Periodic reaping of dead TCP connections.
   schedule_in(config_.tcp_idle_timeout, [this] { reap_loop(); });
@@ -118,35 +113,25 @@ SimDuration AuthoritativeServerNode::process(const net::Packet& packet) {
   return pending_cost_;
 }
 
-void AuthoritativeServerNode::on_tcp_data(tcp::ConnId conn, BytesView data) {
-  auto ins = framers_.try_emplace(conn, now());
-  if (ins.value == nullptr) {
-    // Framer table refused (cannot happen with LRU eviction enabled, but
-    // the contract is refuse-or-evict): drop the connection rather than
-    // process unframeable bytes.
-    drops_.count(obs::DropReason::kStateTableFull);
-    tcp_->abort(conn);
+void AuthoritativeServerNode::on_tcp_message(tcp::ConnId conn,
+                                             BytesView message) {
+  auto query = dns::Message::decode(message);
+  if (!query || query->header.qr || query->question() == nullptr) {
+    ans_stats_.malformed++;
+    drops_.count(obs::DropReason::kMalformed);
     return;
   }
-  for (Bytes& msg : ins.value->push(data)) {
-    auto query = dns::Message::decode(BytesView(msg));
-    if (!query || query->header.qr || query->question() == nullptr) {
-      ans_stats_.malformed++;
-      drops_.count(obs::DropReason::kMalformed);
-      continue;
+  ans_stats_.tcp_queries++;
+  dns::Message resp = answer(*query, /*via_tcp=*/true);
+  ans_stats_.responses++;
+  if (sim().journeys().enabled()) {
+    if (auto remote = tcp_->remote_of(conn)) {
+      sim().journeys().mark({remote->ip.value(), query->header.id,
+                             query->question()->qname.hash32()},
+                            "ans.answer_tcp", now());
     }
-    ans_stats_.tcp_queries++;
-    dns::Message resp = answer(*query, /*via_tcp=*/true);
-    ans_stats_.responses++;
-    if (sim().journeys().enabled()) {
-      if (auto remote = tcp_->remote_of(conn)) {
-        sim().journeys().mark({remote->ip.value(), query->header.id,
-                               query->question()->qname.hash32()},
-                              "ans.answer_tcp", now());
-      }
-    }
-    tcp_->send_data(conn, BytesView(tcp::StreamFramer::frame(resp.encode())));
   }
+  tcp_->send_message(conn, BytesView(resp.encode()));
 }
 
 SimDuration AnsSimulatorNode::process(const net::Packet& packet) {

@@ -15,7 +15,6 @@
 #include <memory>
 #include <optional>
 
-#include "common/bounded_table.h"
 #include "dns/message.h"
 #include "obs/drop_reason.h"
 #include "server/zone.h"
@@ -86,16 +85,12 @@ class AuthoritativeServerNode : public sim::Node {
 
  private:
   void apply_ttl_override(dns::Message& m) const;
-  void on_tcp_data(tcp::ConnId conn, BytesView data);
+  void on_tcp_message(tcp::ConnId conn, BytesView message);
   void reap_loop();
 
   Config config_;
   AuthoritativeEngine engine_;
   std::unique_ptr<tcp::TcpStack> tcp_;
-  /// Framing buffers keyed by connection id — attacker-driven state (any
-  /// client can open connections), so bounded to the TCP stack's own
-  /// connection cap.
-  common::BoundedTable<tcp::ConnId, tcp::StreamFramer> framers_;
   AnsStats ans_stats_;
   obs::DropCounters drops_;  // bound as "server.ans.drop.<reason>"
   SimDuration pending_cost_{};  // cost accrued by TCP callbacks per packet

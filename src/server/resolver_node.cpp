@@ -13,21 +13,15 @@ RecursiveResolverNode::RecursiveResolverNode(sim::Simulator& sim,
       tasks_({.capacity = config_.max_inflight_tasks,
               .evict_lru_when_full = false}),
       pending_({.capacity = config_.max_pending_queries,
-                .evict_lru_when_full = false}),
-      // One entry per in-flight TCP fallback leg; a pending query backs
-      // each, so the same cap applies. LRU eviction just abandons the
-      // oldest leg's framing buffer — the query itself still times out.
-      tcp_queries_({.capacity = config_.max_pending_queries,
-                    .evict_lru_when_full = true}) {
+                .evict_lru_when_full = false}) {
   set_profile_stage(obs::prof::Stage::kResolverService);
   tcp_ = std::make_unique<tcp::TcpStack>(
       [this](net::Packet p) { send(std::move(p)); },
       [this] { return now(); },
       tcp::TcpStack::Callbacks{
-          .on_established = {},
-          .on_data = [this](tcp::ConnId id,
-                            BytesView data) { on_tcp_data(id, data); },
-          .on_closed = [this](tcp::ConnId id) { tcp_queries_.erase(id); },
+          .on_message = [this](tcp::ConnId id,
+                               BytesView m) { on_tcp_message(id, m); },
+          .on_closed = {},
       },
       tcp::TcpStack::Options{});
   // TCP fallback legs are keyed by our client-side endpoint (address,
@@ -42,7 +36,6 @@ RecursiveResolverNode::RecursiveResolverNode(sim::Simulator& sim,
   tcp_->bind_metrics(this->sim().metrics(), "server.lrs.tcp");
   tasks_.bind_metrics(this->sim().metrics(), "server.lrs.tasks");
   pending_.bind_metrics(this->sim().metrics(), "server.lrs.pending");
-  tcp_queries_.bind_metrics(this->sim().metrics(), "server.lrs.tcp_queries");
 }
 
 void RecursiveResolverNode::resolve(const dns::DomainName& qname,
@@ -336,7 +329,7 @@ bool RecursiveResolverNode::handle_response(const dns::Message& response,
     std::uint64_t gen = pq.timer_generation;
     schedule_in(config_.retry_timeout * 2,
                 [this, qid, gen] { on_timeout(qid, gen); });
-    start_tcp_query(*tc_task, from_server);
+    start_tcp_query(*tc_task, qid, from_server);
     return true;
   }
 
@@ -491,7 +484,8 @@ void RecursiveResolverNode::complete(std::uint64_t task_id, bool ok,
   }
 }
 
-void RecursiveResolverNode::start_tcp_query(Task& task,
+void RecursiveResolverNode::start_tcp_query(const Task& task,
+                                            std::uint16_t qid,
                                             net::Ipv4Address server) {
   net::SocketAddr local{config_.address, next_ephemeral_port_++};
   if (next_ephemeral_port_ < 10000) next_ephemeral_port_ = 10000;
@@ -502,57 +496,19 @@ void RecursiveResolverNode::start_tcp_query(Task& task,
     jt.alias(task.jkey, {local.ip.value(), local.port, 0});
     jt.mark(task.jkey, "lrs.tcp_fallback", now());
   }
-  tcp::ConnId conn = tcp_->connect(local, {server, net::kDnsPort});
-
-  // Find the pending query id for this task to resend over TCP.
-  std::uint16_t qid = 0;
-  pending_.for_each([&](const std::uint16_t& id, const PendingQuery& pq) {
-    if (qid == 0 && pq.task_id == task.id) qid = id;
-  });
-  if (qid == 0) {
-    tcp_->abort(conn);
-    return;
-  }
-  auto ins = tcp_queries_.try_emplace(conn, now());
-  if (ins.value == nullptr) {
-    tcp_->abort(conn);
-    return;
-  }
-  ins.value->query_id = qid;
-
-  dns::Message query = dns::Message::query(qid, task.question.qname,
-                                           task.question.qtype, false);
-  Bytes framed = tcp::StreamFramer::frame(query.encode());
-  // Send once established. Capture by value; the stack ignores sends on
-  // dead connections.
-  std::uint64_t task_id = task.id;
-  (void)task_id;
-  // Poll-free approach: TcpStack has no per-connection established hook
-  // with payload, so wire it through the general on_established callback
-  // is not possible post-construction; instead we piggyback: try now (it
-  // will fail silently), and also schedule a retry after the handshake
-  // RTT. Robust because send_data() is a no-op until ESTABLISHED.
-  tcp_try_send(conn, std::move(framed), 100);
+  const tcp::ConnId conn = tcp_->connect(local, {server, net::kDnsPort});
+  // The stack holds the query until the handshake completes.
+  const Bytes query = dns::Message::query(qid, task.question.qname,
+                                          task.question.qtype, false)
+                          .encode();
+  tcp_->send_message(conn, BytesView(query));
 }
 
-void RecursiveResolverNode::tcp_try_send(tcp::ConnId conn, Bytes framed,
-                                         int attempts_left) {
-  if (tcp_->send_data(conn, BytesView(framed))) return;
-  if (attempts_left <= 0) return;
-  schedule_in(milliseconds(1),
-              [this, conn, framed = std::move(framed), attempts_left] {
-                tcp_try_send(conn, framed, attempts_left - 1);
-              });
-}
-
-void RecursiveResolverNode::on_tcp_data(tcp::ConnId conn, BytesView data) {
-  TcpQuery* q = tcp_queries_.find(conn, now());
-  if (q == nullptr) return;
-  for (Bytes& msg : q->framer.push(data)) {
-    auto m = dns::Message::decode(BytesView(msg));
-    if (!m || !m->header.qr) continue;
-    auto remote = tcp_->remote_of(conn);
-    if (!remote) continue;
+void RecursiveResolverNode::on_tcp_message(tcp::ConnId conn,
+                                           BytesView message) {
+  auto m = dns::Message::decode(message);
+  auto remote = tcp_->remote_of(conn);
+  if (m && m->header.qr && remote) {
     handle_response(*m, remote->ip, /*via_tcp=*/true);
   }
   // One query per connection: close after the response arrives.

@@ -181,21 +181,11 @@ class RecursiveResolverNode : public sim::Node {
   std::uint16_t allocate_query_id();
 
   // --- TCP fallback ---
-  void start_tcp_query(Task& task, net::Ipv4Address server);
-  /// Retries send_data until the handshake completes (no-op before
-  /// ESTABLISHED) or attempts run out.
-  void tcp_try_send(tcp::ConnId conn, Bytes framed, int attempts_left);
-  void on_tcp_data(tcp::ConnId conn, BytesView data);
-
-  /// One TCP fallback leg: the pending query it resends plus its framing
-  /// buffer. Merged into one bounded table (was two parallel
-  /// unordered_maps) — connection ids are minted in response to
-  /// attacker-influenced truncation behaviour, so this state is capped
-  /// like every other per-source table.
-  struct TcpQuery {
-    std::uint16_t query_id = 0;
-    tcp::StreamFramer framer;
-  };
+  /// Resends pending query `qid` of `task` to `server` over a new
+  /// connection.
+  void start_tcp_query(const Task& task, std::uint16_t qid,
+                       net::Ipv4Address server);
+  void on_tcp_message(tcp::ConnId conn, BytesView message);
 
   Config config_;
   RrCache cache_;
@@ -203,7 +193,6 @@ class RecursiveResolverNode : public sim::Node {
   obs::DropCounters drops_;  // bound as "server.lrs.drop.<reason>"
   common::BoundedTable<std::uint64_t, Task> tasks_;
   common::BoundedTable<std::uint16_t, PendingQuery> pending_;  // by query id
-  common::BoundedTable<tcp::ConnId, TcpQuery> tcp_queries_;
   std::unique_ptr<tcp::TcpStack> tcp_;
   std::uint64_t next_task_id_ = 1;
   std::uint16_t next_query_id_ = 1;

@@ -70,10 +70,13 @@ void Simulator::remove_node(Node* node) {
                nodes_.end());
   // Drop config referencing the departing node so a later node can never
   // observe it (as from-node, by id) or route through a dangling pointer
-  // (as gateway, by value).
+  // (as gateway or route target, by value): a packet to its addresses now
+  // counts as packets_dropped_no_route. Packets already in flight to the
+  // node are out of scope; destroy a node only once they have landed.
   gateways_.erase(node->sim_id_);
   std::erase_if(gateways_,
                 [node](const auto& kv) { return kv.second == node; });
+  remove_routes_to(node);
 }
 
 void Simulator::add_route(net::Ipv4Address prefix, int prefix_len,

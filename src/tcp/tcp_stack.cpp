@@ -1,10 +1,31 @@
 #include "tcp/tcp_stack.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/log.h"
+#include "common/pool.h"
 
 namespace dnsguard::tcp {
+namespace {
+
+/// RFC 1035 §4.2.2: on a TCP stream each DNS message follows its length,
+/// two bytes big-endian.
+constexpr std::size_t kLengthBytes = 2;
+constexpr std::size_t kMaxMessage = 0xffff;
+
+std::size_t message_length(const std::uint8_t* prefix) {
+  return std::size_t{prefix[0]} << 8 | prefix[1];
+}
+
+void append_framed(Bytes& out, BytesView message) {
+  out.reserve(out.size() + kLengthBytes + message.size());
+  out.push_back(static_cast<std::uint8_t>(message.size() >> 8));
+  out.push_back(static_cast<std::uint8_t>(message.size()));
+  out.insert(out.end(), message.begin(), message.end());
+}
+
+}  // namespace
 
 std::string tcp_state_name(TcpState s) {
   switch (s) {
@@ -133,16 +154,53 @@ ConnId TcpStack::connect(net::SocketAddr local, net::SocketAddr remote) {
   return c.id;
 }
 
-bool TcpStack::send_data(ConnId id, BytesView data) {
+bool TcpStack::send_message(ConnId id, BytesView message) {
   auto it = by_id_.find(id);
-  if (it == by_id_.end()) return false;
+  if (it == by_id_.end() || message.size() > kMaxMessage) return false;
   Connection* c = find(it->second);
-  if (c == nullptr || c->state != TcpState::Established) return false;
-  emit(c->local, c->remote, net::TcpFlags{.psh = true, .ack = true},
-       c->snd_nxt, c->rcv_nxt, Bytes(data.begin(), data.end()));
-  c->snd_nxt += static_cast<std::uint32_t>(data.size());
-  c->last_activity = clock_();
+  if (c == nullptr) return false;
+  const bool handshake =
+      c->state == TcpState::SynSent || c->state == TcpState::SynReceived;
+  if (!handshake && c->state != TcpState::Established) return false;
+  // Payloads come from the buffer pool, which the receiving node refills.
+  if (c->tx.empty()) c->tx = BufferPool::local().acquire();
+  append_framed(c->tx, message);
+  if (!handshake) flush(*c);
   return true;
+}
+
+void TcpStack::flush(Connection& c) {
+  if (c.tx.empty()) return;
+  const auto n = static_cast<std::uint32_t>(c.tx.size());
+  emit(c.local, c.remote, net::TcpFlags{.psh = true, .ack = true}, c.snd_nxt,
+       c.rcv_nxt, std::exchange(c.tx, {}));
+  c.snd_nxt += n;
+  c.last_activity = clock_();
+}
+
+void TcpStack::deliver(Connection* c, BytesView data) {
+  const ConnKey key{c->local, c->remote};
+  const ConnId id = c->id;
+  Bytes joined;
+  if (!c->rx.empty()) {
+    // A message began in an earlier segment: continue it with this one.
+    joined = std::exchange(c->rx, {});
+    joined.insert(joined.end(), data.begin(), data.end());
+    data = joined;
+  }
+  while (data.size() >= kLengthBytes &&
+         data.size() - kLengthBytes >= message_length(data.data())) {
+    const BytesView message =
+        data.subspan(kLengthBytes, message_length(data.data()));
+    data = data.subspan(kLengthBytes + message.size());
+    if (callbacks_.on_message) callbacks_.on_message(id, message);
+    if (data.empty()) return;
+    // The callback may have destroyed the connection or moved the table's
+    // storage. occupant() leaves LRU order and the table's counters alone.
+    c = conns_.occupant(key);
+    if (c == nullptr || c->id != id) return;
+  }
+  c->rx.assign(data.begin(), data.end());  // the unfinished message, if any
 }
 
 void TcpStack::close(ConnId id) {
@@ -218,39 +276,26 @@ bool TcpStack::handle_packet(const net::Packet& packet) {
       // Possibly the third packet of a cookie handshake: ack-1 must be a
       // valid cookie for (src, dst, client_isn = seq-1).
       std::uint32_t acked_isn = h.ack - 1;
-      if (syn_cookies_.validate(packet.src(), packet.dst(), h.seq - 1,
-                                acked_isn, now)) {
-        stats_.syn_cookies_accepted++;
-        Connection& nc =
-            create(packet.dst(), packet.src(), TcpState::Established);
-        nc.rcv_nxt = h.seq;
-        nc.snd_nxt = h.ack;
-        stats_.connections_established++;
-        if (journey_) journey_(nc.remote, "tcp.established");
-        if (callbacks_.on_established) callbacks_.on_established(nc.id);
-        // The ACK may carry data already (common for eager clients).
-        if (!packet.payload.empty()) {
-          Connection* cc = find(ConnKey{packet.dst(), packet.src()});
-          if (cc != nullptr && h.seq == cc->rcv_nxt) {
-            cc->rcv_nxt += static_cast<std::uint32_t>(packet.payload.size());
-            cc->last_activity = now;
-            emit(cc->local, cc->remote, net::TcpFlags{.ack = true},
-                 cc->snd_nxt, cc->rcv_nxt);
-            if (callbacks_.on_data) {
-              callbacks_.on_data(cc->id, BytesView(packet.payload));
-            }
-          }
-        }
-        return true;
+      if (!syn_cookies_.validate(packet.src(), packet.dst(), h.seq - 1,
+                                 acked_isn, now)) {
+        stats_.syn_cookies_rejected++;
+        if (drops_ != nullptr) drops_->count(obs::DropReason::kSynCookieFail);
+        send_rst(packet);
+        return false;
       }
-      stats_.syn_cookies_rejected++;
-      if (drops_ != nullptr) drops_->count(obs::DropReason::kSynCookieFail);
-      send_rst(packet);
+      stats_.syn_cookies_accepted++;
+      c = &create(packet.dst(), packet.src(), TcpState::Established);
+      c->rcv_nxt = h.seq;
+      c->snd_nxt = h.ack;
+      stats_.connections_established++;
+      if (journey_) journey_(c->remote, "tcp.established");
+      // The ACK may carry data already (common for eager clients); the
+      // established path below delivers it.
+    } else {
+      if (drops_ != nullptr) drops_->count(obs::DropReason::kStraySegment);
+      if (!h.flags.rst) send_rst(packet);
       return false;
     }
-    if (drops_ != nullptr) drops_->count(obs::DropReason::kStraySegment);
-    if (!h.flags.rst) send_rst(packet);
-    return false;
   }
 
   // --- existing connection --------------------------------------------------
@@ -271,7 +316,7 @@ bool TcpStack::handle_packet(const net::Packet& packet) {
              c->rcv_nxt);
         stats_.connections_established++;
         if (journey_) journey_(c->local, "tcp.established");
-        if (callbacks_.on_established) callbacks_.on_established(c->id);
+        flush(*c);
         return true;
       }
       return true;  // stray segment during handshake: ignore
@@ -281,7 +326,7 @@ bool TcpStack::handle_packet(const net::Packet& packet) {
         c->state = TcpState::Established;
         stats_.connections_established++;
         if (journey_) journey_(c->remote, "tcp.established");
-        if (callbacks_.on_established) callbacks_.on_established(c->id);
+        flush(*c);
         // fall through into data handling below for piggybacked payloads
       } else {
         return true;
@@ -291,15 +336,12 @@ bool TcpStack::handle_packet(const net::Packet& packet) {
     case TcpState::Established:
     case TcpState::FinWait:
     case TcpState::CloseWait: {
-      ConnId id = c->id;
       if (!packet.payload.empty()) {
         if (h.seq == c->rcv_nxt) {
           c->rcv_nxt += static_cast<std::uint32_t>(packet.payload.size());
           emit(c->local, c->remote, net::TcpFlags{.ack = true}, c->snd_nxt,
                c->rcv_nxt);
-          if (callbacks_.on_data) {
-            callbacks_.on_data(id, BytesView(packet.payload));
-          }
+          deliver(c, BytesView(packet.payload));
           // Callbacks may have closed/aborted the connection.
           c = find(key);
           if (c == nullptr) return true;
@@ -377,30 +419,6 @@ std::optional<net::SocketAddr> TcpStack::remote_of(ConnId id) const {
   auto info = connection(id);
   if (!info) return std::nullopt;
   return info->remote;
-}
-
-std::vector<Bytes> StreamFramer::push(BytesView data) {
-  buf_.insert(buf_.end(), data.begin(), data.end());
-  std::vector<Bytes> out;
-  std::size_t pos = 0;
-  while (buf_.size() - pos >= 2) {
-    std::size_t len = static_cast<std::size_t>(buf_[pos]) << 8 | buf_[pos + 1];
-    if (buf_.size() - pos - 2 < len) break;
-    out.emplace_back(buf_.begin() + static_cast<std::ptrdiff_t>(pos + 2),
-                     buf_.begin() + static_cast<std::ptrdiff_t>(pos + 2 + len));
-    pos += 2 + len;
-  }
-  if (pos > 0) buf_.erase(buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(pos));
-  return out;
-}
-
-Bytes StreamFramer::frame(BytesView message) {
-  Bytes out;
-  out.reserve(message.size() + 2);
-  out.push_back(static_cast<std::uint8_t>(message.size() >> 8));
-  out.push_back(static_cast<std::uint8_t>(message.size()));
-  out.insert(out.end(), message.begin(), message.end());
-  return out;
 }
 
 }  // namespace dnsguard::tcp

@@ -8,6 +8,12 @@
 // matching the DNS guard's "connection older than 5×RTT is removed" rule
 // (§III.C).
 //
+// The stack carries whole DNS messages, framed as RFC 1035 §4.2.2 says:
+// send_message() writes each message behind its two-byte big-endian
+// length, and on_message receives each message with the length removed,
+// however the stream was segmented. The framing rule lives here and
+// nowhere else.
+//
 // The stack is transport only: it owns no sockets and charges no CPU. The
 // owning simulation Node feeds packets in via handle_packet() and provides
 // a send function; CPU costs are charged by the node's cost model.
@@ -65,10 +71,9 @@ struct TcpStackStats {
 class TcpStack {
  public:
   struct Callbacks {
-    /// Connection fully established (either role).
-    std::function<void(ConnId)> on_established;
-    /// In-order stream data arrived.
-    std::function<void(ConnId, BytesView)> on_data;
+    /// One whole DNS message arrived, its length removed. The view is
+    /// valid only during the call.
+    std::function<void(ConnId, BytesView)> on_message;
     /// Connection gone (normal close or abort).
     std::function<void(ConnId)> on_closed;
   };
@@ -95,9 +100,12 @@ class TcpStack {
   /// Initiates a client connection; returns the connection handle.
   ConnId connect(net::SocketAddr local, net::SocketAddr remote);
 
-  /// Queues stream data on an established connection (sent immediately as
-  /// one PSH segment; DNS messages always fit one segment here).
-  bool send_data(ConnId id, BytesView data);
+  /// Sends `message` behind its two-byte length as one PSH segment (DNS
+  /// messages always fit one segment here). During the handshake the
+  /// framed bytes queue on the connection and leave right after the ACK
+  /// that establishes it. False for an unknown or closing connection, or
+  /// a message too long for the length field.
+  bool send_message(ConnId id, BytesView message);
 
   /// Graceful close (FIN).
   void close(ConnId id);
@@ -157,6 +165,11 @@ class TcpStack {
     SimTime opened_at;
     SimTime last_activity;
     bool client_role = false;  // we initiated via connect()
+    /// The unfinished tail of an incoming message, length included; whole
+    /// messages never wait here.
+    Bytes rx;
+    /// Framed messages not yet on the wire (sent during the handshake).
+    Bytes tx;
   };
 
   // Key: (local, remote) — enough because IPs are unique per node here.
@@ -177,6 +190,11 @@ class TcpStack {
   Connection& create(net::SocketAddr local, net::SocketAddr remote,
                      TcpState state);
   void destroy(Connection& c, bool deliver_closed);
+  /// Sends the queued framed bytes as one PSH segment, if there are any.
+  void flush(Connection& c);
+  /// Hands every whole message in `data` to on_message and keeps an
+  /// unfinished tail in c->rx. Stops when a callback destroys `c`.
+  void deliver(Connection* c, BytesView data);
   void emit(net::SocketAddr from, net::SocketAddr to, net::TcpFlags flags,
             std::uint32_t seq, std::uint32_t ack, Bytes payload = {});
   void send_rst(const net::Packet& to_packet);
@@ -199,22 +217,6 @@ class TcpStack {
   TcpStackStats stats_;
   obs::DropCounters* drops_ = nullptr;
   JourneyFn journey_;
-};
-
-/// DNS-over-TCP framing (RFC 1035 §4.2.2): each message is preceded by a
-/// 2-byte big-endian length. StreamFramer buffers stream bytes and yields
-/// complete DNS message payloads.
-class StreamFramer {
- public:
-  /// Appends stream data; returns any complete messages now available.
-  std::vector<Bytes> push(BytesView data);
-
-  [[nodiscard]] static Bytes frame(BytesView message);
-
-  [[nodiscard]] std::size_t buffered() const { return buf_.size(); }
-
- private:
-  Bytes buf_;
 };
 
 }  // namespace dnsguard::tcp

@@ -31,22 +31,9 @@ LrsSimulatorNode::LrsSimulatorNode(sim::Simulator& sim, std::string name,
       [this](net::Packet p) { send(std::move(p)); },
       [this] { return now(); },
       tcp::TcpStack::Callbacks{
-          .on_established =
-              [this](tcp::ConnId id) {
-                auto it = conn_to_worker_.find(id);
-                if (it == conn_to_worker_.end()) return;
-                Worker& w = workers_[static_cast<std::size_t>(it->second)];
-                if (!w.tcp_query.empty()) {
-                  tcp_->send_data(id, BytesView(w.tcp_query));
-                }
-              },
-          .on_data = [this](tcp::ConnId id,
-                            BytesView data) { on_tcp_data(id, data); },
-          .on_closed =
-              [this](tcp::ConnId id) {
-                framers_.erase(id);
-                conn_to_worker_.erase(id);
-              },
+          .on_message = [this](tcp::ConnId id,
+                               BytesView m) { on_tcp_message(id, m); },
+          .on_closed = [this](tcp::ConnId id) { conn_to_worker_.erase(id); },
       },
       tcp::TcpStack::Options{});
   stats_.bind(this->sim().metrics(), "driver");
@@ -428,8 +415,6 @@ void LrsSimulatorNode::start_tcp(int w) {
   worker.pending_qid = qid;
   qid_to_worker_[qid] = w;
 
-  dns::Message q = make_query(qid, qname_);
-  worker.tcp_query = tcp::StreamFramer::frame(q.encode());
   stats_.exchanges_sent++;
   journey_touch(worker, qid, qname_.hash32());
   if (worker.jkey_open && sim().journeys().enabled()) {
@@ -439,22 +424,21 @@ void LrsSimulatorNode::start_tcp(int w) {
   }
   worker.conn = tcp_->connect({config_.address, port}, config_.target);
   conn_to_worker_[worker.conn] = w;
+  tcp_->send_message(worker.conn, BytesView(make_query(qid, qname_).encode()));
 }
 
-void LrsSimulatorNode::on_tcp_data(tcp::ConnId conn, BytesView data) {
+void LrsSimulatorNode::on_tcp_message(tcp::ConnId conn, BytesView message) {
   auto it = conn_to_worker_.find(conn);
   if (it == conn_to_worker_.end()) return;
-  int w = it->second;
-  auto& framer = framers_[conn];
-  for (Bytes& msg : framer.push(data)) {
-    auto m = dns::Message::decode(BytesView(msg));
-    if (!m || !m->header.qr) continue;
-    Worker& worker = workers_[static_cast<std::size_t>(w)];
-    tcp_->close(conn);
-    worker.conn = 0;
-    advance(w, *m, net::Ipv4Address{});
-    return;
-  }
+  const int w = it->second;
+  Worker& worker = workers_[static_cast<std::size_t>(w)];
+  // One response per connection: any later message on it is ignored.
+  if (worker.conn != conn) return;
+  auto m = dns::Message::decode(message);
+  if (!m || !m->header.qr) return;
+  tcp_->close(conn);
+  worker.conn = 0;
+  advance(w, *m, net::Ipv4Address{});
 }
 
 SimDuration LrsSimulatorNode::process(const net::Packet& packet) {

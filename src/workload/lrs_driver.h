@@ -109,7 +109,6 @@ class LrsSimulatorNode : public sim::Node {
     crypto::Cookie cookie{};
     bool primed = false;
     tcp::ConnId conn = 0;
-    Bytes tcp_query;  // framed query awaiting ESTABLISHED
     // Open journey for the in-flight request (first exchange's key).
     obs::JourneyKey jkey{};
     bool jkey_open = false;
@@ -124,7 +123,7 @@ class LrsSimulatorNode : public sim::Node {
   void complete(int w);
   void restart(int w);
   void start_tcp(int w);
-  void on_tcp_data(tcp::ConnId conn, BytesView data);
+  void on_tcp_message(tcp::ConnId conn, BytesView message);
 
   dns::Message make_query(std::uint16_t id, const dns::DomainName& name,
                           dns::RrType type = dns::RrType::A) const;
@@ -142,7 +141,6 @@ class LrsSimulatorNode : public sim::Node {
   std::vector<Worker> workers_;
   std::unordered_map<std::uint16_t, int> qid_to_worker_;
   std::unordered_map<tcp::ConnId, int> conn_to_worker_;
-  std::unordered_map<tcp::ConnId, tcp::StreamFramer> framers_;
   std::unique_ptr<tcp::TcpStack> tcp_;
   DriverStats stats_;
   Percentiles latencies_;

@@ -5,7 +5,8 @@
 // makes once warmed up. The codec and the simulator's emit path must not
 // allocate at all. The guard still allocates in known places (TXT cookie
 // strings, responses built by Message::response_to, cookie-label strings,
-// the copy of a relayed packet), so its per-packet counts are pinned: a
+// the copy of a relayed packet, the TCP stack's index entry for each
+// connection), so its per-packet counts are pinned: a
 // change that adds an allocation fails here, and one that removes one
 // lowers the pin.
 #include <gtest/gtest.h>
@@ -22,6 +23,7 @@
 #include "ratelimit/limiters.h"
 #include "server/authoritative_node.h"
 #include "sim/simulator.h"
+#include "workload/lrs_driver.h"
 
 namespace {
 
@@ -302,6 +304,8 @@ struct GuardBed {
     gc.rl1.per_address_burst = 1e5;
     gc.rl2.per_host_rate = 1e6;
     gc.rl2.per_host_burst = 1e5;
+    gc.proxy_conn_rate = 1e6;  // a TCP driver opens one per query
+    gc.proxy_conn_burst = 1e5;
     guard = std::make_unique<CountingGuard>(sim, "guard", gc, &ans);
     guard->install();
     sim.add_host_route(kClientIp, &client);
@@ -402,6 +406,36 @@ TEST(AllocBudget, GuardNsNameMiss) {
   // The referral built by response_to: its question and authority
   // vectors.
   EXPECT_EQ(counts.request, 2.0);
+}
+
+TEST(AllocBudget, GuardTcpProxyQuery) {
+  // A closed-loop TCP driver behind the TCP proxy: the guard terminates
+  // each connection, carries its query to the ANS as UDP and frames the
+  // reply back.
+  GuardBed bed(guard::Scheme::TcpRedirect);
+  const net::Ipv4Address driver_ip(10, 0, 1, 2);
+  workload::LrsSimulatorNode driver(
+      bed.sim, "driver",
+      {.address = driver_ip,
+       .target = {kAnsIp, net::kDnsPort},
+       .mode = workload::DriveMode::TcpDirect,
+       .concurrency = 4});
+  bed.sim.add_host_route(driver_ip, &driver);
+  driver.start();
+  bed.sim.run_for(milliseconds(20));  // warm-up
+  bed.guard->reset_counts();
+  const std::uint64_t queries = bed.guard->guard_stats().proxy_queries;
+  bed.sim.run_for(milliseconds(20));
+  const std::uint64_t measured =
+      bed.guard->guard_stats().proxy_queries - queries;
+  ASSERT_GT(measured, 100u);
+  EXPECT_GT(bed.guard->request_pkts, 5 * measured);  // TCP segments
+  EXPECT_EQ(bed.guard->reply_pkts, measured);
+  // Each connection, one per query here, adds a node to the stack's id
+  // index; no segment allocates otherwise. A relayed reply is framed in
+  // a pooled buffer.
+  EXPECT_EQ(bed.guard->request_allocs, measured);
+  EXPECT_EQ(bed.guard->reply_allocs, 0u);
 }
 
 TEST(AllocBudget, Rl1UnseenSourceDoesNotAllocate) {

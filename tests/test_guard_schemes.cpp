@@ -353,7 +353,7 @@ TEST(TcpScheme, NatTableCapacityRecyclesLruNotUnbounded) {
   EXPECT_LE(bed.guard->nat_table_stats().occupancy.max(), 4);
 }
 
-// A DNS-over-TCP client that writes several framed queries in one segment
+// A DNS-over-TCP client that writes several queries in one segment
 // (pipelining) and resets or half-closes its connections on demand. It
 // never closes on its own, so a connection the guard FINs stays half-open
 // until the test resets it.
@@ -365,16 +365,9 @@ class PipelineClient : public sim::Node {
         tcp_([this](net::Packet p) { send(std::move(p)); },
              [this] { return now(); },
              tcp::TcpStack::Callbacks{
-                 .on_established =
-                     [this](tcp::ConnId id) {
-                       Conn& c = conns_[id];
-                       tcp_.send_data(id, BytesView(c.request));
-                       if (c.half_close) tcp_.close(id);
-                     },
-                 .on_data =
-                     [this](tcp::ConnId id, BytesView data) {
-                       Conn& c = conns_[id];
-                       c.responses += c.framer.push(data).size();
+                 .on_message =
+                     [this](tcp::ConnId id, BytesView) {
+                       ++conns_[id].responses;
                      },
                  .on_closed = {}},
              tcp::TcpStack::Options{}) {
@@ -384,17 +377,16 @@ class PipelineClient : public sim::Node {
   /// Connects from `port`; once established, sends `queries` queries in
   /// one segment, followed by a FIN when `half_close` is set.
   tcp::ConnId open(std::uint16_t port, int queries, bool half_close = false) {
-    Bytes request;
-    for (int q = 0; q < queries; ++q) {
-      const Bytes framed = tcp::StreamFramer::frame(BytesView(
-          dns::Message::query(next_qid_++,
-                              *dns::DomainName::parse("www.example.com"),
-                              dns::RrType::A, false)
-              .encode()));
-      request.insert(request.end(), framed.begin(), framed.end());
-    }
     const tcp::ConnId id = tcp_.connect({ip_, port}, {kAnsIp, net::kDnsPort});
-    conns_[id] = Conn{std::move(request), half_close, {}, 0};
+    for (int q = 0; q < queries; ++q) {
+      tcp_.send_message(
+          id, BytesView(dns::Message::query(
+                            next_qid_++,
+                            *dns::DomainName::parse("www.example.com"),
+                            dns::RrType::A, false)
+                            .encode()));
+    }
+    conns_[id] = Conn{half_close, 0};
     return id;
   }
 
@@ -405,14 +397,22 @@ class PipelineClient : public sim::Node {
  protected:
   SimDuration process(const net::Packet& p) override {
     tcp_.handle_packet(p);
+    // An established connection has sent its queued queries, so its FIN
+    // follows them.
+    for (auto& [id, c] : conns_) {
+      if (!c.half_close) continue;
+      const auto info = tcp_.connection(id);
+      if (info && info->state == tcp::TcpState::Established) {
+        tcp_.close(id);
+        c.half_close = false;
+      }
+    }
     return {};
   }
 
  private:
   struct Conn {
-    Bytes request;
     bool half_close = false;
-    tcp::StreamFramer framer;
     std::size_t responses = 0;
   };
   Ipv4Address ip_;

@@ -3,6 +3,8 @@
 // CNAME chasing, server failover and DNS-over-TCP fallback on truncation.
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "server/authoritative_node.h"
 #include "server/resolver_node.h"
 #include "server/stub_node.h"
@@ -238,6 +240,34 @@ TEST(Resolver, TruncationFallsBackToTcp) {
   EXPECT_EQ(t.lrs->resolver_stats().tcp_fallbacks, 1u);
   EXPECT_GE(t.foo->ans_stats().tcp_queries, 1u);
   EXPECT_GE(t.foo->ans_stats().truncated, 1u);
+}
+
+TEST(Resolver, TcpQueryLeavesWithTheHandshakeAck) {
+  // The truncated query's TCP resend leaves at the instant the handshake
+  // completes, together with its ACK, not at some later retry.
+  Testbed t;
+  Zone big(*DomainName::parse("foo.com"));
+  for (int i = 0; i < 40; ++i) {
+    big.add_a("big.foo.com.",
+              Ipv4Address(192, 0, 3, static_cast<std::uint8_t>(i)));
+  }
+  t.foo->add_zone(std::move(big));
+  std::optional<SimTime> ack_at, query_at;
+  t.sim.set_tap([&](SimTime at, const sim::Node* from, const sim::Node*,
+                    const net::Packet& p) {
+    if (from != t.lrs.get() || !p.is_tcp()) return;
+    const net::TcpFlags f = p.tcp().flags;
+    if (!ack_at && f.ack && !f.syn && !f.fin && p.payload.empty()) {
+      ack_at = at;
+    }
+    if (!query_at && !p.payload.empty()) query_at = at;
+  });
+
+  auto r = t.resolve("big.foo.com");
+  ASSERT_TRUE(r.ok);
+  ASSERT_TRUE(ack_at.has_value());
+  ASSERT_TRUE(query_at.has_value());
+  EXPECT_EQ(query_at->ns, ack_at->ns);
 }
 
 TEST(Resolver, ServesNetworkClients) {

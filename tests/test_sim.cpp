@@ -419,6 +419,21 @@ TEST(NodeIds, DestroyedNodeConfigCannotAliasNewNode) {
   EXPECT_EQ(b.arrivals.size(), 1u);
 }
 
+TEST(NodeIds, DestroyedNodeRoutesAreDropped) {
+  // A destroyed node's routes used to stay in the table, so the next
+  // packet to its address went through a freed Node*.
+  Simulator sim;
+  ProbeNode sender(sim, "s", SimDuration{});
+  auto doomed = std::make_unique<ProbeNode>(sim, "doomed", SimDuration{});
+  sim.add_host_route(Ipv4Address(10, 0, 0, 7), doomed.get());
+  doomed.reset();
+  sim.send_packet(&sender, make_pkt(Ipv4Address(9, 9, 9, 9),
+                                    Ipv4Address(10, 0, 0, 7)));
+  sim.run_all();
+  EXPECT_EQ(sim.stats().packets_dropped_no_route, 1u);
+  EXPECT_EQ(sim.route_lookup(Ipv4Address(10, 0, 0, 7)), nullptr);
+}
+
 TEST(RemoveRoutes, StopsDelivery) {
   Simulator sim;
   ProbeNode a(sim, "a", SimDuration{});

@@ -1,4 +1,4 @@
-// Mini-TCP: handshake, data transfer, teardown, SYN cookies, framing.
+// Mini-TCP: handshake, message transfer, teardown, SYN cookies, framing.
 //
 // Two TcpStacks are wired back-to-back through an in-memory "wire" that
 // delivers packets synchronously (loopback) or through a queue the test
@@ -23,18 +23,18 @@ struct Harness {
   std::unique_ptr<TcpStack> client;
   std::unique_ptr<TcpStack> server;
 
-  std::vector<ConnId> client_established, server_established;
-  std::vector<std::pair<ConnId, Bytes>> client_data, server_data;
+  std::vector<std::pair<ConnId, Bytes>> client_messages, server_messages;
   std::vector<ConnId> client_closed, server_closed;
+  /// Runs after each server message is recorded.
+  std::function<void(ConnId)> on_server_message;
 
   explicit Harness(bool syn_cookies = false) {
     client = std::make_unique<TcpStack>(
         [this](Packet p) { wire_to_server.push_back(std::move(p)); },
         [this] { return clock; },
         TcpStack::Callbacks{
-            [this](ConnId c) { client_established.push_back(c); },
-            [this](ConnId c, BytesView d) {
-              client_data.emplace_back(c, Bytes(d.begin(), d.end()));
+            [this](ConnId c, BytesView m) {
+              client_messages.emplace_back(c, Bytes(m.begin(), m.end()));
             },
             [this](ConnId c) { client_closed.push_back(c); }},
         TcpStack::Options{});
@@ -42,13 +42,24 @@ struct Harness {
         [this](Packet p) { wire_to_client.push_back(std::move(p)); },
         [this] { return clock; },
         TcpStack::Callbacks{
-            [this](ConnId c) { server_established.push_back(c); },
-            [this](ConnId c, BytesView d) {
-              server_data.emplace_back(c, Bytes(d.begin(), d.end()));
+            [this](ConnId c, BytesView m) {
+              server_messages.emplace_back(c, Bytes(m.begin(), m.end()));
+              if (on_server_message) on_server_message(c);
             },
             [this](ConnId c) { server_closed.push_back(c); }},
         TcpStack::Options{.syn_cookies = syn_cookies});
     server->listen(53);
+  }
+
+  /// The server's only connection.
+  [[nodiscard]] ConnId server_conn() const {
+    const auto conns = server->connections();
+    EXPECT_EQ(conns.size(), 1u);
+    return conns.empty() ? 0 : conns[0].id;
+  }
+  [[nodiscard]] static bool established(const TcpStack& stack, ConnId c) {
+    const auto info = stack.connection(c);
+    return info && info->state == TcpState::Established;
   }
 
   /// Delivers queued packets until both directions are quiet.
@@ -76,9 +87,8 @@ TEST(TcpHandshake, EstablishesBothSides) {
   Harness h;
   ConnId c = h.client->connect(Harness::client_addr(), Harness::server_addr());
   h.pump();
-  ASSERT_EQ(h.client_established.size(), 1u);
-  EXPECT_EQ(h.client_established[0], c);
-  ASSERT_EQ(h.server_established.size(), 1u);
+  EXPECT_TRUE(Harness::established(*h.client, c));
+  EXPECT_TRUE(Harness::established(*h.server, h.server_conn()));
   EXPECT_EQ(h.client->connection_count(), 1u);
   EXPECT_EQ(h.server->connection_count(), 1u);
 }
@@ -88,7 +98,7 @@ TEST(TcpHandshake, SynToClosedPortGetsRst) {
   ConnId c = h.client->connect(Harness::client_addr(),
                                {Ipv4Address(10, 0, 0, 1), 99});
   h.pump();
-  EXPECT_EQ(h.client_established.size(), 0u);
+  EXPECT_FALSE(h.client->connection(c).has_value());
   EXPECT_EQ(h.client_closed.size(), 1u);
   EXPECT_EQ(h.client_closed[0], c);
   EXPECT_EQ(h.client->connection_count(), 0u);
@@ -109,14 +119,13 @@ TEST(TcpDropAccounting, StraySegmentsCharged) {
   // Data segment for a connection the server has already torn down.
   ConnId c = h.client->connect(Harness::client_addr(), Harness::server_addr());
   h.pump();
-  ASSERT_EQ(h.server_established.size(), 1u);
-  h.server->abort(h.server_established[0]);
+  h.server->abort(h.server_conn());
   h.wire_to_client.clear();  // drop the RST so the client still believes
                              // the connection is up
-  EXPECT_TRUE(h.client->send_data(c, BytesView(Bytes{'h', 'i'})));
+  EXPECT_TRUE(h.client->send_message(c, BytesView(Bytes{'h', 'i'})));
   h.pump();
   EXPECT_EQ(drops.value(obs::DropReason::kStraySegment), 2u);
-  EXPECT_TRUE(h.server_data.empty());
+  EXPECT_TRUE(h.server_messages.empty());
 }
 
 TEST(TcpData, RoundTripBothDirections) {
@@ -124,58 +133,65 @@ TEST(TcpData, RoundTripBothDirections) {
   ConnId c = h.client->connect(Harness::client_addr(), Harness::server_addr());
   h.pump();
   Bytes req{'h', 'i'};
-  EXPECT_TRUE(h.client->send_data(c, BytesView(req)));
+  EXPECT_TRUE(h.client->send_message(c, BytesView(req)));
   h.pump();
-  ASSERT_EQ(h.server_data.size(), 1u);
-  EXPECT_EQ(h.server_data[0].second, req);
+  ASSERT_EQ(h.server_messages.size(), 1u);
+  EXPECT_EQ(h.server_messages[0].second, req);
 
-  ConnId sc = h.server_established[0];
+  ConnId sc = h.server_conn();
   Bytes resp{'y', 'o', '!'};
-  EXPECT_TRUE(h.server->send_data(sc, BytesView(resp)));
+  EXPECT_TRUE(h.server->send_message(sc, BytesView(resp)));
   h.pump();
-  ASSERT_EQ(h.client_data.size(), 1u);
-  EXPECT_EQ(h.client_data[0].second, resp);
+  ASSERT_EQ(h.client_messages.size(), 1u);
+  EXPECT_EQ(h.client_messages[0].second, resp);
 }
 
-TEST(TcpData, SendOnUnestablishedFails) {
+TEST(TcpData, SendDuringHandshakeIsQueued) {
   Harness h;
   ConnId c = h.client->connect(Harness::client_addr(), Harness::server_addr());
-  // No pump: still SYN_SENT.
-  EXPECT_FALSE(h.client->send_data(c, BytesView(Bytes{1})));
+  // No pump: still SYN_SENT, so only the SYN is on the wire.
+  EXPECT_TRUE(h.client->send_message(c, BytesView(Bytes{1})));
+  EXPECT_EQ(h.wire_to_server.size(), 1u);
+  h.pump();
+  ASSERT_EQ(h.server_messages.size(), 1u);
+  EXPECT_EQ(h.server_messages[0].second, (Bytes{1}));
+
+  h.client->abort(c);
+  EXPECT_FALSE(h.client->send_message(c, BytesView(Bytes{2})));
 }
 
 TEST(TcpData, SequenceNumbersAdvanceWithData) {
   Harness h;
   ConnId c = h.client->connect(Harness::client_addr(), Harness::server_addr());
   h.pump();
-  h.client->send_data(c, BytesView(Bytes(10, 'a')));
+  h.client->send_message(c, BytesView(Bytes(10, 'a')));
   h.pump();
-  h.client->send_data(c, BytesView(Bytes(5, 'b')));
+  h.client->send_message(c, BytesView(Bytes(5, 'b')));
   h.pump();
-  ASSERT_EQ(h.server_data.size(), 2u);
-  EXPECT_EQ(h.server_data[0].second.size(), 10u);
-  EXPECT_EQ(h.server_data[1].second.size(), 5u);
+  ASSERT_EQ(h.server_messages.size(), 2u);
+  EXPECT_EQ(h.server_messages[0].second.size(), 10u);
+  EXPECT_EQ(h.server_messages[1].second.size(), 5u);
 }
 
 TEST(TcpData, DuplicateSegmentIgnored) {
   Harness h;
   ConnId c = h.client->connect(Harness::client_addr(), Harness::server_addr());
   h.pump();
-  h.client->send_data(c, BytesView(Bytes{1, 2, 3}));
+  h.client->send_message(c, BytesView(Bytes{1, 2, 3}));
   ASSERT_FALSE(h.wire_to_server.empty());
   Packet dup = h.wire_to_server.front();  // copy the data segment
   h.pump();
-  EXPECT_EQ(h.server_data.size(), 1u);
+  EXPECT_EQ(h.server_messages.size(), 1u);
   h.server->handle_packet(dup);  // replay
   h.pump();
-  EXPECT_EQ(h.server_data.size(), 1u);  // not delivered twice
+  EXPECT_EQ(h.server_messages.size(), 1u);  // not delivered twice
 }
 
 TEST(TcpClose, GracefulFinBothSides) {
   Harness h;
   ConnId c = h.client->connect(Harness::client_addr(), Harness::server_addr());
   h.pump();
-  ConnId sc = h.server_established[0];
+  ConnId sc = h.server_conn();
   h.client->close(c);
   h.pump();
   // Server saw FIN, is in CLOSE_WAIT; now server closes too.
@@ -213,7 +229,7 @@ TEST(TcpReap, LifetimeLimitEnforced) {
   ConnId c = h.client->connect(Harness::client_addr(), Harness::server_addr());
   h.pump();
   h.clock = h.clock + milliseconds(3);
-  h.client->send_data(c, BytesView(Bytes{1}));  // keep it non-idle
+  h.client->send_message(c, BytesView(Bytes{1}));  // keep it non-idle
   h.pump();
   EXPECT_EQ(h.server->reap(SimDuration{}, milliseconds(2)), 1u);
 }
@@ -232,17 +248,17 @@ TEST(SynCookies, StatelessUntilAckArrives) {
   h.pump();
   EXPECT_EQ(h.server->connection_count(), 1u);
   EXPECT_EQ(h.server->stats().syn_cookies_accepted, 1u);
-  ASSERT_EQ(h.server_established.size(), 1u);
+  EXPECT_TRUE(Harness::established(*h.server, h.server_conn()));
 }
 
 TEST(SynCookies, DataFlowsAfterCookieHandshake) {
   Harness h(/*syn_cookies=*/true);
   ConnId c = h.client->connect(Harness::client_addr(), Harness::server_addr());
   h.pump();
-  h.client->send_data(c, BytesView(Bytes{'q'}));
+  h.client->send_message(c, BytesView(Bytes{'q'}));
   h.pump();
-  ASSERT_EQ(h.server_data.size(), 1u);
-  EXPECT_EQ(h.server_data[0].second, (Bytes{'q'}));
+  ASSERT_EQ(h.server_messages.size(), 1u);
+  EXPECT_EQ(h.server_messages[0].second, (Bytes{'q'}));
 }
 
 TEST(SynCookies, ForgedAckRejected) {
@@ -290,43 +306,86 @@ TEST(SynCookieGenerator, ValidatesOwnCookies) {
   EXPECT_FALSE(gen.validate(other, s, 555, isn, t));    // wrong client
 }
 
-TEST(StreamFramer, FrameAndReassemble) {
-  Bytes msg{'a', 'b', 'c', 'd'};
-  Bytes framed = StreamFramer::frame(BytesView(msg));
-  ASSERT_EQ(framed.size(), 6u);
-  EXPECT_EQ(framed[0], 0);
-  EXPECT_EQ(framed[1], 4);
-  StreamFramer f;
-  auto out = f.push(BytesView(framed));
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0], msg);
-}
-
-TEST(StreamFramer, HandlesSplitDelivery) {
+TEST(TcpFraming, LengthPrefixOnTheWire) {
+  // RFC 1035 §4.2.2: two bytes of big-endian length, then the message.
+  Harness h;
+  ConnId c = h.client->connect(Harness::client_addr(), Harness::server_addr());
+  h.pump();
   Bytes msg(300, 'x');
-  Bytes framed = StreamFramer::frame(BytesView(msg));
-  StreamFramer f;
-  // Deliver one byte at a time.
-  std::vector<Bytes> all;
-  for (std::uint8_t b : framed) {
-    Bytes one{b};
-    for (auto& m : f.push(BytesView(one))) all.push_back(std::move(m));
-  }
-  ASSERT_EQ(all.size(), 1u);
-  EXPECT_EQ(all[0], msg);
-  EXPECT_EQ(f.buffered(), 0u);
+  msg[0] = 'a';
+  ASSERT_TRUE(h.client->send_message(c, BytesView(msg)));
+  ASSERT_EQ(h.wire_to_server.size(), 1u);
+  const Packet& seg = h.wire_to_server.front();
+  EXPECT_TRUE(seg.tcp().flags.psh);
+  ASSERT_EQ(seg.payload.size(), 302u);
+  EXPECT_EQ(seg.payload[0], 0x01);
+  EXPECT_EQ(seg.payload[1], 0x2c);
+  EXPECT_EQ(seg.payload[2], 'a');
+  h.pump();
+  ASSERT_EQ(h.server_messages.size(), 1u);
+  EXPECT_EQ(h.server_messages[0].second, msg);
 }
 
-TEST(StreamFramer, HandlesBackToBackMessages) {
-  Bytes a{'1'}, b{'2', '2'};
-  Bytes stream = StreamFramer::frame(BytesView(a));
-  Bytes fb = StreamFramer::frame(BytesView(b));
-  stream.insert(stream.end(), fb.begin(), fb.end());
-  StreamFramer f;
-  auto out = f.push(BytesView(stream));
-  ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(out[0], a);
-  EXPECT_EQ(out[1], b);
+TEST(TcpFraming, MessageSplitOneBytePerSegmentArrivesOnceWhole) {
+  Harness h;
+  ConnId c = h.client->connect(Harness::client_addr(), Harness::server_addr());
+  h.pump();
+  Bytes msg(300, 'x');
+  msg.back() = 'z';
+  h.client->send_message(c, BytesView(msg));
+  ASSERT_EQ(h.wire_to_server.size(), 1u);
+  const Packet whole = h.wire_to_server.front();
+  h.wire_to_server.clear();
+  // Re-send the segment's bytes one per segment, in sequence.
+  const net::TcpHeader& t = whole.tcp();
+  for (std::size_t i = 0; i < whole.payload.size(); ++i) {
+    EXPECT_TRUE(h.server_messages.empty()) << "delivered early at byte " << i;
+    h.server->handle_packet(Packet::make_tcp(
+        whole.src(), whole.dst(), net::TcpFlags{.psh = true, .ack = true},
+        t.seq + static_cast<std::uint32_t>(i), t.ack,
+        Bytes{whole.payload[i]}));
+  }
+  ASSERT_EQ(h.server_messages.size(), 1u);
+  EXPECT_EQ(h.server_messages[0].second, msg);
+}
+
+TEST(TcpFraming, HandshakeMessagesLeaveInOneSegmentInOrder) {
+  Harness h;
+  ConnId c = h.client->connect(Harness::client_addr(), Harness::server_addr());
+  const Bytes a{'1'}, b{'2', '2'};
+  ASSERT_TRUE(h.client->send_message(c, BytesView(a)));
+  ASSERT_TRUE(h.client->send_message(c, BytesView(b)));
+  // SYN to the server, SYN-ACK back: the client answers with its ACK,
+  // then one segment carrying both messages.
+  h.server->handle_packet(h.wire_to_server.front());
+  h.wire_to_server.pop_front();
+  h.client->handle_packet(h.wire_to_client.front());
+  h.wire_to_client.pop_front();
+  ASSERT_EQ(h.wire_to_server.size(), 2u);
+  const Packet& ack = h.wire_to_server[0];
+  const Packet& data = h.wire_to_server[1];
+  EXPECT_TRUE(ack.payload.empty());
+  EXPECT_TRUE(data.tcp().flags.psh);
+  EXPECT_EQ(data.tcp().seq, ack.tcp().seq);
+  EXPECT_EQ(data.payload, (Bytes{0, 1, '1', 0, 2, '2', '2'}));
+  h.pump();
+  ASSERT_EQ(h.server_messages.size(), 2u);
+  EXPECT_EQ(h.server_messages[0].second, a);
+  EXPECT_EQ(h.server_messages[1].second, b);
+}
+
+TEST(TcpFraming, CallbackThatAbortsStopsDelivery) {
+  // The rest of a segment is not delivered on a connection its first
+  // message's callback aborted.
+  Harness h;
+  h.on_server_message = [&h](ConnId sc) { h.server->abort(sc); };
+  ConnId c = h.client->connect(Harness::client_addr(), Harness::server_addr());
+  h.client->send_message(c, BytesView(Bytes{'a'}));
+  h.client->send_message(c, BytesView(Bytes{'b'}));
+  h.pump();
+  ASSERT_EQ(h.server_messages.size(), 1u);
+  EXPECT_EQ(h.server_messages[0].second, (Bytes{'a'}));
+  EXPECT_EQ(h.server->connection_count(), 0u);
 }
 
 }  // namespace

@@ -20,7 +20,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 MEASURED = {
     "legit_steady": 4.324,
     "spoof_flood": 5.286,
-    "tcp_churn": 2.765,
+    "tcp_churn": 1.324,
 }
 SLACK = 0.05
 
