@@ -58,10 +58,10 @@ struct FakePacketCapture {
   std::uint64_t payload_words[4];
 };
 
-// Standing pending-event count. Probing Simulator::pending_events() across
-// the paper workloads (fig5-7 style testbeds: closed-loop LRS drivers,
-// guard, 250K-1M req/s spoofed floods) shows 320-2,800 events pending at
-// steady state, so 1024 sits in the middle of the realistic range.
+// Standing pending-event count. The quick-mode fig5-7 benches (closed-loop
+// LRS drivers, guard, spoofed floods, thousands of TCP connections) end
+// with 923-23,029 events pending (sim.queue_depth, DESIGN.md section 7),
+// so 1024 sits at the low end of the realistic range.
 constexpr int kWindow = 1024;
 // Pops measured per run; quick mode (CI smoke) runs 10x fewer.
 inline std::uint64_t event_count() {

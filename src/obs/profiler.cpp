@@ -24,8 +24,6 @@ const char* stage_name(Stage s) noexcept {
       return "resolver.service";
     case Stage::kGuardService:
       return "guard.service";
-    case Stage::kOutboxFlush:
-      return "node.outbox_flush";
     case Stage::kGuardDecode:
       return "guard.decode";
     case Stage::kGuardMint:

@@ -52,7 +52,6 @@ enum class Stage : std::uint8_t {
   kAnsService,        // authoritative server (BIND-model or simulator)
   kResolverService,   // recursive resolver
   kGuardService,      // guard process(): classify + per-scheme handling
-  kOutboxFlush,       // Node::flush_outbox_at release event
   kGuardDecode,       // dns::Message::decode of an incoming request
   kGuardMint,         // cookie mint / cookie-label / cookie-address make
   kGuardVerify,       // per-packet cookie verification (any encoding)

@@ -2,16 +2,16 @@
 
 namespace dnsguard::sim {
 
-void Node::trace(obs::TraceEvent event, const net::Packet& packet,
-                 obs::DropReason reason) {
+void Node::trace_at(SimTime at, obs::TraceEvent event,
+                    const net::Packet& packet, obs::DropReason reason) {
   std::uint16_t info = 0;
   if (packet.payload.size() >= 2) {
     info = static_cast<std::uint16_t>(
         (static_cast<std::uint16_t>(packet.payload[0]) << 8) |
         packet.payload[1]);
   }
-  trace_.record(now(), event, packet.src_ip.value(), packet.dst_ip.value(),
-                info, reason);
+  trace_.record(at, event, packet.src_ip.value(), packet.dst_ip.value(), info,
+                reason);
 }
 
 void Node::enable_sharded_service(std::size_t lanes, std::size_t batch_max) {
@@ -62,7 +62,7 @@ void Node::serve_lane(std::size_t lane_idx) {
   on_batch_begin(lane_idx, batch_.data(), n);
 
   // The burst is served at one sim instant, but each packet's service cost
-  // advances the lane clock and its emissions leave at its own completion
+  // advances the lane clock and its emissions depart at its own completion
   // time, so a burst of one is the classic one-packet-per-event FIFO.
   SimTime t = std::max(now(), lane.busy_until);
   for (std::size_t k = 0; k < n; ++k) {
@@ -79,7 +79,7 @@ void Node::serve_lane(std::size_t lane_idx) {
     if (cost.ns < 0) cost.ns = 0;
     stats_.busy = stats_.busy + cost;
     t = t + cost;
-    if (!outbox_.empty()) flush_outbox_at(t);
+    release_outbox(t);
   }
   lane.busy_until = t;
   in_batch_ = false;
@@ -87,51 +87,27 @@ void Node::serve_lane(std::size_t lane_idx) {
   maybe_schedule_lane(lane_idx);
 }
 
-void Node::flush_outbox_at(SimTime at) {
-  auto sends = std::move(outbox_);
-  outbox_.clear();
-  if (!spare_outboxes_.empty()) {
-    outbox_ = std::move(spare_outboxes_.back());
-    spare_outboxes_.pop_back();
-  }
-  sim_.schedule_at(at, [this, sends = std::move(sends)]() mutable {
-    DNSGUARD_PROF_SCOPE(obs::prof::Stage::kOutboxFlush);
-    for (auto& s : sends) {
-      stats_.tx++;
-      trace(obs::TraceEvent::kTx, s.packet);
-      if (s.direct_to != nullptr) {
-        sim_.send_direct(this, s.direct_to, std::move(s.packet));
-      } else {
-        sim_.send_packet(this, std::move(s.packet));
-      }
+void Node::release_outbox(SimTime depart) {
+  for (PendingSend& s : outbox_) {
+    stats_.tx++;
+    trace_at(depart, obs::TraceEvent::kTx, s.packet, obs::DropReason::kNone);
+    if (s.direct_to != nullptr) {
+      sim_.send_direct(this, s.direct_to, std::move(s.packet), depart);
+    } else {
+      sim_.send_packet(this, std::move(s.packet), depart);
     }
-    sends.clear();
-    // DNSGUARD_LINT_ALLOW(alloc): the spare list grows only to the number
-    // of flushes pending at once (at most lanes x burst), then recycles
-    spare_outboxes_.push_back(std::move(sends));
-  });
+  }
+  outbox_.clear();
 }
 
 void Node::send(net::Packet packet) {
-  if (in_process_) {
-    outbox_.push_back(PendingSend{nullptr, std::move(packet)});
-  } else {
-    // Sends from timer callbacks leave immediately (the timer already
-    // accounted for any think-time).
-    stats_.tx++;
-    trace(obs::TraceEvent::kTx, packet);
-    sim_.send_packet(this, std::move(packet));
-  }
+  outbox_.push_back(PendingSend{nullptr, std::move(packet)});
+  if (!in_process_) release_outbox(now());
 }
 
 void Node::send_direct(Node* to, net::Packet packet) {
-  if (in_process_) {
-    outbox_.push_back(PendingSend{to, std::move(packet)});
-  } else {
-    stats_.tx++;
-    trace(obs::TraceEvent::kTx, packet);
-    sim_.send_direct(this, to, std::move(packet));
-  }
+  outbox_.push_back(PendingSend{to, std::move(packet)});
+  if (!in_process_) release_outbox(now());
 }
 
 }  // namespace dnsguard::sim

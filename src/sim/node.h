@@ -19,8 +19,8 @@
 // shard_of(). Determinism rules: the simulator is single-threaded, lane
 // service events tie-break in schedule order (EventQueue FIFO at equal
 // timestamps), a burst is processed at one sim instant, and every
-// packet's emissions are released at that packet's own completion time on
-// its lane — so N-lane runs are bit-for-bit reproducible.
+// packet's emissions depart at that packet's own completion time on its
+// lane — so N-lane runs are bit-for-bit reproducible.
 #pragma once
 
 #include <cstdint>
@@ -89,7 +89,9 @@ class Node {
  protected:
   /// Handles one packet. Implementations do their protocol work, emit
   /// packets via `send()` / `send_direct()`, and return the CPU time the
-  /// work cost. Emitted packets leave the node when that time has elapsed.
+  /// work cost. Emitted packets depart when that time has elapsed: they
+  /// are handed to the network when process() returns, so no event runs
+  /// at the departure itself.
   virtual SimDuration process(const net::Packet& packet) = 0;
 
   // --- shard-per-core service (opt-in) -------------------------------------
@@ -119,7 +121,8 @@ class Node {
   /// reads it to share a burst's hook time over its packets).
   [[nodiscard]] bool in_batch() const { return in_batch_; }
 
-  /// Emits a packet into the routed network (released at service end).
+  /// Emits a packet into the routed network. It departs at service end,
+  /// or now from a timer callback (the timer accounted for think-time).
   void send(net::Packet packet);
   /// Emits a packet on a private wire to a specific peer.
   void send_direct(Node* to, net::Packet packet);
@@ -135,7 +138,9 @@ class Node {
   /// Records a lifecycle event for `packet` in the trace ring. `info` is
   /// the DNS id when the payload carries one (first two payload bytes).
   void trace(obs::TraceEvent event, const net::Packet& packet,
-             obs::DropReason reason = obs::DropReason::kNone);
+             obs::DropReason reason = obs::DropReason::kNone) {
+    trace_at(now(), event, packet, reason);
+  }
 
   /// Tags this node's process() spans in the wall-clock profiler (e.g.
   /// kGuardService). Call from the subclass constructor; the default
@@ -158,16 +163,16 @@ class Node {
 
   void maybe_schedule_lane(std::size_t lane);
   void serve_lane(std::size_t lane);
-  void flush_outbox_at(SimTime at);
+  void trace_at(SimTime at, obs::TraceEvent event, const net::Packet& packet,
+                obs::DropReason reason);
+  /// Hands the queued sends to the network; outbox_ keeps its capacity.
+  void release_outbox(SimTime depart);
 
   Simulator& sim_;
   std::uint64_t sim_id_ = 0;
   std::string name_;
   std::size_t rx_capacity_;
   std::vector<PendingSend> outbox_;
-  /// Emptied outboxes of flushes that already ran, reused by the next
-  /// flush_outbox_at() so an emitting service does not reallocate outbox_.
-  std::vector<std::vector<PendingSend>> spare_outboxes_;
   bool in_process_ = false;
   std::vector<ShardLane> lanes_;
   std::vector<net::Packet> batch_;     // burst scratch, sized batch_max

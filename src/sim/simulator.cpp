@@ -71,8 +71,9 @@ void Simulator::remove_node(Node* node) {
   // Drop config referencing the departing node so a later node can never
   // observe it (as from-node, by id) or route through a dangling pointer
   // (as gateway or route target, by value): a packet to its addresses now
-  // counts as packets_dropped_no_route. Packets already in flight to the
-  // node are out of scope; destroy a node only once they have landed.
+  // counts as packets_dropped_no_route. Packets it already served still
+  // arrive. Its queued lane packets, its timers and packets in flight to
+  // it must not outlive it.
   gateways_.erase(node->sim_id_);
   std::erase_if(gateways_,
                 [node](const auto& kv) { return kv.second == node; });
@@ -118,13 +119,13 @@ void Simulator::clear_gateway(Node* from) {
   gateways_.erase(from->sim_id());
 }
 
-void Simulator::send_packet(Node* from, net::Packet packet) {
+void Simulator::send_packet(Node* from, net::Packet packet, SimTime depart) {
   stats_.packets_sent++;
   stats_.bytes_sent += packet.wire_size();
   if (from != nullptr) {
     auto gw = gateways_.find(from->sim_id());
     if (gw != gateways_.end()) {
-      deliver_later(from, gw->second, std::move(packet));
+      deliver_later(from, gw->second, std::move(packet), depart);
       return;
     }
   }
@@ -134,13 +135,14 @@ void Simulator::send_packet(Node* from, net::Packet packet) {
     DG_LOG_TRACE("sim", "no route for %s", packet.dst_ip.to_string().c_str());
     return;
   }
-  deliver_later(from, to, std::move(packet));
+  deliver_later(from, to, std::move(packet), depart);
 }
 
-void Simulator::send_direct(Node* from, Node* to, net::Packet packet) {
+void Simulator::send_direct(Node* from, Node* to, net::Packet packet,
+                            SimTime depart) {
   stats_.packets_sent++;
   stats_.bytes_sent += packet.wire_size();
-  deliver_later(from, to, std::move(packet));
+  deliver_later(from, to, std::move(packet), depart);
 }
 
 void Simulator::set_loss_rate(double p, std::uint64_t loss_seed) {
@@ -232,16 +234,19 @@ obs::FlightRecorder& Simulator::flight_recorder() {
   return flightrec_;
 }
 
-void Simulator::deliver_later(Node* from, Node* to, net::Packet packet) {
-  if (tap_) tap_(now_, from, to, packet);
+void Simulator::deliver_later(Node* from, Node* to, net::Packet packet,
+                              SimTime depart) {
+  if (depart < now_) depart = now_;
+  if (tap_) tap_(depart, from, to, packet);
   if (loss_rate_ > 0 && loss_rng_.chance(loss_rate_)) {
     stats_.packets_dropped_loss++;
     return;
   }
-  SimDuration delay = latency_between(from, to);
-  schedule_in(delay, [to, p = std::move(packet)]() mutable {
-    to->deliver(std::move(p));
-  });
+  // Only the receiver is captured: the sender may be gone by arrival.
+  schedule_at(depart + latency_between(from, to),
+              [to, p = std::move(packet)]() mutable {
+                to->deliver(std::move(p));
+              });
 }
 
 }  // namespace dnsguard::sim

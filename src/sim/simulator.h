@@ -117,13 +117,16 @@ class Simulator {
 
   // --- traffic ------------------------------------------------------------
 
-  /// Injects a packet from `from` into the network at the current time;
-  /// it arrives at the routed destination after the propagation delay.
-  void send_packet(Node* from, net::Packet packet);
+  /// Injects a packet from `from` into the network departing at `depart`
+  /// (clamped to now, the default); it arrives at the routed destination
+  /// after the propagation delay. The rest happens now, at hand-over:
+  /// packets_sent/bytes_sent, routing, a no-route drop, loss and the tap.
+  void send_packet(Node* from, net::Packet packet, SimTime depart = {});
 
   /// Delivers directly to a specific node (private guard<->ANS wire),
   /// bypassing prefix routing but still paying propagation delay.
-  void send_direct(Node* from, Node* to, net::Packet packet);
+  void send_direct(Node* from, Node* to, net::Packet packet,
+                   SimTime depart = {});
 
   [[nodiscard]] const NetworkStats& stats() const { return stats_; }
   NetworkStats& mutable_stats() { return stats_; }
@@ -169,8 +172,9 @@ class Simulator {
   [[nodiscard]] obs::FlightRecorder& flight_recorder();
 
   /// Observation tap: invoked for every packet accepted into the network
-  /// (after routing/gateway resolution, before propagation delay). Used
-  /// by tests and the walkthrough example; keep it cheap or unset.
+  /// at hand-over (after routing, before propagation delay), stamped with
+  /// its departure time, so calls are not in time order. It must not
+  /// send. Used by tests and the walkthrough example; keep it cheap.
   using TapFn =
       std::function<void(SimTime, const Node* from, const Node* to,
                          const net::Packet&)>;
@@ -187,7 +191,8 @@ class Simulator {
     Node* node;
   };
 
-  void deliver_later(Node* from, Node* to, net::Packet packet);
+  void deliver_later(Node* from, Node* to, net::Packet packet,
+                     SimTime depart);
   void schedule_sampler_tick(std::uint64_t epoch);
 
   SimTime now_{};

@@ -332,6 +332,7 @@ ClientPopulationNode::ClientPopulationNode(sim::Simulator& sim,
       config_(std::move(config)),
       qname_suffix_(dns::DomainName::parse(config_.qname_suffix)
                         .value_or(dns::DomainName{})),
+      rtts_(config_.population.rtt_buckets),
       engine_(config_.population),
       minter_(config_.population.cookie_key_seed) {
   set_profile_stage(obs::prof::Stage::kDriverService);
@@ -434,25 +435,24 @@ SimDuration ClientPopulationNode::process(const net::Packet& packet) {
       stats_.unexpected++;
       return SimDuration{0};
     }
-    RttModel rtts(config_.population.rtt_buckets);
-    SimDuration rtt = rtts.sample(mix_uniform01(
+    SimDuration rtt = rtts_.sample(mix_uniform01(
         (static_cast<std::uint64_t>(packet.dst_ip.value()) << 16) ^
         response->header.id));
-    dns::DomainName qname = qst->qname;
     net::Ipv4Address src = packet.dst_ip;
     std::uint16_t port = packet.dst_port();
     std::uint16_t id = static_cast<std::uint16_t>(response->header.id + 1);
-    crypto::Cookie granted = *cookie;
+    // Encoded now: wire bytes fit EventFn's inline buffer, a name does not.
+    dns::Message retry =
+        dns::Message::query(id, qst->qname, dns::RrType::A, false);
+    guard::CookieEngine::attach_txt_cookie(retry, *cookie, 0);
     std::uint64_t epoch = epoch_;
-    schedule_in(rtt, [this, epoch, qname, src, port, id, granted] {
+    schedule_in(rtt, [this, epoch, src, port, id,
+                      wire = retry.encode_pooled()]() mutable {
       if (epoch != epoch_ || !running_) return;
-      dns::Message retry = dns::Message::query(id, qname, dns::RrType::A,
-                                               false);
-      guard::CookieEngine::attach_txt_cookie(retry, granted, 0);
       digest_ += mix64((static_cast<std::uint64_t>(src.value()) << 16) ^ id);
       stats_.sent++;
       send(net::Packet::make_udp({src, port}, config_.target,
-                                 retry.encode_pooled()));
+                                 std::move(wire)));
     });
     return SimDuration{0};
   }

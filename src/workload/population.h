@@ -304,6 +304,7 @@ class ClientPopulationNode : public sim::Node {
 
   Config config_;
   dns::DomainName qname_suffix_;  // config_.qname_suffix, parsed once
+  RttModel rtts_;                 // config_.population.rtt_buckets
   PopulationEngine engine_;
   guard::CookieEngine minter_;
   PopulationStats stats_;

@@ -198,7 +198,7 @@ TEST(AllocBudget, DecodeIntoWarmedMessageDoesNotAllocate) {
 /// count in its first payload byte, until the count reaches zero. Served
 /// by the default discipline (one lane, bursts of one), so the measurement
 /// covers the receive queue and the emit path: the ring, pooled payloads,
-/// outbox recycling and event scheduling.
+/// the outbox reused in place and event scheduling.
 class PingPongNode final : public sim::Node {
  public:
   PingPongNode(sim::Simulator& sim, std::string name)
@@ -233,7 +233,7 @@ TEST(AllocBudget, EmittingNodeServiceDoesNotAllocate) {
                                     {net::Ipv4Address(10, 0, 0, 2), 2000},
                                     std::move(payload)));
   };
-  volley(50);  // warm-up: event slabs, the buffer pool and spare outboxes
+  volley(50);  // warm-up: event slabs, the buffer pool and the outboxes
   sim.run_all();
   volley(200);  // built outside the measurement
   const std::uint64_t served0 = a.served + b.served;

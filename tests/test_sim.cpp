@@ -6,6 +6,7 @@
 #include <array>
 #include <memory>
 #include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "common/spsc_ring.h"
@@ -432,6 +433,51 @@ TEST(NodeIds, DestroyedNodeRoutesAreDropped) {
   sim.run_all();
   EXPECT_EQ(sim.stats().packets_dropped_no_route, 1u);
   EXPECT_EQ(sim.route_lookup(Ipv4Address(10, 0, 0, 7)), nullptr);
+}
+
+TEST(NodeIds, SenderDestroyedBeforeDepartureStillDelivers) {
+  // A served packet's sends are handed to the network when its service
+  // ends, so no event of the sender's runs at the departure: the server
+  // may go away between service (0.1 ms) and departure (1.1 ms).
+  Simulator sim;
+  sim.set_default_latency(microseconds(100));
+  ProbeNode client(sim, "client", SimDuration{});
+  auto server = std::make_unique<ProbeNode>(sim, "server", milliseconds(1));
+  server->echo = true;
+  sim.add_host_route(Ipv4Address(10, 0, 0, 1), server.get());
+  sim.add_host_route(Ipv4Address(10, 0, 0, 9), &client);
+  sim.send_packet(&client, make_pkt(Ipv4Address(10, 0, 0, 9),
+                                    Ipv4Address(10, 0, 0, 1)));
+  sim.run_until(SimTime{microseconds(500).ns});
+  ASSERT_EQ(server->arrivals.size(), 1u);
+  server.reset();
+  sim.run_all();
+  ASSERT_EQ(client.arrivals.size(), 1u);
+  EXPECT_EQ(client.arrivals[0].ns, microseconds(1200).ns);
+}
+
+TEST(Hop, ServedHopCostsTwoEvents) {
+  // Each hop is one arrival and one lane service; nothing runs at the
+  // departure, which the tap sees as the packet's stamp.
+  Simulator sim;
+  sim.set_default_latency(microseconds(100));
+  ProbeNode client(sim, "client", SimDuration{});
+  ProbeNode server(sim, "server", milliseconds(1));
+  server.echo = true;
+  sim.add_host_route(Ipv4Address(10, 0, 0, 1), &server);
+  sim.add_host_route(Ipv4Address(10, 0, 0, 9), &client);
+  std::vector<std::int64_t> departures;
+  sim.set_tap([&](SimTime t, const Node*, const Node*, const Packet&) {
+    departures.push_back(t.ns);
+  });
+  sim.send_packet(&client, make_pkt(Ipv4Address(10, 0, 0, 9),
+                                    Ipv4Address(10, 0, 0, 1)));
+  sim.run_all();
+  ASSERT_EQ(client.arrivals.size(), 1u);
+  EXPECT_EQ(client.arrivals[0].ns, microseconds(1200).ns);
+  EXPECT_EQ(departures,
+            (std::vector<std::int64_t>{0, microseconds(1100).ns}));
+  EXPECT_EQ(sim.metrics().find_counter("sim.events_dispatched")->value(), 4u);
 }
 
 TEST(RemoveRoutes, StopsDelivery) {

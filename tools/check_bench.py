@@ -15,12 +15,14 @@ must not fail the gate.
 
 The "counters" section is mostly informational (absolute counts
 legitimately shift as code evolves): counters that appear or disappear
-only warn. Two classes of counters do gate, with a wider tolerance
+only warn. Three classes of counters do gate, with a wider tolerance
 (default 20%): drop counters (keys containing ".drop." or "dropped")
 fail when they *increase* beyond tolerance, and goodput counters
 (completed / forwarded_to_ans / responses_relayed / responses_delivered)
 fail when they *decrease* beyond tolerance — together they catch a guard
-that silently starts shedding legitimate traffic.
+that silently starts shedding legitimate traffic. Event counters
+("*events_dispatched*") fail when they *increase* beyond tolerance, so
+the simulator cannot quietly grow its events per packet.
 
 The "profile" section (per-label cost-attribution reports from
 src/obs/profiler.h) is compared warn-only: a stage whose share of wall
@@ -77,15 +79,18 @@ GOODPUT_COUNTER_PATTERNS = [
     "*responses_relayed*",
     "*responses_delivered*",
 ]
+EVENT_COUNTER_PATTERNS = ["*events_dispatched*"]
 
 
 def counter_class(key):
-    """'drop', 'goodput', or None for informational counters."""
+    """'drop', 'goodput', 'events', or None for informational counters."""
     k = key.lower()
     if any(fnmatch.fnmatch(k, pat) for pat in DROP_COUNTER_PATTERNS):
         return "drop"
     if any(fnmatch.fnmatch(k, pat) for pat in GOODPUT_COUNTER_PATTERNS):
         return "goodput"
+    if any(fnmatch.fnmatch(k, pat) for pat in EVENT_COUNTER_PATTERNS):
+        return "events"
     return None
 
 
@@ -120,9 +125,9 @@ def compare_counters(name, baseline, current, tolerance):
             failures.append(f"{name}: counter '{key}' is not numeric")
             continue
         change = (cur_value - base_value) / abs(base_value)
-        if cls == "drop" and change > tolerance:
+        if cls in ("drop", "events") and change > tolerance:
             failures.append(
-                f"{name}: drop counter '{key}' increased beyond "
+                f"{name}: {cls} counter '{key}' increased beyond "
                 f"{tolerance:.0%}: baseline {base_value:g} -> current "
                 f"{cur_value:g} ({change:+.1%})"
             )
@@ -348,6 +353,7 @@ def self_test():
         "driver.completed": 500,
         "guard.forwarded_to_ans": 500,
         "sim.events_dispatched": 123456,
+        "sim.queue_depth.max": 2000,
     }
     # Unchanged: clean.
     f, w = compare_counters("t", cbase, dict(cbase), 0.20)
@@ -356,6 +362,15 @@ def self_test():
     f, w = compare_counters("t", cbase, dict(cbase, extra=1), 0.20)
     assert f == [] and len(w) == 1
     # Informational counter drifting wildly: not a failure.
+    f, _ = compare_counters(
+        "t", cbase, dict(cbase, **{"sim.queue_depth.max": 99999}), 0.20
+    )
+    assert f == []
+    # Event count up 30%: regression; down: fine (fewer events per packet).
+    f, _ = compare_counters(
+        "t", cbase, dict(cbase, **{"sim.events_dispatched": 160493}), 0.20
+    )
+    assert len(f) == 1 and "events counter" in f[0], f
     f, _ = compare_counters(
         "t", cbase, dict(cbase, **{"sim.events_dispatched": 999}), 0.20
     )
@@ -401,7 +416,7 @@ def self_test():
     f, w = compare_counters(
         "t",
         cbase,
-        {k: v for k, v in cbase.items() if k != "sim.events_dispatched"},
+        {k: v for k, v in cbase.items() if k != "sim.queue_depth.max"},
         0.20,
     )
     assert f == [] and len(w) == 1

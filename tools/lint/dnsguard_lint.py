@@ -138,7 +138,7 @@ HOT_PATH_ROOTS = (
     "SpscRing::try_pop",
     "CookieHasher::compute",
     "Node::maybe_schedule_lane",
-    "Node::flush_outbox_at",
+    "Node::release_outbox",
     # DNS codec: names are inline wire forms, so reading, compressing,
     # writing and transforming them, and encoding a whole message into a
     # warmed buffer, never allocate. Message::decode_into is left out: its

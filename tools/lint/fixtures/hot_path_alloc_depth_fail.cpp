@@ -1,10 +1,10 @@
 // Fixture: MUST FAIL the hot-path-alloc rule.
 //
-// The allocation sits two calls below the root Node::flush_outbox_at but
+// The allocation sits two calls below the root Node::release_outbox but
 // four below the root Node::deliver. A traversal that expands
 // Node::deliver first reaches schedule_at() three calls deep, at the depth
 // limit; if it then treats schedule_at() as done, the shorter path from
-// flush_outbox_at never expands it and the allocation goes unseen. Each
+// release_outbox never expands it and the allocation goes unseen. Each
 // function must be expanded at its smallest depth from any root.
 #include <memory>
 #include <vector>
@@ -12,7 +12,7 @@
 namespace dnsguard {
 
 struct Node {
-  void flush_outbox_at(long at);
+  void release_outbox(long at);
   void deliver(long packet);
 };
 
@@ -30,7 +30,7 @@ void wake_lane(long lane) { schedule_at(lane); }
 
 void enqueue_arrival(long packet) { wake_lane(packet); }
 
-void Node::flush_outbox_at(long at) { schedule_at(at); }
+void Node::release_outbox(long at) { schedule_at(at); }
 
 // Defined last, so a depth-first walk of the roots expands it first.
 void Node::deliver(long packet) { enqueue_arrival(packet); }
