@@ -84,9 +84,7 @@ RemoteGuardNode::RemoteGuardNode(sim::Simulator& sim, std::string name,
     : sim::Node(sim, std::move(name), config.rx_queue_capacity),
       config_(std::move(config)),
       ans_(ans),
-      engine_(config_.key_seed),
-      nat_heads_({.capacity = config_.proxy_max_connections,
-                  .evict_lru_when_full = true}) {
+      engine_(config_.key_seed) {
   set_profile_stage(obs::prof::Stage::kGuardService);
   if (config_.num_shards == 0) config_.num_shards = 1;
   const std::size_t n = config_.num_shards;
@@ -126,7 +124,8 @@ RemoteGuardNode::RemoteGuardNode(sim::Simulator& sim, std::string name,
       tcp::TcpStack::Callbacks{
           .on_message = [this](tcp::ConnId id,
                                BytesView m) { proxy_on_message(id, m); },
-          .on_closed = [this](tcp::ConnId id) { proxy_on_closed(id); },
+          .on_closed = [this](tcp::ConnId,
+                              std::uint32_t head) { proxy_on_closed(head); },
       },
       tcp::TcpStack::Options{.syn_cookies = true,
                              .syn_cookie_secret = config_.key_seed ^
@@ -667,15 +666,6 @@ void RemoteGuardNode::do_tcp_redirect(const net::Packet& packet,
 }
 
 void RemoteGuardNode::proxy_on_message(tcp::ConnId conn, BytesView message) {
-  auto ins = nat_heads_.try_emplace(conn, now());
-  if (ins.value == nullptr) {
-    // Refused insert (only possible if eviction were disabled): reset the
-    // connection instead of carrying state the close could not find.
-    drops_.count(obs::DropReason::kStateTableFull);
-    tcp_->abort(conn);
-    return;
-  }
-  std::uint16_t& nat_head = *ins.value;
   if (!dns::Message::decode_into(message, rx_) || rx_.header.qr ||
       rx_.question() == nullptr) {
     stats_.malformed++;
@@ -683,22 +673,22 @@ void RemoteGuardNode::proxy_on_message(tcp::ConnId conn, BytesView message) {
     return;
   }
   const dns::Message& query = rx_;
-  auto remote = tcp_->remote_of(conn);
-  if (!remote) return;
+  const net::SocketAddr remote = conn.remote;
   if (sim().journeys().enabled()) {
     // Merge the TCP-handshake journey (keyed by the client endpoint)
     // with the DNS query it carried.
-    cur_jkey_ = {remote->ip.value(), query.header.id,
+    cur_jkey_ = {remote.ip.value(), query.header.id,
                  query.question()->qname.hash32()};
     cur_jkey_valid_ = true;
-    sim().journeys().alias({remote->ip.value(), remote->port, 0}, cur_jkey_);
+    sim().journeys().alias({remote.ip.value(), remote.port, 0}, cur_jkey_);
     jmark("guard.proxy_query");
   }
   // TCP handshake completion already proved the source address; still
   // apply Rate-Limiter2 like any verified requester.
-  if (!cur_shard_->rl2.allow(remote->ip, now())) {
+  if (!cur_shard_->rl2.allow(remote.ip, now())) {
     stats_.rl2_throttled++;
     drops_.count(obs::DropReason::kRateLimited2);
+    jend("guard.drop", /*ok=*/false);
     return;
   }
   stats_.proxy_queries++;
@@ -730,13 +720,16 @@ void RemoteGuardNode::proxy_on_message(tcp::ConnId conn, BytesView message) {
   }
   if (entry == nullptr) {
     drops_.count(obs::DropReason::kStateTableFull);
+    jend("guard.drop", /*ok=*/false);
     return;
   }
   // Push the port on the connection's list only now: the insert may have
-  // evicted (and unlinked) an entry of this same connection.
-  entry->next_port = nat_head;
-  if (nat_head != 0) sh.nat.occupant(nat_head)->prev_port = port;
-  nat_head = port;
+  // evicted (and unlinked) an entry of this same connection. The message
+  // came on a live connection, so it has a tag.
+  std::uint32_t& head = *tcp_->tag(conn);
+  entry->next_port = static_cast<std::uint16_t>(head);
+  if (head != 0) sh.nat.occupant(entry->next_port)->prev_port = port;
+  head = port;
   charge(config_.costs.transform);
   stats_.forwarded_to_ans++;
   emit_direct(ans_, net::Packet::make_udp({config_.guard_address, port},
@@ -756,10 +749,9 @@ void RemoteGuardNode::handle_proxy_nat_response(const net::Packet& packet) {
   }
   NatEntry entry = *found;
   if (sim().journeys().enabled()) {
-    if (auto remote = tcp_->remote_of(entry.conn)) {
-      sim().journeys().mark({remote->ip.value(), remote->port, 0},
-                            "guard.proxy_relay", now());
-    }
+    const net::SocketAddr remote = entry.conn.remote;
+    sim().journeys().mark({remote.ip.value(), remote.port, 0},
+                          "guard.proxy_relay", now());
   }
   nat_unlink(entry);
   cur_shard_->nat.erase(port);
@@ -777,25 +769,22 @@ void RemoteGuardNode::handle_proxy_nat_response(const net::Packet& packet) {
   tcp_->close(entry.conn);
 }
 
-void RemoteGuardNode::proxy_on_closed(tcp::ConnId conn) {
-  const std::uint16_t* head = nat_heads_.occupant(conn);
-  if (head == nullptr) return;  // closed before sending any query
+void RemoteGuardNode::proxy_on_closed(std::uint32_t head) {
   // Close can fire from timer context where cur_shard_ is stale; each
   // port names its shard.
-  for (std::uint16_t port = *head; port != 0;) {
+  for (auto port = static_cast<std::uint16_t>(head); port != 0;) {
     auto& nat = shards_[shard_of_nat_port(port)]->nat;
     const std::uint16_t next = nat.occupant(port)->next_port;
     nat.erase(port);
     port = next;
   }
-  nat_heads_.erase(conn);
 }
 
 void RemoteGuardNode::nat_unlink(const NatEntry& e) {
   if (e.prev_port != 0) {
     nat_occupant(e.prev_port)->next_port = e.next_port;
-  } else if (std::uint16_t* head = nat_heads_.occupant(e.conn)) {
-    *head = e.next_port;
+  } else {
+    *tcp_->tag(e.conn) = e.next_port;  // entries die with their connection
   }
   if (e.next_port != 0) nat_occupant(e.next_port)->prev_port = e.prev_port;
 }

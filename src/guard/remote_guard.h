@@ -314,14 +314,16 @@ class RemoteGuardNode : public sim::Node {
 
   // --- TCP proxy ---
   void proxy_on_message(tcp::ConnId conn, BytesView message);
-  void proxy_on_closed(tcp::ConnId conn);
+  /// Erases the closed connection's NAT entries, starting at `head`.
+  void proxy_on_closed(std::uint32_t head);
   void proxy_reap_loop();
   void rotation_loop();
 
   /// A proxied query's NAT entry. The entries of one connection form a
-  /// list whose head nat_heads_ holds, so that closing the connection
-  /// erases exactly those entries. All of them live in the shard of the
-  /// client's address, and each port identifies that shard.
+  /// list whose head port is the connection's tag in the TCP stack, so
+  /// that closing the connection erases exactly those entries. All of them
+  /// live in the shard of the client's address, and each port identifies
+  /// that shard.
   struct NatEntry {
     tcp::ConnId conn;
     std::uint16_t query_id;
@@ -386,13 +388,6 @@ class RemoteGuardNode : public sim::Node {
   std::size_t nat_ports_per_shard_ = 0;
 
   std::unique_ptr<tcp::TcpStack> tcp_;
-  /// The head NAT port of each proxied connection's list. Connections are
-  /// attacker-opened, so this table is capped at proxy_max_connections like
-  /// the TCP stack's own connection table it shadows.
-  // DNSGUARD_LINT_ALLOW(shardsafe): deliberately shared across shards —
-  // the TCP stack itself is one shared instance and connections are keyed
-  // by ConnId, not by the per-source address hash that defines shards.
-  common::BoundedTable<tcp::ConnId, std::uint16_t> nat_heads_;
 
   GuardStats stats_;
   std::array<SchemeCounters, kSchemeCount> scheme_counters_;

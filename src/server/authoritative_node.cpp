@@ -125,11 +125,9 @@ void AuthoritativeServerNode::on_tcp_message(tcp::ConnId conn,
   dns::Message resp = answer(*query, /*via_tcp=*/true);
   ans_stats_.responses++;
   if (sim().journeys().enabled()) {
-    if (auto remote = tcp_->remote_of(conn)) {
-      sim().journeys().mark({remote->ip.value(), query->header.id,
-                             query->question()->qname.hash32()},
-                            "ans.answer_tcp", now());
-    }
+    sim().journeys().mark({conn.remote.ip.value(), query->header.id,
+                           query->question()->qname.hash32()},
+                          "ans.answer_tcp", now());
   }
   tcp_->send_message(conn, BytesView(resp.encode()));
 }

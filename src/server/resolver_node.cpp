@@ -507,9 +507,8 @@ void RecursiveResolverNode::start_tcp_query(const Task& task,
 void RecursiveResolverNode::on_tcp_message(tcp::ConnId conn,
                                            BytesView message) {
   auto m = dns::Message::decode(message);
-  auto remote = tcp_->remote_of(conn);
-  if (m && m->header.qr && remote) {
-    handle_response(*m, remote->ip, /*via_tcp=*/true);
+  if (m && m->header.qr) {
+    handle_response(*m, conn.remote.ip, /*via_tcp=*/true);
   }
   // One query per connection: close after the response arrives.
   tcp_->close(conn);

@@ -48,7 +48,7 @@ TcpStack::TcpStack(SendFn send, ClockFn clock, Callbacks callbacks,
       options_(options),
       syn_cookies_(options.syn_cookie_secret),
       conns_({.capacity = options.max_connections}) {
-  conns_.set_evict_callback([this](const ConnKey&, Connection& c,
+  conns_.set_evict_callback([this](const ConnId&, Connection& c,
                                    common::EvictReason) {
     // Connection table full: reset the least-recently active victim so
     // its peer learns immediately, and tell the owner it is gone.
@@ -56,9 +56,8 @@ TcpStack::TcpStack(SendFn send, ClockFn clock, Callbacks callbacks,
     emit(c.local, c.remote, net::TcpFlags{.rst = true}, c.snd_nxt,
          c.rcv_nxt);
     stats_.connections_evicted++;
-    by_id_.erase(c.id);
     if (drops_ != nullptr) drops_->count(obs::DropReason::kStateTableFull);
-    if (callbacks_.on_closed) callbacks_.on_closed(c.id);
+    closed(c);
   });
 }
 
@@ -94,40 +93,44 @@ std::uint32_t TcpStack::next_isn() {
   return isn_counter_;
 }
 
-TcpStack::Connection* TcpStack::find(const ConnKey& key) {
-  return conns_.find(key, clock_());
+TcpStack::Connection* TcpStack::find(const ConnId& id) {
+  return conns_.find(id, clock_());
+}
+
+std::uint32_t* TcpStack::tag(const ConnId& id) {
+  Connection* c = conns_.occupant(id);
+  return c == nullptr ? nullptr : &c->tag;
 }
 
 TcpStack::Connection& TcpStack::create(net::SocketAddr local,
                                        net::SocketAddr remote,
                                        TcpState state) {
-  ConnKey key{local, remote};
-  if (Connection* stale = find(key)) {
+  const ConnId id{local, remote};
+  if (Connection* stale = find(id)) {
     // A fresh handshake on a 4-tuple we already track supersedes the old
-    // connection. Tear it down properly — overwriting in place used to
-    // leave the old id dangling in by_id_ forever.
+    // connection, which closes like any other.
     stats_.connections_aborted++;
-    destroy(*stale, /*deliver_closed=*/true);
+    destroy(*stale);
   }
-  auto r = conns_.try_emplace(key, clock_());
+  auto r = conns_.try_emplace(id, clock_());
   Connection& c = *r.value;  // LRU-evict mode: the insert always lands
-  c.id = next_id_++;
   c.local = local;
   c.remote = remote;
   c.state = state;
   c.opened_at = clock_();
   c.last_activity = c.opened_at;
-  by_id_[c.id] = key;
   return c;
 }
 
-void TcpStack::destroy(Connection& c, bool deliver_closed) {
-  ConnId id = c.id;
-  const net::SocketAddr client = c.client_role ? c.local : c.remote;
-  by_id_.erase(id);
-  conns_.erase(ConnKey{c.local, c.remote});  // invalidates c
-  if (journey_) journey_(client, "tcp.closed");
-  if (deliver_closed && callbacks_.on_closed) callbacks_.on_closed(id);
+void TcpStack::destroy(Connection& c) {
+  const Connection gone = std::move(c);
+  conns_.erase({gone.local, gone.remote});  // invalidates c
+  closed(gone);
+}
+
+void TcpStack::closed(const Connection& c) {
+  if (journey_) journey_(c.client_role ? c.local : c.remote, "tcp.closed");
+  if (callbacks_.on_closed) callbacks_.on_closed({c.local, c.remote}, c.tag);
 }
 
 void TcpStack::emit(net::SocketAddr from, net::SocketAddr to,
@@ -151,13 +154,12 @@ ConnId TcpStack::connect(net::SocketAddr local, net::SocketAddr remote) {
   c.snd_nxt = next_isn();
   emit(local, remote, net::TcpFlags{.syn = true}, c.snd_nxt, 0);
   c.snd_nxt += 1;  // SYN consumes one sequence number
-  return c.id;
+  return {local, remote};
 }
 
 bool TcpStack::send_message(ConnId id, BytesView message) {
-  auto it = by_id_.find(id);
-  if (it == by_id_.end() || message.size() > kMaxMessage) return false;
-  Connection* c = find(it->second);
+  if (message.size() > kMaxMessage) return false;
+  Connection* c = find(id);
   if (c == nullptr) return false;
   const bool handshake =
       c->state == TcpState::SynSent || c->state == TcpState::SynReceived;
@@ -179,8 +181,7 @@ void TcpStack::flush(Connection& c) {
 }
 
 void TcpStack::deliver(Connection* c, BytesView data) {
-  const ConnKey key{c->local, c->remote};
-  const ConnId id = c->id;
+  const ConnId id{c->local, c->remote};
   Bytes joined;
   if (!c->rx.empty()) {
     // A message began in an earlier segment: continue it with this one.
@@ -197,16 +198,14 @@ void TcpStack::deliver(Connection* c, BytesView data) {
     if (data.empty()) return;
     // The callback may have destroyed the connection or moved the table's
     // storage. occupant() leaves LRU order and the table's counters alone.
-    c = conns_.occupant(key);
-    if (c == nullptr || c->id != id) return;
+    c = conns_.occupant(id);
+    if (c == nullptr) return;
   }
   c->rx.assign(data.begin(), data.end());  // the unfinished message, if any
 }
 
 void TcpStack::close(ConnId id) {
-  auto it = by_id_.find(id);
-  if (it == by_id_.end()) return;
-  Connection* c = find(it->second);
+  Connection* c = find(id);
   if (c == nullptr) return;
   if (c->state == TcpState::Established) {
     emit(c->local, c->remote, net::TcpFlags{.fin = true, .ack = true},
@@ -222,23 +221,21 @@ void TcpStack::close(ConnId id) {
 }
 
 void TcpStack::abort(ConnId id) {
-  auto it = by_id_.find(id);
-  if (it == by_id_.end()) return;
-  Connection* c = find(it->second);
+  Connection* c = find(id);
   if (c == nullptr) return;
   stats_.resets_sent++;
   emit(c->local, c->remote, net::TcpFlags{.rst = true}, c->snd_nxt,
        c->rcv_nxt);
   stats_.connections_aborted++;
-  destroy(*c, /*deliver_closed=*/true);
+  destroy(*c);
 }
 
 bool TcpStack::handle_packet(const net::Packet& packet) {
   if (!packet.is_tcp()) return false;
   stats_.segments_in++;
   const net::TcpHeader& h = packet.tcp();
-  ConnKey key{packet.dst(), packet.src()};
-  Connection* c = find(key);
+  const ConnId id{packet.dst(), packet.src()};
+  Connection* c = find(id);
   SimTime now = clock_();
 
   // --- no existing connection state ---------------------------------------
@@ -303,7 +300,7 @@ bool TcpStack::handle_packet(const net::Packet& packet) {
 
   if (h.flags.rst) {
     stats_.connections_aborted++;
-    destroy(*c, /*deliver_closed=*/true);
+    destroy(*c);
     return true;
   }
 
@@ -343,7 +340,7 @@ bool TcpStack::handle_packet(const net::Packet& packet) {
                c->rcv_nxt);
           deliver(c, BytesView(packet.payload));
           // Callbacks may have closed/aborted the connection.
-          c = find(key);
+          c = find(id);
           if (c == nullptr) return true;
         } else {
           // Out-of-order/duplicate: re-ACK what we expect.
@@ -359,7 +356,7 @@ bool TcpStack::handle_packet(const net::Packet& packet) {
         if (c->state == TcpState::FinWait) {
           // Both directions closed.
           stats_.connections_closed++;
-          destroy(*c, /*deliver_closed=*/true);
+          destroy(*c);
         } else {
           c->state = TcpState::CloseWait;
         }
@@ -369,7 +366,7 @@ bool TcpStack::handle_packet(const net::Packet& packet) {
     case TcpState::LastAck: {
       if (h.flags.ack && h.ack == c->snd_nxt) {
         stats_.connections_closed++;
-        destroy(*c, /*deliver_closed=*/true);
+        destroy(*c);
       }
       return true;
     }
@@ -382,10 +379,10 @@ bool TcpStack::handle_packet(const net::Packet& packet) {
 std::size_t TcpStack::reap(SimDuration max_idle, SimDuration max_lifetime) {
   SimTime now = clock_();
   std::vector<ConnId> victims;
-  conns_.for_each([&](const ConnKey&, const Connection& c) {
+  conns_.for_each([&](const ConnId& id, const Connection& c) {
     bool idle_out = max_idle.ns > 0 && (now - c.last_activity) > max_idle;
     bool life_out = max_lifetime.ns > 0 && (now - c.opened_at) > max_lifetime;
-    if (idle_out || life_out) victims.push_back(c.id);
+    if (idle_out || life_out) victims.push_back(id);
   });
   for (ConnId id : victims) abort(id);
   stats_.connections_reaped += victims.size();
@@ -398,27 +395,18 @@ std::size_t TcpStack::reap(SimDuration max_idle, SimDuration max_lifetime) {
 std::vector<TcpStack::ConnectionInfo> TcpStack::connections() const {
   std::vector<ConnectionInfo> out;
   out.reserve(conns_.size());
-  conns_.for_each([&](const ConnKey&, const Connection& c) {
-    out.push_back(ConnectionInfo{c.id, c.local, c.remote, c.state,
-                                 c.opened_at, c.last_activity});
+  conns_.for_each([&](const ConnId& id, const Connection& c) {
+    out.push_back(
+        ConnectionInfo{id, c.state, c.opened_at, c.last_activity});
   });
   return out;
 }
 
 std::optional<TcpStack::ConnectionInfo> TcpStack::connection(
     ConnId id) const {
-  auto it = by_id_.find(id);
-  if (it == by_id_.end()) return std::nullopt;
-  const Connection* c = conns_.peek(it->second, clock_());
+  const Connection* c = conns_.peek(id, clock_());
   if (c == nullptr) return std::nullopt;
-  return ConnectionInfo{c->id, c->local, c->remote, c->state, c->opened_at,
-                        c->last_activity};
-}
-
-std::optional<net::SocketAddr> TcpStack::remote_of(ConnId id) const {
-  auto info = connection(id);
-  if (!info) return std::nullopt;
-  return info->remote;
+  return ConnectionInfo{id, c->state, c->opened_at, c->last_activity};
 }
 
 }  // namespace dnsguard::tcp

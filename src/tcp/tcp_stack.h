@@ -14,6 +14,12 @@
 // however the stream was segmented. The framing rule lives here and
 // nowhere else.
 //
+// A connection is named by its socket pair (RFC 793 §2.7), the key of the
+// connection table, and carries one 32-bit tag that its owner reads and
+// writes through tag() and gets back in on_closed. Once a connection
+// closes, its pair names any later connection on it, so an owner lets go
+// of a name when on_closed reports it.
+//
 // The stack is transport only: it owns no sockets and charges no CPU. The
 // owning simulation Node feeds packets in via handle_packet() and provides
 // a send function; CPU costs are charged by the node's cost model.
@@ -23,7 +29,6 @@
 #include <functional>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/bounded_table.h"
@@ -36,7 +41,13 @@
 
 namespace dnsguard::tcp {
 
-using ConnId = std::uint64_t;
+/// A connection's name: its socket pair as this stack sees it. ConnId{}
+/// (0.0.0.0:0 on both sides) names no connection.
+struct ConnId {
+  net::SocketAddr local;
+  net::SocketAddr remote;
+  auto operator<=>(const ConnId&) const = default;
+};
 
 enum class TcpState : std::uint8_t {
   SynSent,
@@ -74,8 +85,9 @@ class TcpStack {
     /// One whole DNS message arrived, its length removed. The view is
     /// valid only during the call.
     std::function<void(ConnId, BytesView)> on_message;
-    /// Connection gone (normal close or abort).
-    std::function<void(ConnId)> on_closed;
+    /// Connection gone (normal close, abort or eviction), with the tag it
+    /// carried; tag() of its name is already nullptr.
+    std::function<void(ConnId, std::uint32_t tag)> on_closed;
   };
 
   struct Options {
@@ -97,8 +109,12 @@ class TcpStack {
   /// Accepts connections to this local port.
   void listen(std::uint16_t port);
 
-  /// Initiates a client connection; returns the connection handle.
+  /// Initiates a client connection; returns its name, {local, remote}.
   ConnId connect(net::SocketAddr local, net::SocketAddr remote);
+
+  /// The owner's tag of a live connection (0 until the owner writes it),
+  /// or nullptr. Leaves the table's LRU order and counters alone.
+  [[nodiscard]] std::uint32_t* tag(const ConnId& id);
 
   /// Sends `message` behind its two-byte length as one PSH segment (DNS
   /// messages always fit one segment here). During the handshake the
@@ -144,19 +160,15 @@ class TcpStack {
 
   struct ConnectionInfo {
     ConnId id;
-    net::SocketAddr local;
-    net::SocketAddr remote;
     TcpState state;
     SimTime opened_at;
     SimTime last_activity;
   };
   [[nodiscard]] std::vector<ConnectionInfo> connections() const;
   [[nodiscard]] std::optional<ConnectionInfo> connection(ConnId id) const;
-  [[nodiscard]] std::optional<net::SocketAddr> remote_of(ConnId id) const;
 
  private:
   struct Connection {
-    ConnId id;
     net::SocketAddr local;
     net::SocketAddr remote;
     TcpState state = TcpState::Closed;
@@ -165,6 +177,7 @@ class TcpStack {
     SimTime opened_at;
     SimTime last_activity;
     bool client_role = false;  // we initiated via connect()
+    std::uint32_t tag = 0;     // the owner's, through tag()
     /// The unfinished tail of an incoming message, length included; whole
     /// messages never wait here.
     Bytes rx;
@@ -172,24 +185,21 @@ class TcpStack {
     Bytes tx;
   };
 
-  // Key: (local, remote) — enough because IPs are unique per node here.
-  struct ConnKey {
-    net::SocketAddr local;
-    net::SocketAddr remote;
-    bool operator==(const ConnKey&) const = default;
-  };
-  struct ConnKeyHash {
-    std::size_t operator()(const ConnKey& k) const {
+  struct ConnIdHash {
+    std::size_t operator()(const ConnId& k) const {
       std::size_t h1 = std::hash<net::SocketAddr>{}(k.local);
       std::size_t h2 = std::hash<net::SocketAddr>{}(k.remote);
       return h1 ^ (h2 * 0x9e3779b97f4a7c15ULL);
     }
   };
 
-  Connection* find(const ConnKey& key);
+  Connection* find(const ConnId& id);
   Connection& create(net::SocketAddr local, net::SocketAddr remote,
                      TcpState state);
-  void destroy(Connection& c, bool deliver_closed);
+  void destroy(Connection& c);
+  /// Every close ends here, once `c` has left the table: marks the
+  /// client's journey and hands the owner the connection's tag.
+  void closed(const Connection& c);
   /// Sends the queued framed bytes as one PSH segment, if there are any.
   void flush(Connection& c);
   /// Hands every whole message in `data` to on_message and keeps an
@@ -206,13 +216,8 @@ class TcpStack {
   Options options_;
   SynCookieGenerator syn_cookies_;
 
-  common::BoundedTable<ConnKey, Connection, ConnKeyHash> conns_;
-  // DNSGUARD_LINT_ALLOW(bounded): 1:1 companion index of the bounded
-  // conns_ table above — every insert/erase is paired, so its size is
-  // capped by Options::max_connections transitively
-  std::unordered_map<ConnId, ConnKey> by_id_;
+  common::BoundedTable<ConnId, Connection, ConnIdHash> conns_;
   std::vector<std::uint16_t> listen_ports_;
-  ConnId next_id_ = 1;
   std::uint32_t isn_counter_ = 0x1000;
   TcpStackStats stats_;
   obs::DropCounters* drops_ = nullptr;

@@ -33,7 +33,7 @@ LrsSimulatorNode::LrsSimulatorNode(sim::Simulator& sim, std::string name,
       tcp::TcpStack::Callbacks{
           .on_message = [this](tcp::ConnId id,
                                BytesView m) { on_tcp_message(id, m); },
-          .on_closed = [this](tcp::ConnId id) { conn_to_worker_.erase(id); },
+          .on_closed = {},
       },
       tcp::TcpStack::Options{});
   stats_.bind(this->sim().metrics(), "driver");
@@ -201,9 +201,9 @@ void LrsSimulatorNode::on_timeout(int w, std::uint64_t generation) {
     qid_to_worker_.erase(worker.pending_qid);
     worker.pending_qid = 0;
   }
-  if (worker.conn != 0) {
+  if (worker.conn != tcp::ConnId{}) {
     tcp_->abort(worker.conn);
-    worker.conn = 0;
+    worker.conn = {};
   }
   // A timed-out exchange may mean the learned cookie state went stale
   // (e.g. the guard rotated keys twice): re-learn from scratch.
@@ -423,21 +423,19 @@ void LrsSimulatorNode::start_tcp(int w) {
                            {config_.address.value(), port, 0});
   }
   worker.conn = tcp_->connect({config_.address, port}, config_.target);
-  conn_to_worker_[worker.conn] = w;
+  *tcp_->tag(worker.conn) = static_cast<std::uint32_t>(w);
   tcp_->send_message(worker.conn, BytesView(make_query(qid, qname_).encode()));
 }
 
 void LrsSimulatorNode::on_tcp_message(tcp::ConnId conn, BytesView message) {
-  auto it = conn_to_worker_.find(conn);
-  if (it == conn_to_worker_.end()) return;
-  const int w = it->second;
+  const auto w = static_cast<int>(*tcp_->tag(conn));
   Worker& worker = workers_[static_cast<std::size_t>(w)];
   // One response per connection: any later message on it is ignored.
   if (worker.conn != conn) return;
   auto m = dns::Message::decode(message);
   if (!m || !m->header.qr) return;
   tcp_->close(conn);
-  worker.conn = 0;
+  worker.conn = {};
   advance(w, *m, net::Ipv4Address{});
 }
 

@@ -108,7 +108,7 @@ class LrsSimulatorNode : public sim::Node {
     net::Ipv4Address cookie2_address;
     crypto::Cookie cookie{};
     bool primed = false;
-    tcp::ConnId conn = 0;
+    tcp::ConnId conn;  // ConnId{} while no connection is open
     // Open journey for the in-flight request (first exchange's key).
     obs::JourneyKey jkey{};
     bool jkey_open = false;
@@ -140,7 +140,6 @@ class LrsSimulatorNode : public sim::Node {
   Rng rng_;
   std::vector<Worker> workers_;
   std::unordered_map<std::uint16_t, int> qid_to_worker_;
-  std::unordered_map<tcp::ConnId, int> conn_to_worker_;
   std::unique_ptr<tcp::TcpStack> tcp_;
   DriverStats stats_;
   Percentiles latencies_;

@@ -4,6 +4,7 @@
 // activation threshold (§IV.C) and both rate limiters in situ.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <type_traits>
@@ -538,6 +539,35 @@ TEST(TcpScheme, UnsendableProxyRepliesAreDroppedNotRelayed) {
   bed.sim.run_for(milliseconds(10));
   EXPECT_EQ(bed.guard->proxy_connections(), 0u);
   EXPECT_EQ(bed.guard->nat_entries(), 0u);
+}
+
+TEST(TcpScheme, ProxyDropsEndTheirJourneyAtTheGuard) {
+  // RL2 lets the driver's address through once, so the guard drops every
+  // later proxied query. Each such query's journey ends at the guard, as a
+  // dropped UDP query's does, not at the driver's timeout.
+  GuardBed bed(Scheme::TcpRedirect, DriveMode::TcpDirect, 4, 0.0,
+               [](RemoteGuardNode::Config& gc) {
+                 gc.rl2.per_host_rate = 1;
+                 gc.rl2.per_host_burst = 1;
+               });
+  bed.sim.journeys().enable();
+  bed.run(milliseconds(5));
+  const std::uint64_t throttled =
+      bed.guard->drop_counters().value(obs::DropReason::kRateLimited2);
+  ASSERT_GT(throttled, 0u);
+  std::uint64_t ended_at_guard = 0;
+  for (const auto& j : bed.sim.journeys().completed()) {
+    const auto* first = j.events.data();
+    const auto* last = first + j.n_events;
+    const bool proxied =
+        std::any_of(first, last, [](const obs::JourneyTracker::Event& e) {
+          return e.stage == "guard.proxy_query";
+        });
+    if (proxied && first != last && last[-1].stage == "guard.drop" && !j.ok) {
+      ++ended_at_guard;
+    }
+  }
+  EXPECT_EQ(ended_at_guard, throttled);
 }
 
 TEST(ModifiedScheme, CookieExchangeThenQuery) {

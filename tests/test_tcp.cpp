@@ -5,6 +5,7 @@
 // drains manually (to model loss).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
 
 #include "tcp/tcp_stack.h"
@@ -24,7 +25,8 @@ struct Harness {
   std::unique_ptr<TcpStack> server;
 
   std::vector<std::pair<ConnId, Bytes>> client_messages, server_messages;
-  std::vector<ConnId> client_closed, server_closed;
+  /// Each close: the connection's name and the tag it carried.
+  std::vector<std::pair<ConnId, std::uint32_t>> client_closed, server_closed;
   /// Runs after each server message is recorded.
   std::function<void(ConnId)> on_server_message;
 
@@ -36,7 +38,9 @@ struct Harness {
             [this](ConnId c, BytesView m) {
               client_messages.emplace_back(c, Bytes(m.begin(), m.end()));
             },
-            [this](ConnId c) { client_closed.push_back(c); }},
+            [this](ConnId c, std::uint32_t tag) {
+              client_closed.emplace_back(c, tag);
+            }},
         TcpStack::Options{});
     server = std::make_unique<TcpStack>(
         [this](Packet p) { wire_to_client.push_back(std::move(p)); },
@@ -46,7 +50,9 @@ struct Harness {
               server_messages.emplace_back(c, Bytes(m.begin(), m.end()));
               if (on_server_message) on_server_message(c);
             },
-            [this](ConnId c) { server_closed.push_back(c); }},
+            [this](ConnId c, std::uint32_t tag) {
+              server_closed.emplace_back(c, tag);
+            }},
         TcpStack::Options{.syn_cookies = syn_cookies});
     server->listen(53);
   }
@@ -55,7 +61,7 @@ struct Harness {
   [[nodiscard]] ConnId server_conn() const {
     const auto conns = server->connections();
     EXPECT_EQ(conns.size(), 1u);
-    return conns.empty() ? 0 : conns[0].id;
+    return conns.empty() ? ConnId{} : conns[0].id;
   }
   [[nodiscard]] static bool established(const TcpStack& stack, ConnId c) {
     const auto info = stack.connection(c);
@@ -100,7 +106,7 @@ TEST(TcpHandshake, SynToClosedPortGetsRst) {
   h.pump();
   EXPECT_FALSE(h.client->connection(c).has_value());
   EXPECT_EQ(h.client_closed.size(), 1u);
-  EXPECT_EQ(h.client_closed[0], c);
+  EXPECT_EQ(h.client_closed[0].first, c);
   EXPECT_EQ(h.client->connection_count(), 0u);
 }
 
@@ -386,6 +392,82 @@ TEST(TcpFraming, CallbackThatAbortsStopsDelivery) {
   ASSERT_EQ(h.server_messages.size(), 1u);
   EXPECT_EQ(h.server_messages[0].second, (Bytes{'a'}));
   EXPECT_EQ(h.server->connection_count(), 0u);
+}
+
+TEST(TcpIdentity, TagRidesTheConnectionToItsClose) {
+  Harness h;
+  const ConnId c =
+      h.client->connect(Harness::client_addr(), Harness::server_addr());
+  EXPECT_EQ(c, (ConnId{Harness::client_addr(), Harness::server_addr()}));
+  h.pump();
+  const ConnId sc = h.server_conn();
+  EXPECT_EQ(sc, (ConnId{Harness::server_addr(), Harness::client_addr()}));
+  ASSERT_NE(h.server->tag(sc), nullptr);
+  EXPECT_EQ(*h.server->tag(sc), 0u) << "an accepted connection starts at 0";
+  *h.server->tag(sc) = 0xfeed;
+  h.client->abort(c);
+  h.pump();
+  ASSERT_EQ(h.server_closed.size(), 1u);
+  EXPECT_EQ(h.server_closed[0].first, sc);
+  EXPECT_EQ(h.server_closed[0].second, 0xfeedu);
+  EXPECT_EQ(h.server->tag(sc), nullptr);
+  EXPECT_EQ(h.client->tag(c), nullptr);
+}
+
+TEST(TcpIdentity, ReconnectOnTheSamePairNamesTheNewConnection) {
+  Harness h;
+  const ConnId first =
+      h.client->connect(Harness::client_addr(), Harness::server_addr());
+  h.pump();
+  h.client->close(first);
+  h.pump();
+  h.server->close(h.server_conn());
+  h.pump();
+  ASSERT_EQ(h.client->connection_count(), 0u);
+  ASSERT_EQ(h.server_closed.size(), 1u);
+
+  const ConnId second =
+      h.client->connect(Harness::client_addr(), Harness::server_addr());
+  EXPECT_EQ(second, first);
+  h.pump();
+  EXPECT_TRUE(Harness::established(*h.client, second));
+  ASSERT_TRUE(h.client->send_message(second, BytesView(Bytes{'r'})));
+  h.pump();
+  ASSERT_EQ(h.server_messages.size(), 1u);
+  EXPECT_EQ(h.server_messages[0].second, (Bytes{'r'}));
+  EXPECT_EQ(h.server_closed.size(), 1u)
+      << "the new connection is open; only the first one closed";
+}
+
+TEST(TcpIdentity, EvictionEndsLikeEveryOtherClose) {
+  // A one-connection table: the second connect() evicts the first, which
+  // must close as any other close does, tag and journey mark included.
+  std::vector<std::pair<ConnId, std::uint32_t>> closed;
+  std::vector<std::pair<SocketAddr, std::string_view>> marks;
+  TcpStack stack([](Packet) {}, [] { return SimTime{}; },
+                 TcpStack::Callbacks{
+                     .on_message = {},
+                     .on_closed =
+                         [&closed](ConnId c, std::uint32_t tag) {
+                           closed.emplace_back(c, tag);
+                         }},
+                 TcpStack::Options{.max_connections = 1});
+  stack.set_journey_fn([&marks](SocketAddr client, std::string_view stage) {
+    marks.emplace_back(client, stage);
+  });
+  const SocketAddr a{Ipv4Address(10, 0, 0, 2), 4001};
+  const SocketAddr b{Ipv4Address(10, 0, 0, 2), 4002};
+  const ConnId first = stack.connect(a, Harness::server_addr());
+  *stack.tag(first) = 7;
+  const ConnId second = stack.connect(b, Harness::server_addr());
+  EXPECT_EQ(stack.stats().connections_evicted, 1u);
+  EXPECT_EQ(stack.tag(first), nullptr);
+  EXPECT_NE(stack.tag(second), nullptr);
+  ASSERT_EQ(closed.size(), 1u);
+  EXPECT_EQ(closed[0].first, first);
+  EXPECT_EQ(closed[0].second, 7u);
+  const std::pair<SocketAddr, std::string_view> closed_mark{a, "tcp.closed"};
+  EXPECT_EQ(std::count(marks.begin(), marks.end(), closed_mark), 1);
 }
 
 }  // namespace

@@ -786,8 +786,8 @@ def check_shard_isolation(sources, frontend=None):
       1. declaration-level: per-source state types (BoundedTable, the
          *Limiter classes) declared outside the Shard struct are findings
          — shared mutable state the sharded batch path could touch. The
-         shardsafe annotation marks deliberately global members (the TCP
-         proxy's ConnId-keyed NAT-head table, a cookie key schedule).
+         shardsafe annotation marks deliberately global members (an
+         aggregate ceiling limiter, a cookie key schedule).
       2. batch-path dataflow: BFS over the unit's call graph from the
          batch roots (process / serve_lane / on_batch_begin); any function
          reached may not index `shards_` with a hard-coded constant —
