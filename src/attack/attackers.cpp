@@ -10,8 +10,16 @@ FloodNodeBase::FloodNodeBase(sim::Simulator& sim, std::string name,
                              Config config)
     : sim::Node(sim, std::move(name)),
       config_(std::move(config)),
+      qname_(dns::DomainName::parse(config_.qname_base)
+                 .value_or(dns::DomainName{})),
       rng_(config_.seed) {
   set_profile_stage(obs::prof::Stage::kAttackService);
+}
+
+dns::Message& FloodNodeBase::make_query(std::uint16_t id,
+                                        const dns::DomainName& qname) {
+  query_.set_query(id, qname, dns::RrType::A, false);
+  return query_;
 }
 
 void FloodNodeBase::start() {
@@ -44,10 +52,7 @@ net::Packet SpoofedFloodNode::next_packet() {
   net::Ipv4Address src(
       spoof_.spoof_base.value() +
       static_cast<std::uint32_t>(rng_.bounded(spoof_.spoof_range)));
-  dns::Message q = dns::Message::query(
-      static_cast<std::uint16_t>(rng_.next()),
-      dns::DomainName::parse(config_.qname_base).value_or(dns::DomainName{}),
-      dns::RrType::A, false);
+  dns::Message& q = make_query(static_cast<std::uint16_t>(rng_.next()), qname_);
   if (spoof_.random_txt_cookie) {
     crypto::Cookie c;
     for (auto& b : c) b = static_cast<std::uint8_t>(rng_.next());
@@ -63,10 +68,7 @@ net::Packet PrefixHopFloodNode::next_packet() {
       hop_.prefix_base.value() + hop * hop_.prefix_span +
       static_cast<std::uint32_t>(
           rng_.bounded(hop_.prefix_span == 0 ? 1 : hop_.prefix_span)));
-  dns::Message q = dns::Message::query(
-      static_cast<std::uint16_t>(rng_.next()),
-      dns::DomainName::parse(config_.qname_base).value_or(dns::DomainName{}),
-      dns::RrType::A, false);
+  dns::Message& q = make_query(static_cast<std::uint16_t>(rng_.next()), qname_);
   if (hop_.random_txt_cookie) {
     crypto::Cookie c;
     for (auto& b : c) b = static_cast<std::uint8_t>(rng_.next());
@@ -85,13 +87,9 @@ net::Packet CookieGuessNode::next_packet() {
       std::uint32_t y =
           static_cast<std::uint32_t>(rng_.bounded(guess_.r_y));
       net::Ipv4Address dst(guess_.subnet_base.value() + 1 + y);
-      dns::Message q = dns::Message::query(
-          id,
-          dns::DomainName::parse(config_.qname_base)
-              .value_or(dns::DomainName{}),
-          dns::RrType::A, false);
       return net::Packet::make_udp({guess_.victim, 33000},
-                                   {dst, net::kDnsPort}, q.encode_pooled());
+                                   {dst, net::kDnsPort},
+                                   make_query(id, qname_).encode_pooled());
     }
     case Mode::NsNameLabel: {
       // Random hex cookie label under the protected zone.
@@ -104,17 +102,12 @@ net::Packet CookieGuessNode::next_packet() {
       std::string label = std::string(guard::kCookieLabelPrefix) +
                           hex_encode(BytesView(raw, 4)) + "com";
       auto qname = guess_.zone.with_prefix_label(label);
-      dns::Message q = dns::Message::query(
-          id, qname.value_or(dns::DomainName{}), dns::RrType::A, false);
-      return net::Packet::make_udp({guess_.victim, 33000}, config_.target,
-                                   q.encode_pooled());
+      return net::Packet::make_udp(
+          {guess_.victim, 33000}, config_.target,
+          make_query(id, qname.value_or(dns::DomainName{})).encode_pooled());
     }
     case Mode::TxtCookie: {
-      dns::Message q = dns::Message::query(
-          id,
-          dns::DomainName::parse(config_.qname_base)
-              .value_or(dns::DomainName{}),
-          dns::RrType::A, false);
+      dns::Message& q = make_query(id, qname_);
       crypto::Cookie c;
       for (auto& b : c) b = static_cast<std::uint8_t>(rng_.next());
       guard::CookieEngine::attach_txt_cookie(q, c, 0);
@@ -127,12 +120,9 @@ net::Packet CookieGuessNode::next_packet() {
 }
 
 net::Packet ZombieFloodNode::next_packet() {
-  dns::Message q = dns::Message::query(
-      static_cast<std::uint16_t>(rng_.next()),
-      dns::DomainName::parse(config_.qname_base).value_or(dns::DomainName{}),
-      dns::RrType::A, false);
+  const auto id = static_cast<std::uint16_t>(rng_.next());
   return net::Packet::make_udp({config_.own_address, 33000}, config_.target,
-                               q.encode_pooled());
+                               make_query(id, qname_).encode_pooled());
 }
 
 }  // namespace dnsguard::attack

@@ -52,9 +52,15 @@ class FloodNodeBase : public sim::Node {
 
   SimDuration process(const net::Packet& packet) override;
 
+  /// Builds an A query for `qname` in query_, which keeps its storage
+  /// across packets.
+  dns::Message& make_query(std::uint16_t id, const dns::DomainName& qname);
+
   Config config_;
+  dns::DomainName qname_;  // config_.qname_base, parsed once
   Rng rng_;
   FloodStats stats_;
+  dns::Message query_;
 
  private:
   void tick();

@@ -1,27 +1,22 @@
 #include "common/hex.h"
 
-#include <cctype>
-
 namespace dnsguard {
-namespace {
 
-constexpr char kDigits[] = "0123456789abcdef";
-
-int nibble(char c) {
+int hex_value(char c) {
   if (c >= '0' && c <= '9') return c - '0';
   if (c >= 'a' && c <= 'f') return c - 'a' + 10;
   if (c >= 'A' && c <= 'F') return c - 'A' + 10;
   return -1;
 }
 
-}  // namespace
+char hex_digit(unsigned v) { return "0123456789abcdef"[v & 0x0f]; }
 
 std::string hex_encode(BytesView data) {
   std::string out;
   out.reserve(data.size() * 2);
   for (std::uint8_t b : data) {
-    out.push_back(kDigits[b >> 4]);
-    out.push_back(kDigits[b & 0x0f]);
+    out.push_back(hex_digit(b >> 4));
+    out.push_back(hex_digit(b));
   }
   return out;
 }
@@ -31,8 +26,8 @@ std::optional<Bytes> hex_decode(std::string_view hex) {
   Bytes out;
   out.reserve(hex.size() / 2);
   for (std::size_t i = 0; i < hex.size(); i += 2) {
-    int hi = nibble(hex[i]);
-    int lo = nibble(hex[i + 1]);
+    int hi = hex_value(hex[i]);
+    int lo = hex_value(hex[i + 1]);
     if (hi < 0 || lo < 0) return std::nullopt;
     out.push_back(static_cast<std::uint8_t>(hi << 4 | lo));
   }
@@ -41,7 +36,7 @@ std::optional<Bytes> hex_decode(std::string_view hex) {
 
 bool is_hex(std::string_view s) {
   for (char c : s) {
-    if (nibble(c) < 0) return false;
+    if (hex_value(c) < 0) return false;
   }
   return true;
 }

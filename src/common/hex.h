@@ -13,6 +13,12 @@
 
 namespace dnsguard {
 
+/// The value of one hex digit, either case; -1 if `c` is not one.
+[[nodiscard]] int hex_value(char c);
+
+/// The lowercase hex digit for the low 4 bits of `v`.
+[[nodiscard]] char hex_digit(unsigned v);
+
 /// Encodes bytes as lowercase hex ("0..9a..f"), 2 chars per byte.
 [[nodiscard]] std::string hex_encode(BytesView data);
 

@@ -8,16 +8,19 @@
 //    exit, so steady-state oversized captures cost a pointer pop/push.
 //
 //  - BufferPool: recycles `Bytes` payload buffers. A packet's payload is
-//    allocated when a DNS message is serialized and freed when the packet
-//    is consumed at its destination node; routing them through the pool
-//    turns that into capacity reuse. Node::serve_lane() returns consumed
-//    payloads and the guard/DNS encode paths draw from it.
+//    drawn from the pool when a DNS message is serialized (or a relayed
+//    packet copied) and goes back when the packet ends: consumed by its
+//    destination node (Node::serve_lane), or discarded by the simulator
+//    (no route, in-flight loss, a full receive queue). Every buffer the
+//    pool hands out or keeps holds at least kDefaultReserve (512) bytes,
+//    a whole UDP DNS message, so no encode into a pooled buffer grows it.
 //
 // Everything here is single-threaded by design (the discrete-event
 // simulator owns one thread); pools are thread_local so independent
 // simulators in test processes never contend or cross-free.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -143,13 +146,15 @@ inline void slab_free(void* p, std::size_t size, std::size_t align) {
 
 /// Recycles Bytes buffers: acquire() pops a warmed buffer (cleared, capacity
 /// intact), release() pushes one back. The pool is bounded so a burst never
-/// pins unbounded memory.
+/// pins unbounded memory, and it keeps only buffers of at least
+/// kDefaultReserve bytes, so a hint up to that size never grows one.
 class BufferPool {
  public:
   static constexpr std::size_t kMaxPooled = 1024;
   static constexpr std::size_t kDefaultReserve = 512;
 
-  /// A cleared buffer with at least `reserve_hint` capacity.
+  /// A cleared buffer with at least `reserve_hint` (and at least
+  /// kDefaultReserve) bytes of capacity.
   [[nodiscard]] Bytes acquire(std::size_t reserve_hint = kDefaultReserve) {
     if (!free_.empty()) {
       Bytes b = std::move(free_.back());
@@ -161,14 +166,15 @@ class BufferPool {
     }
     misses_++;
     Bytes b;
-    b.reserve(reserve_hint);
+    b.reserve(std::max(reserve_hint, kDefaultReserve));
     return b;
   }
 
-  /// Returns a buffer to the pool. Tiny or empty buffers are not worth
-  /// keeping; past the cap the buffer just frees normally.
+  /// Returns a buffer to the pool. One smaller than kDefaultReserve is
+  /// not kept (an encode would have to grow it); past the cap the buffer
+  /// just frees normally.
   void release(Bytes&& b) {
-    if (b.capacity() == 0 || free_.size() >= kMaxPooled) return;
+    if (b.capacity() < kDefaultReserve || free_.size() >= kMaxPooled) return;
     // DNSGUARD_LINT_ALLOW(alloc): free-list push reuses capacity after
     // warmup (bounded by kMaxPooled); this is the recycling that keeps
     // the rest of the hot path allocation-free

@@ -36,6 +36,8 @@ class Percentiles {
     samples_.push_back(x);
     sorted_ = false;
   }
+  /// Makes room for `n` samples, so adding them does not allocate.
+  void reserve(std::size_t n) { samples_.reserve(n); }
 
   /// p in [0, 100]. Returns 0 when empty.
   [[nodiscard]] double percentile(double p);

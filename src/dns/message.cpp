@@ -126,22 +126,38 @@ std::optional<Message> Message::decode(BytesView wire) {
   return m;
 }
 
+void Message::set_query(std::uint16_t id, const DomainName& qname,
+                        RrType qtype, bool recursion_desired) {
+  header = Header{.id = id, .rd = recursion_desired};
+  questions.clear();
+  questions.push_back(Question{qname, qtype, RrClass::IN});
+  answers.clear();
+  authority.clear();
+  additional.clear();
+}
+
+void Message::become_response() {
+  header = Header{.id = header.id,
+                  .qr = true,
+                  .opcode = header.opcode,
+                  .rd = header.rd};
+  answers.clear();
+  authority.clear();
+  additional.clear();
+}
+
 Message Message::query(std::uint16_t id, DomainName qname, RrType qtype,
                        bool recursion_desired) {
   Message m;
-  m.header.id = id;
-  m.header.rd = recursion_desired;
-  m.questions.push_back(Question{std::move(qname), qtype, RrClass::IN});
+  m.set_query(id, qname, qtype, recursion_desired);
   return m;
 }
 
 Message Message::response_to(const Message& request) {
   Message m;
-  m.header.id = request.header.id;
-  m.header.qr = true;
-  m.header.opcode = request.header.opcode;
-  m.header.rd = request.header.rd;
+  m.header = request.header;
   m.questions = request.questions;
+  m.become_response();
   return m;
 }
 

@@ -4,6 +4,15 @@
 // The paper's evaluation is sensitive to message *sizes* (truncation at
 // 512 bytes triggers the TCP-based scheme; amplification ratios compare
 // response to request bytes), so encode() is byte-exact RFC 1035 format.
+//
+// Packet paths keep their messages across packets: a node decodes each
+// packet into one member message (decode_into) and builds what it sends
+// in place, either in that same message (become_response turns a decoded
+// query into the start of its reply) or in a second member message
+// (set_query). Records hold all their data inline (dns/records.h), so once
+// a message's sections have grown to the traffic's shape, none of this
+// allocates. query(), response_to() and decode() build fresh messages for
+// tests and cold paths.
 #pragma once
 
 #include <cstdint>
@@ -73,17 +82,26 @@ struct Message {
   [[nodiscard]] Bytes encode_pooled() const;
   /// Decodes `wire` into `out`, reusing the capacity of its section
   /// vectors: a message decoded into again and again stops allocating once
-  /// the sections have grown to the traffic's shape (TXT strings and raw
-  /// RDATA still allocate). A section's storage is kept only up to 64
-  /// entries. Returns false on malformed input, leaving `out` unspecified.
+  /// the sections have grown to the traffic's shape. A section's storage
+  /// is kept only up to 64 entries. Returns false on malformed input,
+  /// leaving `out` unspecified.
   [[nodiscard]] static bool decode_into(BytesView wire, Message& out);
   [[nodiscard]] static std::optional<Message> decode(BytesView wire);
 
-  /// Builds a standard query (one question, RD set for stub->LRS usage).
+  /// Makes this message a standard query (one question, no records),
+  /// keeping the sections' capacity.
+  void set_query(std::uint16_t id, const DomainName& qname, RrType qtype,
+                 bool recursion_desired);
+  /// Turns a decoded query into the start of its response, in place:
+  /// keeps id, opcode, RD and the questions, sets QR, clears every other
+  /// flag and the three record sections (their capacity stays).
+  void become_response();
+
+  /// A fresh standard query (one question, RD set for stub->LRS usage).
   [[nodiscard]] static Message query(std::uint16_t id, DomainName qname,
                                      RrType qtype, bool recursion_desired);
 
-  /// Starts a response to `request`: copies id/opcode/question, sets QR.
+  /// A fresh response to `request`: copies id/opcode/question, sets QR.
   [[nodiscard]] static Message response_to(const Message& request);
 
   [[nodiscard]] const Question* question() const {

@@ -1,8 +1,55 @@
 #include "dns/records.h"
 
+#include <algorithm>
 #include <cstdio>
 
 namespace dnsguard::dns {
+
+bool RdataBytes::assign(BytesView b) {
+  if (b.size() > kCapacity) return false;
+  std::copy(b.begin(), b.end(), data_.begin());
+  size_ = static_cast<std::uint16_t>(b.size());
+  return true;
+}
+
+bool RdataBytes::append(BytesView b) {
+  if (b.size() > kCapacity - size_) return false;
+  std::copy(b.begin(), b.end(), data_.begin() + size_);
+  size_ = static_cast<std::uint16_t>(size_ + b.size());
+  return true;
+}
+
+bool RdataBytes::operator==(const RdataBytes& other) const {
+  return std::ranges::equal(bytes(), other.bytes());
+}
+
+bool TxtRdata::append(BytesView s) {
+  if (s.size() > kMaxString ||
+      1 + s.size() > RdataBytes::kCapacity - wire.size()) {
+    return false;
+  }
+  const auto len = static_cast<std::uint8_t>(s.size());
+  return wire.append(BytesView(&len, 1)) && wire.append(s);
+}
+
+// The wire form is well formed when append() or decode built it; a string
+// whose length byte overruns the buffer anyway is cut at its end.
+std::size_t TxtRdata::string_count() const {
+  const BytesView b = bytes();
+  std::size_t n = 0;
+  for (std::size_t at = 0; at < b.size(); at += 1u + b[at]) ++n;
+  return n;
+}
+
+BytesView TxtRdata::string(std::size_t i) const {
+  const BytesView b = bytes();
+  for (std::size_t at = 0; at < b.size(); at += 1u + b[at]) {
+    if (i-- == 0) {
+      return b.subspan(at + 1, std::min<std::size_t>(b[at], b.size() - at - 1));
+    }
+  }
+  return {};
+}
 
 std::string rr_type_name(RrType t) {
   switch (t) {
@@ -79,14 +126,11 @@ void ResourceRecord::encode(ByteWriter& w, NameCompressor& compressor) const {
           w.u32(rd.expire);
           w.u32(rd.minimum);
         } else if constexpr (std::is_same_v<T, TxtRdata>) {
-          for (const auto& s : rd.strings) {
-            w.u8(static_cast<std::uint8_t>(s.size()));
-            w.raw(BytesView(s));
-          }
+          w.raw(rd.bytes());
         } else if constexpr (std::is_same_v<T, OptRdata>) {
           // No options carried.
         } else if constexpr (std::is_same_v<T, RawRdata>) {
-          w.raw(BytesView(rd.data));
+          w.raw(rd.data.bytes());
         }
       },
       rdata);
@@ -133,12 +177,15 @@ bool ResourceRecord::decode_into(Cursor& c, ResourceRecord& rr) {
       break;
     }
     case RrType::TXT: {
-      auto& txt = rr.rdata.emplace<TxtRdata>();
-      while (!c.at_limit()) {
-        std::uint8_t len = c.u8();
-        BytesView s = c.raw(len);
-        if (!c.ok()) return false;
-        txt.strings.emplace_back(s.begin(), s.end());
+      // The strings are kept in their wire form: check that every length
+      // byte stays inside the RDATA, then copy the RDATA whole.
+      if (rdlength > RdataBytes::kCapacity) return false;
+      const Cursor::Mark start = c.mark();
+      while (c.ok() && !c.at_limit()) c.skip(c.u8());
+      if (!c.ok()) return false;
+      c.resume(start);
+      if (!rr.rdata.emplace<TxtRdata>().wire.assign(c.raw(rdlength))) {
+        return false;
       }
       break;
     }
@@ -153,7 +200,9 @@ bool ResourceRecord::decode_into(Cursor& c, ResourceRecord& rr) {
     default: {
       BytesView raw = c.raw(rdlength);
       if (!c.ok()) return false;
-      rr.rdata = RawRdata{type, Bytes(raw.begin(), raw.end())};
+      auto& rd = rr.rdata.emplace<RawRdata>();
+      rd.type = type;
+      if (!rd.data.assign(raw)) return false;
       break;
     }
   }
@@ -180,7 +229,7 @@ std::string ResourceRecord::to_string() const {
                  std::to_string(rd.serial);
         } else if constexpr (std::is_same_v<T, TxtRdata>) {
           out += '(';
-          out += std::to_string(rd.strings.size());
+          out += std::to_string(rd.string_count());
           out += " strings)";
         } else if constexpr (std::is_same_v<T, OptRdata>) {
           out += "udp=" + std::to_string(rd.udp_payload_size);

@@ -10,12 +10,19 @@
 //           record in the additional section (Fig. 3(b))
 //   OPT   — EDNS0 presence detection (for message-size negotiation)
 // plus a raw fallback so unknown types round-trip unharmed.
+//
+// Every RDATA type is held inline, so a record never touches the heap:
+// names in their wire form (dns/name.h), TXT and unknown-type RDATA as
+// their wire bytes in a fixed 512-byte buffer (RdataBytes). The buffer
+// fits in the space SoaRdata's two names already give the variant, so
+// sizeof(ResourceRecord) stays 816 bytes. RDATA longer than the buffer
+// fails decode; a UDP message of at most 512 bytes cannot carry any.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <variant>
-#include <vector>
 
 #include "common/bytes.h"
 #include "dns/name.h"
@@ -66,17 +73,58 @@ struct SoaRdata {
   bool operator==(const SoaRdata&) const = default;
 };
 
-/// TXT carries one or more <character-string>s, each ≤ 255 bytes.
+/// RDATA bytes held inline: at most kCapacity bytes, no heap. Only the
+/// used bytes are ever read, so the user-provided default constructors
+/// here and in the two types that hold one leave the buffer uninitialized:
+/// emplacing a TXT record does not zero 512 bytes.
+class RdataBytes {
+ public:
+  static constexpr std::size_t kCapacity = 512;
+
+  RdataBytes() {}
+
+  [[nodiscard]] BytesView bytes() const { return {data_.data(), size_}; }
+  [[nodiscard]] std::size_t size() const { return size_; }
+
+  /// Replaces the contents; false (contents unchanged) past capacity.
+  bool assign(BytesView b);
+  /// Appends `b`; false (contents unchanged) past capacity.
+  bool append(BytesView b);
+
+  bool operator==(const RdataBytes& other) const;
+
+ private:
+  std::array<std::uint8_t, kCapacity> data_;
+  std::uint16_t size_ = 0;
+};
+
+/// TXT carries one or more <character-string>s, each <= 255 bytes, held
+/// in their wire form: each string's length byte followed by its bytes.
 struct TxtRdata {
-  std::vector<Bytes> strings;
+  static constexpr std::size_t kMaxString = 255;
+
+  TxtRdata() {}
+
+  /// Appends one character-string; false (record unchanged) if it is
+  /// longer than 255 bytes or would overflow the 512-byte buffer.
+  bool append(BytesView s);
+  [[nodiscard]] std::size_t string_count() const;
+  /// The first string; empty if there is none.
+  [[nodiscard]] BytesView front() const { return string(0); }
+  /// The i-th string; empty if there are not that many.
+  [[nodiscard]] BytesView string(std::size_t i) const;
+  /// The wire form (the whole RDATA).
+  [[nodiscard]] BytesView bytes() const { return wire.bytes(); }
 
   /// Single binary string convenience (the cookie payload).
   [[nodiscard]] static TxtRdata single(BytesView data) {
     TxtRdata t;
-    t.strings.emplace_back(data.begin(), data.end());
+    t.append(data);
     return t;
   }
   bool operator==(const TxtRdata&) const = default;
+
+  RdataBytes wire;
 };
 
 struct OptRdata {
@@ -84,9 +132,20 @@ struct OptRdata {
   bool operator==(const OptRdata&) const = default;
 };
 
+/// RDATA of a type this codec does not interpret, kept as its bytes.
 struct RawRdata {
+  RawRdata() {}
+
   std::uint16_t type = 0;
-  Bytes data;
+  RdataBytes data;
+
+  /// Unknown-type RDATA holding `bytes`, which must fit the buffer.
+  [[nodiscard]] static RawRdata of(std::uint16_t type, BytesView bytes) {
+    RawRdata r;
+    r.type = type;
+    r.data.assign(bytes);
+    return r;
+  }
   bool operator==(const RawRdata&) const = default;
 };
 
@@ -116,13 +175,18 @@ struct ResourceRecord {
   /// the compressor; names inside RDATA are written uncompressed so RDATA
   /// lengths are context-independent.
   void encode(ByteWriter& w, NameCompressor& compressor) const;
-  /// Decodes the record at the cursor into `out`, reading its names
-  /// straight into place. Returns false on malformation, leaving `out`
+  /// Decodes the record at the cursor into `out`, reading its names and
+  /// RDATA straight into place. Returns false on malformation, and on TXT
+  /// or unknown-type RDATA longer than 512 bytes, leaving `out`
   /// unspecified.
   [[nodiscard]] static bool decode_into(Cursor& c, ResourceRecord& out);
 
   [[nodiscard]] std::string to_string() const;
   bool operator==(const ResourceRecord&) const = default;
 };
+
+// SoaRdata's two names set the variant's size; the inline RDATA buffers
+// must fit under it.
+static_assert(sizeof(ResourceRecord) <= 816);
 
 }  // namespace dnsguard::dns

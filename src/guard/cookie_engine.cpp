@@ -1,48 +1,43 @@
 #include "guard/cookie_engine.h"
 
+#include <algorithm>
+
 #include "common/hex.h"
 
 namespace dnsguard::guard {
 
-std::optional<std::string> CookieEngine::make_cookie_label(
+std::optional<CookieEngine::CookieLabel> CookieEngine::make_cookie_label(
     net::Ipv4Address requester, std::string_view restore_label) const {
   DNSGUARD_PROF_SCOPE(obs::prof::Stage::kGuardMint);
-  crypto::Cookie c = mint(requester);
-  std::uint32_t prefix = crypto::cookie_prefix32(c);
-  std::uint8_t be[4] = {
-      static_cast<std::uint8_t>(prefix >> 24),
-      static_cast<std::uint8_t>(prefix >> 16),
-      static_cast<std::uint8_t>(prefix >> 8),
-      static_cast<std::uint8_t>(prefix)};
-  std::string label(kCookieLabelPrefix);
-  label += hex_encode(BytesView(be, 4));
-  label += restore_label;
-  if (label.size() > dns::kMaxLabelLength) return std::nullopt;
+  const std::uint32_t prefix = crypto::cookie_prefix32(mint(requester));
+  const std::size_t len =
+      kCookieLabelPrefix.size() + kCookieHexChars + restore_label.size();
+  if (len > dns::kMaxLabelLength) return std::nullopt;
+  CookieLabel label;
+  auto out = std::copy(kCookieLabelPrefix.begin(), kCookieLabelPrefix.end(),
+                       label.buf_.begin());
+  for (int shift = 28; shift >= 0; shift -= 4) {
+    *out++ = hex_digit(prefix >> shift);
+  }
+  std::copy(restore_label.begin(), restore_label.end(), out);
+  label.len_ = static_cast<std::uint8_t>(len);
   return label;
 }
 
 std::optional<CookieEngine::ParsedLabel> CookieEngine::parse_cookie_label(
     std::string_view label) {
-  if (label.size() < kCookieLabelPrefix.size() + kCookieHexChars) {
+  if (label.size() < kCookieLabelPrefix.size() + kCookieHexChars ||
+      !label.starts_with(kCookieLabelPrefix)) {
     return std::nullopt;
   }
-  if (label.substr(0, kCookieLabelPrefix.size()) != kCookieLabelPrefix) {
-    return std::nullopt;
+  std::uint32_t prefix = 0;
+  for (std::size_t i = 0; i < kCookieHexChars; ++i) {
+    const int v = hex_value(label[kCookieLabelPrefix.size() + i]);
+    if (v < 0) return std::nullopt;
+    prefix = prefix << 4 | static_cast<std::uint32_t>(v);
   }
-  std::string_view hex =
-      label.substr(kCookieLabelPrefix.size(), kCookieHexChars);
-  if (!is_hex(hex)) return std::nullopt;
-  auto bytes = hex_decode(hex);
-  if (!bytes || bytes->size() != 4) return std::nullopt;
-  std::uint32_t prefix = (static_cast<std::uint32_t>((*bytes)[0]) << 24) |
-                         (static_cast<std::uint32_t>((*bytes)[1]) << 16) |
-                         (static_cast<std::uint32_t>((*bytes)[2]) << 8) |
-                         static_cast<std::uint32_t>((*bytes)[3]);
-  ParsedLabel out;
-  out.cookie_prefix = prefix;
-  out.restore_label =
-      std::string(label.substr(kCookieLabelPrefix.size() + kCookieHexChars));
-  return out;
+  label.remove_prefix(kCookieLabelPrefix.size() + kCookieHexChars);
+  return ParsedLabel{prefix, label};
 }
 
 // Mint and verify must agree on the divisor: a config with r_y == 0 still
@@ -109,14 +104,27 @@ crypto::VerifyResult CookieEngine::verify_cookie_address_ex(
   return {false, false, false};
 }
 
+namespace {
+
+/// A root-owned TXT record whose first string is 16 bytes: the modified-DNS
+/// cookie; nullptr for any other record.
+const dns::TxtRdata* cookie_txt(const dns::ResourceRecord& rr) {
+  if (rr.type != dns::RrType::TXT || !rr.name.is_root()) return nullptr;
+  const auto* txt = std::get_if<dns::TxtRdata>(&rr.rdata);
+  if (txt == nullptr || txt->front().size() != crypto::kCookieSize) {
+    return nullptr;
+  }
+  return txt;
+}
+
+}  // namespace
+
 std::optional<crypto::Cookie> CookieEngine::extract_txt_cookie(
     const dns::Message& m) {
   for (const auto& rr : m.additional) {
-    if (rr.type != dns::RrType::TXT || !rr.name.is_root()) continue;
-    const auto* txt = std::get_if<dns::TxtRdata>(&rr.rdata);
-    if (txt == nullptr || txt->strings.empty()) continue;
-    const Bytes& payload = txt->strings.front();
-    if (payload.size() != crypto::kCookieSize) continue;
+    const dns::TxtRdata* txt = cookie_txt(rr);
+    if (txt == nullptr) continue;
+    const BytesView payload = txt->front();
     crypto::Cookie c{};
     std::copy(payload.begin(), payload.end(), c.begin());
     return c;
@@ -127,19 +135,19 @@ std::optional<crypto::Cookie> CookieEngine::extract_txt_cookie(
 void CookieEngine::attach_txt_cookie(dns::Message& m,
                                      const crypto::Cookie& cookie,
                                      std::uint32_t ttl) {
-  m.additional.push_back(dns::ResourceRecord::txt(
-      dns::DomainName{}, dns::TxtRdata::single(BytesView(cookie)), ttl));
-  // TTL 0 records still need to reach the peer; the wire TTL field is what
-  // the local guard reads for cache lifetime.
-  m.additional.back().ttl = ttl;
+  // Built in place: the section keeps its capacity across messages, so a
+  // reused message attaches without allocating. TTL 0 records still need
+  // to reach the peer; the wire TTL field is what the local guard reads
+  // for cache lifetime.
+  dns::ResourceRecord& rr = m.additional.emplace_back();  // root, class IN
+  rr.type = dns::RrType::TXT;
+  rr.ttl = ttl;
+  rr.rdata.emplace<dns::TxtRdata>().append(BytesView(cookie));
 }
 
 void CookieEngine::strip_txt_cookie(dns::Message& m) {
   std::erase_if(m.additional, [](const dns::ResourceRecord& rr) {
-    if (rr.type != dns::RrType::TXT || !rr.name.is_root()) return false;
-    const auto* txt = std::get_if<dns::TxtRdata>(&rr.rdata);
-    return txt != nullptr && !txt->strings.empty() &&
-           txt->strings.front().size() == crypto::kCookieSize;
+    return cookie_txt(rr) != nullptr;
   });
 }
 

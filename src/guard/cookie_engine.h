@@ -14,8 +14,8 @@
 // Key rotation rides on the first cookie bit (see crypto/cookie_hash.h).
 #pragma once
 
+#include <array>
 #include <optional>
-#include <string>
 #include <string_view>
 
 #include "crypto/cookie_hash.h"
@@ -63,14 +63,30 @@ class CookieEngine {
 
   // --- NS-name encoding ----------------------------------------------------
 
+  /// A cookie label in a fixed 63-byte buffer (no heap).
+  class CookieLabel {
+   public:
+    [[nodiscard]] std::string_view view() const { return {buf_.data(), len_}; }
+    operator std::string_view() const { return view(); }
+    [[nodiscard]] std::size_t size() const { return len_; }
+    bool operator==(const CookieLabel& other) const {
+      return view() == other.view();
+    }
+
+   private:
+    friend class CookieEngine;
+    std::array<char, dns::kMaxLabelLength> buf_;
+    std::uint8_t len_ = 0;
+  };
+
   /// Builds the cookie label: "PR" + hex8(first4(c)) + `restore_label`.
   /// Fails (nullopt) if the result would exceed the 63-byte label limit.
-  [[nodiscard]] std::optional<std::string> make_cookie_label(
+  [[nodiscard]] std::optional<CookieLabel> make_cookie_label(
       net::Ipv4Address requester, std::string_view restore_label) const;
 
   struct ParsedLabel {
-    std::uint32_t cookie_prefix;  // the 4 encoded cookie bytes
-    std::string restore_label;    // original label to restore
+    std::uint32_t cookie_prefix;     // the 4 encoded cookie bytes
+    std::string_view restore_label;  // original label, a view into the input
   };
   /// Parses a label of the above shape; nullopt if it isn't one.
   [[nodiscard]] static std::optional<ParsedLabel> parse_cookie_label(

@@ -153,9 +153,10 @@ RemoteGuardNode::RemoteGuardNode(sim::Simulator& sim, std::string name,
   drops_.bind(registry, "guard");
   tcp_->bind_metrics(registry, "guard.tcp");
   tcp_->set_drop_counters(&drops_);
-  tcp_->set_journey_fn([this](net::SocketAddr client, std::string_view stage) {
+  tcp_->set_journey_fn([this](net::SocketAddr client, std::string_view stage,
+                              bool may_open) {
     this->sim().journeys().mark({client.ip.value(), client.port, 0}, stage,
-                                now());
+                                now(), may_open);
   });
   for (std::size_t k = 0; k < n; ++k) {
     const std::string p = "guard.shard" + std::to_string(k);
@@ -296,12 +297,10 @@ bool RemoteGuardNode::pass_rl1(const net::Packet& packet) {
 }
 
 void RemoteGuardNode::reply(const net::Packet& to,
-                            const dns::Message& response,
-                            std::optional<net::Ipv4Address> src_override) {
+                            const dns::Message& response) {
   charge(config_.costs.transform);
   trace(obs::TraceEvent::kRewrite, to);
-  net::Ipv4Address src = src_override.value_or(to.dst_ip);
-  emit(net::Packet::make_udp({src, net::kDnsPort}, to.src(),
+  emit(net::Packet::make_udp({to.dst_ip, net::kDnsPort}, to.src(),
                              response.encode_pooled()));
 }
 
@@ -483,11 +482,11 @@ void RemoteGuardNode::do_modified_dns(const net::Packet& packet,
     stats_.cookies_minted++;
     scheme_cells(Scheme::ModifiedDns).minted++;
     jmark("guard.mint");
-    dns::Message resp = dns::Message::response_to(query);
-    CookieEngine::attach_txt_cookie(resp, engine_.mint(packet.src_ip),
+    query.become_response();
+    CookieEngine::attach_txt_cookie(query, engine_.mint(packet.src_ip),
                                     config_.cookie_ttl);
     stats_.cookie_replies++;
-    reply(packet, resp);
+    reply(packet, query);
     return;
   }
 
@@ -550,15 +549,15 @@ void RemoteGuardNode::do_ns_name(const net::Packet& packet,
     do_tcp_redirect(packet, query);
     return;
   }
-  dns::DomainName next_level = q.qname.suffix(zone.label_count() + 1);
-  std::string next_label(next_level.first_label());
+  const dns::DomainName next_level = q.qname.suffix(zone.label_count() + 1);
 
   if (!pass_rl1(packet)) return;
   charge(config_.costs.cookie);
   stats_.cookies_minted++;
   scheme_cells(Scheme::NsName).minted++;
   jmark("guard.mint");
-  auto label = engine_.make_cookie_label(packet.src_ip, next_label);
+  auto label =
+      engine_.make_cookie_label(packet.src_ip, next_level.first_label());
   if (!label) {  // label overflow: oversized original label; fall back
     do_tcp_redirect(packet, query);
     return;
@@ -569,17 +568,17 @@ void RemoteGuardNode::do_ns_name(const net::Packet& packet,
     return;
   }
 
-  dns::Message resp = dns::Message::response_to(query);
-  resp.authority.push_back(dns::ResourceRecord::ns(
+  query.become_response();
+  query.authority.push_back(dns::ResourceRecord::ns(
       next_level, *fabricated, config_.fabricated_ns_ttl));
   stats_.fabricated_referrals++;
-  reply(packet, resp);
+  reply(packet, query);
 }
 
 // --- DNS-based scheme, fabricated NS+IP variant (§III.B.2, Fig. 2(b)) -------
 
 void RemoteGuardNode::do_fabricated_ns_ip(const net::Packet& packet,
-                                          const dns::Message& query,
+                                          dns::Message& query,
                                           bool to_subnet) {
   const dns::Question& q = *query.question();
 
@@ -615,12 +614,12 @@ void RemoteGuardNode::do_fabricated_ns_ip(const net::Packet& packet,
       jmark("guard.mint");
       net::Ipv4Address cookie2 = engine_.make_cookie_address(
           packet.src_ip, config_.subnet_base, config_.r_y);
-      dns::Message resp = dns::Message::response_to(query);
-      resp.header.aa = true;
-      resp.answers.push_back(
+      query.become_response();
+      query.header.aa = true;
+      query.answers.push_back(
           dns::ResourceRecord::a(q.qname, cookie2, config_.cookie_ttl));
       stats_.cookie_replies++;
-      reply(packet, resp);
+      reply(packet, query);
       return;
     }
   }
@@ -635,8 +634,7 @@ void RemoteGuardNode::do_fabricated_ns_ip(const net::Packet& packet,
   stats_.cookies_minted++;
   scheme_cells(Scheme::FabricatedNsIp).minted++;
   jmark("guard.mint");
-  auto label = engine_.make_cookie_label(packet.src_ip,
-                                         std::string(q.qname.first_label()));
+  auto label = engine_.make_cookie_label(packet.src_ip, q.qname.first_label());
   if (!label) {
     do_tcp_redirect(packet, query);
     return;
@@ -646,23 +644,23 @@ void RemoteGuardNode::do_fabricated_ns_ip(const net::Packet& packet,
     do_tcp_redirect(packet, query);
     return;
   }
-  dns::Message resp = dns::Message::response_to(query);
-  resp.authority.push_back(dns::ResourceRecord::ns(
+  query.become_response();
+  query.authority.push_back(dns::ResourceRecord::ns(
       q.qname, *fabricated, config_.fabricated_ns_ttl));
   stats_.fabricated_referrals++;
-  reply(packet, resp);
+  reply(packet, query);
 }
 
 // --- TCP-based scheme (§III.C) ----------------------------------------------
 
 void RemoteGuardNode::do_tcp_redirect(const net::Packet& packet,
-                                      const dns::Message& query) {
+                                      dns::Message& query) {
   if (!pass_rl1(packet)) return;
-  dns::Message resp = dns::Message::response_to(query);
-  resp.header.tc = true;  // same size as the request: no amplification
+  query.become_response();
+  query.header.tc = true;  // same size as the request: no amplification
   stats_.tc_redirects++;
   jmark("guard.tc_redirect");
-  reply(packet, resp);
+  reply(packet, query);
 }
 
 void RemoteGuardNode::proxy_on_message(tcp::ConnId conn, BytesView message) {
@@ -796,10 +794,10 @@ void RemoteGuardNode::handle_ans_response(const net::Packet& packet) {
   if (!dns::Message::decode_into(BytesView(packet.payload), rx_) ||
       !rx_.header.qr) {
     // Not a DNS response we can interpret; pass through untouched.
-    emit(packet);
+    emit(packet.pooled_copy());
     return;
   }
-  const dns::Message& m = rx_;
+  dns::Message& m = rx_;
 
   if (sim().journeys().enabled() && m.question() != nullptr) {
     cur_jkey_ = {packet.dst_ip.value(), m.header.id,
@@ -812,7 +810,7 @@ void RemoteGuardNode::handle_ans_response(const net::Packet& packet) {
   PendingAction* found = cur_shard_->pending.find(pkey, now());
   if (found == nullptr) {
     stats_.responses_relayed++;
-    emit(packet);
+    emit(packet.pooled_copy());
     return;
   }
   PendingAction action = std::move(*found);
@@ -821,34 +819,41 @@ void RemoteGuardNode::handle_ans_response(const net::Packet& packet) {
   switch (action.kind) {
     case PendingAction::Kind::RestoreNsName: {
       // msg 5 -> msg 6: return the next-level servers' addresses as the
-      // fabricated name's A records (Fig. 2(a)).
-      std::vector<dns::ResourceRecord> addresses;
-      for (const auto* section : {&m.answers, &m.additional}) {
-        for (const auto& rr : *section) {
-          if (rr.type == dns::RrType::A) {
-            addresses.push_back(dns::ResourceRecord::a(
-                action.fabricated_qname,
-                std::get<dns::ARdata>(rr.rdata).address, rr.ttl));
-          }
-        }
+      // fabricated name's A records (Fig. 2(a)), rebuilt in the decoded
+      // reply: its answer section's A records are renamed in place, then
+      // the additional section's are appended.
+      std::size_t n = 0;
+      for (const dns::ResourceRecord& rr : m.answers) {
+        if (rr.type != dns::RrType::A) continue;
+        m.answers[n++] = dns::ResourceRecord::a(
+            action.fabricated_qname, std::get<dns::ARdata>(rr.rdata).address,
+            rr.ttl);
       }
-      dns::Message resp;
-      resp.header.id = m.header.id;
-      resp.header.qr = true;
-      resp.header.aa = true;
-      resp.questions.push_back(dns::Question{action.fabricated_qname,
-                                             action.original_qtype,
-                                             dns::RrClass::IN});
-      if (addresses.empty()) {
-        resp.header.rcode = dns::Rcode::ServFail;
-      } else {
-        resp.answers = std::move(addresses);
+      m.answers.erase(m.answers.begin() + static_cast<std::ptrdiff_t>(n),
+                      m.answers.end());
+      for (const dns::ResourceRecord& rr : m.additional) {
+        if (rr.type != dns::RrType::A) continue;
+        m.answers.push_back(dns::ResourceRecord::a(
+            action.fabricated_qname, std::get<dns::ARdata>(rr.rdata).address,
+            rr.ttl));
       }
+      m.header = dns::Header{.id = m.header.id,
+                             .qr = true,
+                             .aa = true,
+                             .rcode = m.answers.empty()
+                                          ? dns::Rcode::ServFail
+                                          : dns::Rcode::NoError};
+      m.questions.clear();
+      m.questions.push_back(dns::Question{action.fabricated_qname,
+                                          action.original_qtype,
+                                          dns::RrClass::IN});
+      m.authority.clear();
+      m.additional.clear();
       charge(config_.costs.transform);
       trace(obs::TraceEvent::kRewrite, packet);
       stats_.responses_relayed++;
       emit(net::Packet::make_udp({config_.ans_address, net::kDnsPort},
-                                 packet.dst(), resp.encode_pooled()));
+                                 packet.dst(), m.encode_pooled()));
       return;
     }
     case PendingAction::Kind::RelaySourceIp: {
@@ -857,7 +862,7 @@ void RemoteGuardNode::handle_ans_response(const net::Packet& packet) {
       charge(config_.costs.transform);
       trace(obs::TraceEvent::kRewrite, packet);
       stats_.responses_relayed++;
-      net::Packet out = packet;
+      net::Packet out = packet.pooled_copy();
       out.src_ip = action.reply_src;
       emit(std::move(out));
       return;

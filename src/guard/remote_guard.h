@@ -276,15 +276,16 @@ class RemoteGuardNode : public sim::Node {
   void do_modified_dns(const net::Packet& packet, dns::Message& query,
                        const crypto::Cookie& cookie);
   void do_ns_name(const net::Packet& packet, dns::Message& query);
-  void do_fabricated_ns_ip(const net::Packet& packet,
-                           const dns::Message& query, bool to_subnet);
-  void do_tcp_redirect(const net::Packet& packet, const dns::Message& query);
+  void do_fabricated_ns_ip(const net::Packet& packet, dns::Message& query,
+                           bool to_subnet);
+  void do_tcp_redirect(const net::Packet& packet, dns::Message& query);
 
   Scheme effective_scheme(net::Ipv4Address src) const;
 
   void forward_to_ans(const net::Packet& original, const dns::Message& query);
-  void reply(const net::Packet& to, const dns::Message& response,
-             std::optional<net::Ipv4Address> src_override = std::nullopt);
+  /// Sends `response` (the decoded request, turned into its reply in
+  /// place) back to the requester, from the address it queried.
+  void reply(const net::Packet& to, const dns::Message& response);
   void drop_spoof(const net::Packet& packet, Scheme scheme,
                   obs::DropReason reason);
   /// Rate-limiter / proxy / malformed drops (not cookie failures).
@@ -376,8 +377,9 @@ class RemoteGuardNode : public sim::Node {
   sim::Node* ans_;
   CookieEngine engine_;
   /// Every request, proxied query and ANS reply is decoded into this one
-  /// message, and the handlers strip, restore and forward it in place; its
-  /// sections stop allocating once they fit the traffic.
+  /// message, and the handlers strip, restore and forward it, or turn it
+  /// into their reply, in place; its sections stop allocating once they
+  /// fit the traffic.
   dns::Message rx_;
   ratelimit::RateEstimator request_rate_;
 

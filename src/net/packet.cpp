@@ -6,6 +6,12 @@
 
 namespace dnsguard::net {
 
+Packet Packet::pooled_copy() const {
+  Bytes copy = BufferPool::local().acquire(payload.size());
+  copy.assign(payload.begin(), payload.end());
+  return Packet{src_ip, dst_ip, ttl, transport, std::move(copy)};
+}
+
 void Packet::release_payload() {
   BufferPool::local().release(std::move(payload));
   payload.clear();

@@ -66,10 +66,14 @@ struct Packet {
                                        TcpFlags flags, std::uint32_t seq,
                                        std::uint32_t ack, Bytes payload = {});
 
+  /// A copy whose payload buffer comes from the thread-local BufferPool,
+  /// so relaying a packet does not allocate.
+  [[nodiscard]] Packet pooled_copy() const;
+
   /// Returns the payload buffer to the thread-local BufferPool (leaving it
-  /// empty). Called by the node service loop once a packet is consumed, so
-  /// dns::Message::encode_pooled() reuses the capacity instead of
-  /// reallocating per packet.
+  /// empty). Called once a packet is consumed by a node or discarded by
+  /// the simulator, so dns::Message::encode_pooled() reuses the capacity
+  /// instead of reallocating per packet.
   void release_payload();
 
   [[nodiscard]] std::string summary() const;

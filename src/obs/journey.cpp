@@ -144,10 +144,13 @@ void JourneyTracker::append_event(Journey& j, std::string_view stage,
 }
 
 void JourneyTracker::mark(JourneyKey key, std::string_view stage,
-                          SimTime at) {
+                          SimTime at, bool may_open) {
   if (!enabled_) return;
   std::uint32_t idx = lookup(key.packed());
-  if (idx == kNoJourney) idx = allocate(key, at);
+  if (idx == kNoJourney) {
+    if (!may_open) return;
+    idx = allocate(key, at);
+  }
   append_event(pool_[idx], stage, at);
 }
 
@@ -164,10 +167,13 @@ void JourneyTracker::alias(JourneyKey existing, JourneyKey additional) {
 }
 
 void JourneyTracker::end(JourneyKey key, std::string_view stage, SimTime at,
-                         bool ok) {
+                         bool ok, bool may_open) {
   if (!enabled_) return;
   std::uint32_t idx = lookup(key.packed());
-  if (idx == kNoJourney) idx = allocate(key, at);
+  if (idx == kNoJourney) {
+    if (!may_open) return;
+    idx = allocate(key, at);
+  }
   Journey& j = pool_[idx];
   append_event(j, stage, at);
   j.ok = ok;

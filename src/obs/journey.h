@@ -17,7 +17,11 @@
 //      belongs to an existing journey.
 //   3. Nothing here ever blocks traffic: a full pool evicts the oldest
 //      open journey (counted), a full event list drops marks (counted),
-//      and an unknown key on mark() just starts a new journey.
+//      and an unknown key on mark() just starts a new journey. A mark that
+//      can only continue a journey (a client's timeout after the guard
+//      ended the query's journey at its drop, a TCP close after the
+//      query's journey ended) passes may_open = false, and is dropped on
+//      an unknown key instead of starting a second journey.
 //
 // Completed journeys export as Chrome trace_event JSON: load the file in
 // Perfetto (or chrome://tracing) and every journey renders as a track of
@@ -114,9 +118,11 @@ class JourneyTracker {
   void disable() { enabled_ = false; }
   [[nodiscard]] bool enabled() const { return enabled_; }
 
-  /// Records a stage boundary; starts a journey if the key is unknown.
-  /// `stage` must be a string literal (or otherwise outlive the tracker).
-  void mark(JourneyKey key, std::string_view stage, SimTime at);
+  /// Records a stage boundary; starts a journey if the key is unknown
+  /// and `may_open` is set (otherwise the mark is dropped). `stage` must
+  /// be a string literal (or otherwise outlive the tracker).
+  void mark(JourneyKey key, std::string_view stage, SimTime at,
+            bool may_open = true);
 
   /// Registers `additional` as another key of `existing`'s journey (the
   /// renamed question / re-queried id of the next leg). No-op when
@@ -125,8 +131,10 @@ class JourneyTracker {
 
   /// Records the final stage and moves the journey to the completed ring.
   /// Unknown keys start-and-finish a single-event journey (so terminal
-  /// sites never lose data just because the begin mark was elsewhere).
-  void end(JourneyKey key, std::string_view stage, SimTime at, bool ok);
+  /// sites never lose data just because the begin mark was elsewhere),
+  /// unless `may_open` is clear: then the end is dropped.
+  void end(JourneyKey key, std::string_view stage, SimTime at, bool ok,
+           bool may_open = true);
 
   [[nodiscard]] std::size_t active_count() const { return active_count_; }
   [[nodiscard]] std::size_t completed_count() const {

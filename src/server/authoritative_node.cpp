@@ -150,17 +150,9 @@ SimDuration AnsSimulatorNode::process(const net::Packet& packet) {
                            m.question()->qname.hash32()},
                           "ans.answer", now());
   }
-  // The query becomes its own response, as Message::response_to would
-  // build it (id, opcode, RD and questions kept, QR set), plus AA and the
-  // fixed answer.
-  m.header = dns::Header{.id = m.header.id,
-                         .qr = true,
-                         .opcode = m.header.opcode,
-                         .aa = true,
-                         .rd = m.header.rd};
-  m.answers.clear();
-  m.authority.clear();
-  m.additional.clear();
+  // The query becomes its own response, plus AA and the fixed answer.
+  m.become_response();
+  m.header.aa = true;
   m.answers.push_back(dns::ResourceRecord::a(
       m.questions.front().qname, config_.answer_address, config_.answer_ttl));
   ans_stats_.responses++;

@@ -26,9 +26,10 @@ RecursiveResolverNode::RecursiveResolverNode(sim::Simulator& sim,
       tcp::TcpStack::Options{});
   // TCP fallback legs are keyed by our client-side endpoint (address,
   // ephemeral port); start_tcp_query aliases them onto the task journey.
-  tcp_->set_journey_fn([this](net::SocketAddr client, std::string_view stage) {
+  tcp_->set_journey_fn([this](net::SocketAddr client, std::string_view stage,
+                              bool may_open) {
     this->sim().journeys().mark({client.ip.value(), client.port, 0}, stage,
-                                now());
+                                now(), may_open);
   });
   stats_.bind(this->sim().metrics(), "server.lrs");
   drops_.bind(this->sim().metrics(), "server.lrs");

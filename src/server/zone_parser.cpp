@@ -236,10 +236,13 @@ ZoneParseResult parse_zone(std::string_view text,
       if (remaining() < 1) return ZoneParseError{ln, "TXT needs strings"};
       dns::TxtRdata txt;
       for (; idx < t.size(); ++idx) {
-        if (t[idx].text.size() > 255) {
+        if (t[idx].text.size() > dns::TxtRdata::kMaxString) {
           return ZoneParseError{ln, "TXT string over 255 bytes"};
         }
-        txt.strings.emplace_back(t[idx].text.begin(), t[idx].text.end());
+        const Bytes text(t[idx].text.begin(), t[idx].text.end());
+        if (!txt.append(BytesView(text))) {
+          return ZoneParseError{ln, "TXT record over 512 bytes"};
+        }
       }
       records.push_back(dns::ResourceRecord::txt(owner, std::move(txt), ttl));
       idx = t.size();

@@ -34,6 +34,7 @@ void Node::deliver(net::Packet packet) {
     stats_.dropped_queue_full++;
     sim_.mutable_stats().packets_dropped_queue_full++;
     trace(obs::TraceEvent::kQueueDrop, packet, obs::DropReason::kQueueFull);
+    packet.release_payload();
     return;
   }
   stats_.rx++;

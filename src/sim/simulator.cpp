@@ -133,6 +133,7 @@ void Simulator::send_packet(Node* from, net::Packet packet, SimTime depart) {
   if (to == nullptr) {
     stats_.packets_dropped_no_route++;
     DG_LOG_TRACE("sim", "no route for %s", packet.dst_ip.to_string().c_str());
+    packet.release_payload();
     return;
   }
   deliver_later(from, to, std::move(packet), depart);
@@ -240,6 +241,7 @@ void Simulator::deliver_later(Node* from, Node* to, net::Packet packet,
   if (tap_) tap_(depart, from, to, packet);
   if (loss_rate_ > 0 && loss_rng_.chance(loss_rate_)) {
     stats_.packets_dropped_loss++;
+    packet.release_payload();
     return;
   }
   // Only the receiver is captured: the sender may be gone by arrival.

@@ -129,7 +129,10 @@ void TcpStack::destroy(Connection& c) {
 }
 
 void TcpStack::closed(const Connection& c) {
-  if (journey_) journey_(c.client_role ? c.local : c.remote, "tcp.closed");
+  if (journey_) {
+    journey_(c.client_role ? c.local : c.remote, "tcp.closed",
+             /*may_open=*/false);
+  }
   if (callbacks_.on_closed) callbacks_.on_closed({c.local, c.remote}, c.tag);
 }
 
@@ -150,7 +153,7 @@ void TcpStack::send_rst(const net::Packet& to_packet) {
 ConnId TcpStack::connect(net::SocketAddr local, net::SocketAddr remote) {
   Connection& c = create(local, remote, TcpState::SynSent);
   c.client_role = true;
-  if (journey_) journey_(local, "tcp.syn");
+  if (journey_) journey_(local, "tcp.syn", true);
   c.snd_nxt = next_isn();
   emit(local, remote, net::TcpFlags{.syn = true}, c.snd_nxt, 0);
   c.snd_nxt += 1;  // SYN consumes one sequence number
@@ -249,7 +252,7 @@ bool TcpStack::handle_packet(const net::Packet& packet) {
         return false;
       }
       stats_.syns_received++;
-      if (journey_) journey_(packet.src(), "tcp.syn");
+      if (journey_) journey_(packet.src(), "tcp.syn", true);
       if (options_.syn_cookies) {
         // Stateless: encode the cookie in our ISN, keep no state.
         std::uint32_t isn =
@@ -285,7 +288,7 @@ bool TcpStack::handle_packet(const net::Packet& packet) {
       c->rcv_nxt = h.seq;
       c->snd_nxt = h.ack;
       stats_.connections_established++;
-      if (journey_) journey_(c->remote, "tcp.established");
+      if (journey_) journey_(c->remote, "tcp.established", true);
       // The ACK may carry data already (common for eager clients); the
       // established path below delivers it.
     } else {
@@ -312,7 +315,7 @@ bool TcpStack::handle_packet(const net::Packet& packet) {
         emit(c->local, c->remote, net::TcpFlags{.ack = true}, c->snd_nxt,
              c->rcv_nxt);
         stats_.connections_established++;
-        if (journey_) journey_(c->local, "tcp.established");
+        if (journey_) journey_(c->local, "tcp.established", true);
         flush(*c);
         return true;
       }
@@ -322,7 +325,7 @@ bool TcpStack::handle_packet(const net::Packet& packet) {
       if (h.flags.ack && h.ack == c->snd_nxt) {
         c->state = TcpState::Established;
         stats_.connections_established++;
-        if (journey_) journey_(c->remote, "tcp.established");
+        if (journey_) journey_(c->remote, "tcp.established", true);
         flush(*c);
         // fall through into data handling below for piggybacked payloads
       } else {

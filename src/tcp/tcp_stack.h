@@ -153,9 +153,13 @@ class TcpStack {
   /// "tcp.established", "tcp.closed") with the CLIENT side's address —
   /// the remote peer for accepted connections, the local endpoint for
   /// ones we initiated — so the owner can mark the client's query
-  /// journey. Stage strings are literals.
-  using JourneyFn =
-      std::function<void(net::SocketAddr client, std::string_view stage)>;
+  /// journey. Stage strings are literals. `may_open` is false for
+  /// "tcp.closed": a close only continues a journey (the query's journey
+  /// may have ended before its connection), so the owner must not start
+  /// one for it (JourneyTracker::mark's `may_open`).
+  using JourneyFn = std::function<void(net::SocketAddr client,
+                                       std::string_view stage,
+                                       bool may_open)>;
   void set_journey_fn(JourneyFn fn) { journey_ = std::move(fn); }
 
   struct ConnectionInfo {

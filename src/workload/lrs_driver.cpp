@@ -1,5 +1,6 @@
 #include "workload/lrs_driver.h"
 
+#include "common/pool.h"
 #include "guard/cookie_engine.h"
 
 namespace dnsguard::workload {
@@ -17,6 +18,43 @@ std::string drive_mode_name(DriveMode m) {
     case DriveMode::TcpWithRedirect: return "tcp/redirect";
   }
   return "?";
+}
+
+void LrsSimulatorNode::QidIndex::reset(std::size_t slots) {
+  slots_.assign(std::max<std::size_t>(slots, 2), Slot{});
+}
+
+int LrsSimulatorNode::QidIndex::find(std::uint16_t qid) const {
+  if (slots_.empty() || qid == 0) return -1;
+  for (std::size_t i = home(qid); slots_[i].qid != 0; i = next(i)) {
+    if (slots_[i].qid == qid) return slots_[i].worker;
+  }
+  return -1;
+}
+
+void LrsSimulatorNode::QidIndex::insert(std::uint16_t qid, int worker) {
+  std::size_t i = home(qid);
+  while (slots_[i].qid != 0) i = next(i);
+  slots_[i] = Slot{qid, worker};
+}
+
+void LrsSimulatorNode::QidIndex::erase(std::uint16_t qid) {
+  if (slots_.empty()) return;
+  std::size_t hole = home(qid);
+  while (slots_[hole].qid != qid) {
+    if (slots_[hole].qid == 0) return;
+    hole = next(hole);
+  }
+  // Backward shift: move each later entry of the probe run into the hole
+  // unless its home lies cyclically in (hole, j], where it must stay.
+  for (std::size_t j = next(hole); slots_[j].qid != 0; j = next(j)) {
+    const std::size_t h = home(slots_[j].qid);
+    const bool stays = hole < j ? (hole < h && h <= j) : (hole < h || h <= j);
+    if (stays) continue;
+    slots_[hole] = slots_[j];
+    hole = j;
+  }
+  slots_[hole] = Slot{};
 }
 
 LrsSimulatorNode::LrsSimulatorNode(sim::Simulator& sim, std::string name,
@@ -39,9 +77,10 @@ LrsSimulatorNode::LrsSimulatorNode(sim::Simulator& sim, std::string name,
   stats_.bind(this->sim().metrics(), "driver");
   // TCP handshake milestones ride under our client-side endpoint; the
   // worker's journey aliases that key in start_tcp().
-  tcp_->set_journey_fn([this](net::SocketAddr client, std::string_view stage) {
+  tcp_->set_journey_fn([this](net::SocketAddr client, std::string_view stage,
+                              bool may_open) {
     this->sim().journeys().mark({client.ip.value(), client.port, 0}, stage,
-                                now());
+                                now(), may_open);
   });
 }
 
@@ -61,17 +100,18 @@ void LrsSimulatorNode::journey_touch(Worker& worker, std::uint16_t qid,
 }
 
 void LrsSimulatorNode::journey_end(Worker& worker, std::string_view stage,
-                                   bool ok) {
+                                   bool ok, bool may_open) {
   if (!worker.jkey_open) return;
   worker.jkey_open = false;
   if (!sim().journeys().enabled()) return;
-  sim().journeys().end(worker.jkey, stage, now(), ok);
+  sim().journeys().end(worker.jkey, stage, now(), ok, may_open);
 }
 
 void LrsSimulatorNode::start() {
   if (running_) return;
   running_ = true;
   workers_.assign(static_cast<std::size_t>(config_.concurrency), Worker{});
+  qid_to_worker_.reset(2 * workers_.size());
   // Stagger worker start-up (~10 us apart) so thousands of workers don't
   // fire one synchronized burst that overflows queues before steady state
   // — the paper's simulator likewise "first starts up the specified
@@ -88,12 +128,6 @@ void LrsSimulatorNode::stop() {
   qid_to_worker_.clear();
 }
 
-dns::Message LrsSimulatorNode::make_query(std::uint16_t id,
-                                          const dns::DomainName& name,
-                                          dns::RrType type) const {
-  return dns::Message::query(id, name, type, /*recursion_desired=*/false);
-}
-
 void LrsSimulatorNode::begin_request(int w) {
   if (!running_) return;
   Worker& worker = workers_[static_cast<std::size_t>(w)];
@@ -102,34 +136,32 @@ void LrsSimulatorNode::begin_request(int w) {
   switch (config_.mode) {
     case DriveMode::PlainUdp: {
       worker.stage = 0;
-      send_exchange(w, make_query(0, qname_), config_.target);
+      send_exchange(w, qname_, config_.target);
       return;
     }
     case DriveMode::NsNameMiss:
     case DriveMode::FabricatedMiss: {
       worker.stage = 0;
-      send_exchange(w, make_query(0, qname_), config_.target);
+      send_exchange(w, qname_, config_.target);
       return;
     }
     case DriveMode::NsNameHit: {
       if (!worker.primed) {
         worker.stage = 0;
-        send_exchange(w, make_query(0, qname_), config_.target);
+        send_exchange(w, qname_, config_.target);
       } else {
         worker.stage = 1;
-        send_exchange(w, make_query(0, worker.fabricated_name),
-                      config_.target);
+        send_exchange(w, worker.fabricated_name, config_.target);
       }
       return;
     }
     case DriveMode::FabricatedHit: {
       if (!worker.primed) {
         worker.stage = 0;
-        send_exchange(w, make_query(0, qname_), config_.target);
+        send_exchange(w, qname_, config_.target);
       } else {
         worker.stage = 2;
-        send_exchange(w, make_query(0, qname_),
-                      {worker.cookie2_address, net::kDnsPort});
+        send_exchange(w, qname_, {worker.cookie2_address, net::kDnsPort});
       }
       return;
     }
@@ -137,14 +169,11 @@ void LrsSimulatorNode::begin_request(int w) {
     case DriveMode::ModifiedHit: {
       if (config_.mode == DriveMode::ModifiedHit && worker.primed) {
         worker.stage = 1;
-        dns::Message q = make_query(0, qname_);
-        guard::CookieEngine::attach_txt_cookie(q, worker.cookie, 0);
-        send_exchange(w, std::move(q), config_.target);
+        send_exchange(w, qname_, config_.target, &worker.cookie);
       } else {
         worker.stage = 0;
-        dns::Message q = make_query(0, qname_);
-        guard::CookieEngine::attach_txt_cookie(q, crypto::Cookie{}, 0);
-        send_exchange(w, std::move(q), config_.target);
+        const crypto::Cookie zero{};  // requests a cookie
+        send_exchange(w, qname_, config_.target, &zero);
       }
       return;
     }
@@ -156,32 +185,39 @@ void LrsSimulatorNode::begin_request(int w) {
     }
     case DriveMode::TcpWithRedirect: {
       worker.stage = 0;
-      send_exchange(w, make_query(0, qname_), config_.target);
+      send_exchange(w, qname_, config_.target);
       return;
     }
   }
 }
 
-void LrsSimulatorNode::send_exchange(int w, dns::Message query,
-                                     net::SocketAddr to) {
+std::uint16_t LrsSimulatorNode::claim_qid(int w) {
   Worker& worker = workers_[static_cast<std::size_t>(w)];
-  // Allocate a fresh query id not in flight.
   std::uint16_t qid;
   do {
     qid = next_qid_++;
-  } while (qid == 0 || qid_to_worker_.count(qid) > 0);
+  } while (qid == 0 || qid_to_worker_.find(qid) >= 0);
   // Forget the previous exchange's id, if any.
   if (worker.pending_qid != 0) qid_to_worker_.erase(worker.pending_qid);
   worker.pending_qid = qid;
-  qid_to_worker_[qid] = w;
-  query.header.id = qid;
-  journey_touch(worker, qid,
-                query.question() != nullptr ? query.question()->qname.hash32()
-                                            : 0);
+  qid_to_worker_.insert(qid, w);
+  return qid;
+}
+
+void LrsSimulatorNode::send_exchange(int w, const dns::DomainName& qname,
+                                     net::SocketAddr to,
+                                     const crypto::Cookie* txt_cookie) {
+  Worker& worker = workers_[static_cast<std::size_t>(w)];
+  const std::uint16_t qid = claim_qid(w);
+  tx_.set_query(qid, qname, dns::RrType::A, /*recursion_desired=*/false);
+  if (txt_cookie != nullptr) {
+    guard::CookieEngine::attach_txt_cookie(tx_, *txt_cookie, 0);
+  }
+  journey_touch(worker, qid, qname.hash32());
 
   stats_.exchanges_sent++;
   send(net::Packet::make_udp({config_.address, 32000}, to,
-                             query.encode_pooled()));
+                             tx_.encode_pooled()));
   arm_timeout(w);
 }
 
@@ -196,7 +232,8 @@ void LrsSimulatorNode::on_timeout(int w, std::uint64_t generation) {
   Worker& worker = workers_[static_cast<std::size_t>(w)];
   if (worker.timer_generation != generation) return;
   stats_.timeouts++;
-  journey_end(worker, "drv.timeout", /*ok=*/false);
+  // The guard may have ended this journey already, at its drop.
+  journey_end(worker, "drv.timeout", /*ok=*/false, /*may_open=*/false);
   if (worker.pending_qid != 0) {
     qid_to_worker_.erase(worker.pending_qid);
     worker.pending_qid = 0;
@@ -234,7 +271,7 @@ void LrsSimulatorNode::complete(int w) {
     worker.primed = true;
     was_priming = true;  // priming exchange: not counted as steady state
   }
-  journey_end(worker, "drv.complete", /*ok=*/true);
+  journey_end(worker, "drv.complete", /*ok=*/true, /*may_open=*/true);
   if (!was_priming) {
     stats_.completed++;
     latencies_.add((now() - worker.request_started).millis());
@@ -254,7 +291,7 @@ void LrsSimulatorNode::restart(int w) {
   // of busy-looping at wire speed.
   stats_.unexpected++;
   journey_end(workers_[static_cast<std::size_t>(w)], "drv.restart",
-              /*ok=*/false);
+              /*ok=*/false, /*may_open=*/true);
   SimDuration backoff = config_.think_time.ns > 0 ? config_.think_time
                                                   : milliseconds(1);
   schedule_in(backoff, [this, w] {
@@ -290,8 +327,7 @@ void LrsSimulatorNode::advance(int w, const dns::Message& response,
             std::get<dns::NsRdata>(response.authority.front().rdata);
         worker.fabricated_name = ns.nsdname;
         worker.stage = 1;
-        send_exchange(w, make_query(0, worker.fabricated_name),
-                      config_.target);
+        send_exchange(w, worker.fabricated_name, config_.target);
         return;
       }
       // Stage 1: expect the A answer (msg 6).
@@ -319,8 +355,7 @@ void LrsSimulatorNode::advance(int w, const dns::Message& response,
             std::get<dns::NsRdata>(response.authority.front().rdata);
         worker.fabricated_name = ns.nsdname;
         worker.stage = 1;
-        send_exchange(w, make_query(0, worker.fabricated_name),
-                      config_.target);
+        send_exchange(w, worker.fabricated_name, config_.target);
         return;
       }
       if (worker.stage == 1) {
@@ -339,8 +374,7 @@ void LrsSimulatorNode::advance(int w, const dns::Message& response,
         }
         worker.cookie2_address = a->address;
         worker.stage = 2;
-        send_exchange(w, make_query(0, qname_),
-                      {worker.cookie2_address, net::kDnsPort});
+        send_exchange(w, qname_, {worker.cookie2_address, net::kDnsPort});
         return;
       }
       // Stage 2: the real answer (msg 10).
@@ -364,9 +398,7 @@ void LrsSimulatorNode::advance(int w, const dns::Message& response,
         }
         worker.cookie = *cookie;
         worker.stage = 1;
-        dns::Message q = make_query(0, qname_);
-        guard::CookieEngine::attach_txt_cookie(q, worker.cookie, 0);
-        send_exchange(w, std::move(q), config_.target);
+        send_exchange(w, qname_, config_.target, &worker.cookie);
         return;
       }
       // Stage 1: the real answer.
@@ -407,14 +439,7 @@ void LrsSimulatorNode::start_tcp(int w) {
   std::uint16_t port = next_port_++;
   if (next_port_ < 30000) next_port_ = 30000;
 
-  std::uint16_t qid;
-  do {
-    qid = next_qid_++;
-  } while (qid == 0 || qid_to_worker_.count(qid) > 0);
-  if (worker.pending_qid != 0) qid_to_worker_.erase(worker.pending_qid);
-  worker.pending_qid = qid;
-  qid_to_worker_[qid] = w;
-
+  const std::uint16_t qid = claim_qid(w);
   stats_.exchanges_sent++;
   journey_touch(worker, qid, qname_.hash32());
   if (worker.jkey_open && sim().journeys().enabled()) {
@@ -424,7 +449,10 @@ void LrsSimulatorNode::start_tcp(int w) {
   }
   worker.conn = tcp_->connect({config_.address, port}, config_.target);
   *tcp_->tag(worker.conn) = static_cast<std::uint32_t>(w);
-  tcp_->send_message(worker.conn, BytesView(make_query(qid, qname_).encode()));
+  tx_.set_query(qid, qname_, dns::RrType::A, /*recursion_desired=*/false);
+  Bytes wire = tx_.encode_pooled();
+  tcp_->send_message(worker.conn, BytesView(wire));
+  BufferPool::local().release(std::move(wire));
 }
 
 void LrsSimulatorNode::on_tcp_message(tcp::ConnId conn, BytesView message) {
@@ -432,11 +460,10 @@ void LrsSimulatorNode::on_tcp_message(tcp::ConnId conn, BytesView message) {
   Worker& worker = workers_[static_cast<std::size_t>(w)];
   // One response per connection: any later message on it is ignored.
   if (worker.conn != conn) return;
-  auto m = dns::Message::decode(message);
-  if (!m || !m->header.qr) return;
+  if (!dns::Message::decode_into(message, rx_) || !rx_.header.qr) return;
   tcp_->close(conn);
   worker.conn = {};
-  advance(w, *m, net::Ipv4Address{});
+  advance(w, rx_, net::Ipv4Address{});
 }
 
 SimDuration LrsSimulatorNode::process(const net::Packet& packet) {
@@ -444,24 +471,25 @@ SimDuration LrsSimulatorNode::process(const net::Packet& packet) {
     tcp_->handle_packet(packet);
     return config_.per_packet_cost;
   }
-  auto m = dns::Message::decode(BytesView(packet.payload));
-  if (!m || !m->header.qr) return config_.per_packet_cost;
-  auto it = qid_to_worker_.find(m->header.id);
-  if (it == qid_to_worker_.end()) {
+  if (!dns::Message::decode_into(BytesView(packet.payload), rx_) ||
+      !rx_.header.qr) {
+    return config_.per_packet_cost;
+  }
+  const int w = qid_to_worker_.find(rx_.header.id);
+  if (w < 0) {
     stats_.unexpected++;
     return config_.per_packet_cost;
   }
-  int w = it->second;
   Worker& worker = workers_[static_cast<std::size_t>(w)];
-  if (worker.pending_qid != m->header.id) {
+  if (worker.pending_qid != rx_.header.id) {
     stats_.unexpected++;
     return config_.per_packet_cost;
   }
   // This exchange is resolved; disarm its timer.
   worker.timer_generation++;
-  qid_to_worker_.erase(it);
+  qid_to_worker_.erase(rx_.header.id);
   worker.pending_qid = 0;
-  advance(w, *m, packet.src_ip);
+  advance(w, rx_, packet.src_ip);
   return config_.per_packet_cost;
 }
 

@@ -9,10 +9,9 @@
 // guard's kernel TCP proxy (Fig. 7).
 #pragma once
 
-#include <functional>
+#include <algorithm>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/rng.h"
@@ -93,6 +92,41 @@ class LrsSimulatorNode : public sim::Node {
   /// Mean per-request latency since the last reset (completed requests).
   [[nodiscard]] Percentiles& latencies() { return latencies_; }
 
+  /// Which worker each in-flight query id belongs to: open addressing
+  /// over 2 x concurrency slots (a worker has at most one id in flight),
+  /// linear probing and backward-shift deletion, so the slots are sized
+  /// once, at start(). Id 0 is never in flight and marks an empty slot.
+  /// Public so tests can check it against a map.
+  class QidIndex {
+   public:
+    /// Empties the index and sizes it to `slots` (at least 2).
+    void reset(std::size_t slots);
+    void clear() { std::fill(slots_.begin(), slots_.end(), Slot{}); }
+    /// The worker of `qid`, or -1.
+    [[nodiscard]] int find(std::uint16_t qid) const;
+    /// Adds `qid`, which must not be in the index.
+    void insert(std::uint16_t qid, int worker);
+    void erase(std::uint16_t qid);
+
+   private:
+    struct Slot {
+      std::uint16_t qid = 0;
+      int worker = 0;
+    };
+    /// Ids are handed out in sequence, so they are scattered (Fibonacci
+    /// hashing) before they are mapped onto the slots: id % slots would
+    /// pack the ids in flight into one long probe run.
+    [[nodiscard]] std::size_t home(std::uint16_t qid) const {
+      const std::uint32_t h = std::uint32_t{qid} * 0x9e3779b1u;
+      return static_cast<std::size_t>((std::uint64_t{h} * slots_.size()) >>
+                                      32);
+    }
+    [[nodiscard]] std::size_t next(std::size_t i) const {
+      return i + 1 == slots_.size() ? 0 : i + 1;
+    }
+    std::vector<Slot> slots_;
+  };
+
  protected:
   SimDuration process(const net::Packet& packet) override;
 
@@ -117,7 +151,13 @@ class LrsSimulatorNode : public sim::Node {
   void begin_request(int w);
   void advance(int w, const dns::Message& response,
                net::Ipv4Address from_ip);
-  void send_exchange(int w, dns::Message query, net::SocketAddr to);
+  /// Sends worker `w`'s next query, for `qname`, type A, under a fresh
+  /// id, carrying `txt_cookie` in a TXT record when it is not null.
+  void send_exchange(int w, const dns::DomainName& qname, net::SocketAddr to,
+                     const crypto::Cookie* txt_cookie = nullptr);
+  /// Claims a query id not in flight for worker `w`, releasing the
+  /// worker's previous one.
+  std::uint16_t claim_qid(int w);
   void arm_timeout(int w);
   void on_timeout(int w, std::uint64_t generation);
   void complete(int w);
@@ -125,21 +165,24 @@ class LrsSimulatorNode : public sim::Node {
   void start_tcp(int w);
   void on_tcp_message(tcp::ConnId conn, BytesView message);
 
-  dns::Message make_query(std::uint16_t id, const dns::DomainName& name,
-                          dns::RrType type = dns::RrType::A) const;
-
   /// Opens the worker's journey on the first exchange of a request and
   /// aliases every follow-up exchange's key onto it; `stage` must be a
   /// string literal.
   void journey_touch(Worker& worker, std::uint16_t qid, std::uint32_t qhash);
-  void journey_end(Worker& worker, std::string_view stage, bool ok);
+  /// Ends the worker's journey; `may_open` as in JourneyTracker::end.
+  void journey_end(Worker& worker, std::string_view stage, bool ok,
+                   bool may_open);
 
   Config config_;
   dns::DomainName qname_;
   dns::DomainName zone_;
   Rng rng_;
   std::vector<Worker> workers_;
-  std::unordered_map<std::uint16_t, int> qid_to_worker_;
+  QidIndex qid_to_worker_;
+  /// Every query is built in tx_ and every reply decoded into rx_, over
+  /// UDP and TCP alike, so their storage is kept across packets.
+  dns::Message tx_;
+  dns::Message rx_;
   std::unique_ptr<tcp::TcpStack> tcp_;
   DriverStats stats_;
   Percentiles latencies_;

@@ -394,18 +394,17 @@ void ClientPopulationNode::emit_arrival(const Arrival& a) {
   std::uint16_t id = static_cast<std::uint16_t>(
       mix64(a.client ^ (static_cast<std::uint64_t>(a.qname_rank) << 20) ^
             static_cast<std::uint64_t>(a.at.ns)));
-  dns::Message q =
-      dns::Message::query(id, qname_for(a.qname_rank), dns::RrType::A, false);
+  tx_.set_query(id, qname_for(a.qname_rank), dns::RrType::A, false);
   if (a.primed) {
-    guard::CookieEngine::attach_txt_cookie(q, minter_.mint(a.src), 0);
+    guard::CookieEngine::attach_txt_cookie(tx_, minter_.mint(a.src), 0);
   } else {
     // Cold client: request a cookie (zero cookie), retry on the reply.
-    guard::CookieEngine::attach_txt_cookie(q, crypto::Cookie{}, 0);
+    guard::CookieEngine::attach_txt_cookie(tx_, crypto::Cookie{}, 0);
   }
   std::uint16_t port =
       static_cast<std::uint16_t>(32768 + (mix64(a.client) & 0x3fff));
   net::Packet pkt = net::Packet::make_udp({a.src, port}, config_.target,
-                                          q.encode_pooled());
+                                          tx_.encode_pooled());
   digest_ += mix64((static_cast<std::uint64_t>(a.src.value()) << 16) ^ id ^
                    mix64(static_cast<std::uint64_t>(a.at.ns)));
   stats_.sent++;
@@ -414,40 +413,40 @@ void ClientPopulationNode::emit_arrival(const Arrival& a) {
 }
 
 SimDuration ClientPopulationNode::process(const net::Packet& packet) {
-  auto response = dns::Message::decode(packet.payload);
-  if (!response || !response->header.qr) {
+  if (!dns::Message::decode_into(BytesView(packet.payload), rx_) ||
+      !rx_.header.qr) {
     stats_.unexpected++;
     return SimDuration{0};
   }
+  const dns::Message& response = rx_;
 
-  auto cookie = guard::CookieEngine::extract_txt_cookie(*response);
+  auto cookie = guard::CookieEngine::extract_txt_cookie(response);
   bool cookie_reply = cookie.has_value() &&
                       !guard::CookieEngine::is_zero_cookie(*cookie) &&
-                      response->answers.empty();
+                      response.answers.empty();
   if (cookie_reply) {
     // msg 3 of the modified-DNS dance: echo the granted cookie after the
     // client's RTT. Stateless: the RTT re-derives from (addr, id), and the
     // question rides in the reply, so millions of cold clients need no
     // per-query bookkeeping here.
     stats_.acquisitions++;
-    const dns::Question* qst = response->question();
+    const dns::Question* qst = response.question();
     if (qst == nullptr) {
       stats_.unexpected++;
       return SimDuration{0};
     }
     SimDuration rtt = rtts_.sample(mix_uniform01(
         (static_cast<std::uint64_t>(packet.dst_ip.value()) << 16) ^
-        response->header.id));
+        response.header.id));
     net::Ipv4Address src = packet.dst_ip;
     std::uint16_t port = packet.dst_port();
-    std::uint16_t id = static_cast<std::uint16_t>(response->header.id + 1);
+    std::uint16_t id = static_cast<std::uint16_t>(response.header.id + 1);
     // Encoded now: wire bytes fit EventFn's inline buffer, a name does not.
-    dns::Message retry =
-        dns::Message::query(id, qst->qname, dns::RrType::A, false);
-    guard::CookieEngine::attach_txt_cookie(retry, *cookie, 0);
+    tx_.set_query(id, qst->qname, dns::RrType::A, false);
+    guard::CookieEngine::attach_txt_cookie(tx_, *cookie, 0);
     std::uint64_t epoch = epoch_;
     schedule_in(rtt, [this, epoch, src, port, id,
-                      wire = retry.encode_pooled()]() mutable {
+                      wire = tx_.encode_pooled()]() mutable {
       if (epoch != epoch_ || !running_) return;
       digest_ += mix64((static_cast<std::uint64_t>(src.value()) << 16) ^ id);
       stats_.sent++;

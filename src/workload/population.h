@@ -307,6 +307,10 @@ class ClientPopulationNode : public sim::Node {
   RttModel rtts_;                 // config_.population.rtt_buckets
   PopulationEngine engine_;
   guard::CookieEngine minter_;
+  /// Queries are built in tx_ and replies decoded into rx_, so their
+  /// storage is kept across packets.
+  dns::Message tx_;
+  dns::Message rx_;
   PopulationStats stats_;
   std::uint64_t digest_ = 0;
   std::uint64_t epoch_ = 0;  // invalidates scheduled pumps on stop

@@ -97,12 +97,13 @@ inline void write_record(ByteWriter& w, ReferenceCompressor& compressor,
       w.u32(v);
     }
   } else if (const auto* txt = std::get_if<TxtRdata>(&rr.rdata)) {
-    for (const Bytes& s : txt->strings) {
+    for (std::size_t i = 0; i < txt->string_count(); ++i) {
+      const BytesView s = txt->string(i);
       w.u8(static_cast<std::uint8_t>(s.size()));
-      w.raw(BytesView(s));
+      w.raw(s);
     }
   } else if (const auto* raw = std::get_if<RawRdata>(&rr.rdata)) {
-    w.raw(BytesView(raw->data));
+    w.raw(raw->data.bytes());
   }
   w.patch_u16(rdlength_at,
               static_cast<std::uint16_t>(w.size() - rdlength_at - 2));

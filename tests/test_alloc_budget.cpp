@@ -2,13 +2,11 @@
 //
 // This binary replaces the global operator new with a counting one, so
 // each test can measure the heap allocations a piece of the packet path
-// makes once warmed up. The codec and the simulator's emit path must not
-// allocate at all. The guard still allocates in known places (TXT cookie
-// strings, responses built by Message::response_to, cookie-label strings,
-// the copy of a relayed packet, the TCP stack's index entry for each
-// connection), so its per-packet counts are pinned: a
-// change that adds an allocation fails here, and one that removes one
-// lowers the pin.
+// makes once warmed up. None of it may allocate: the codec, the
+// simulator's emit path, every guard path (hostile input included) and
+// the testbed's traffic generators. Records hold their RDATA inline, and
+// every node that handles packets decodes into and builds in messages it
+// keeps across packets, so a warmed path reads 0 here.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -16,7 +14,10 @@
 #include <functional>
 #include <memory>
 #include <new>
+#include <string>
+#include <utility>
 
+#include "attack/attackers.h"
 #include "common/pool.h"
 #include "dns/message.h"
 #include "guard/remote_guard.h"
@@ -24,6 +25,7 @@
 #include "server/authoritative_node.h"
 #include "sim/simulator.h"
 #include "workload/lrs_driver.h"
+#include "workload/population.h"
 
 namespace {
 
@@ -174,6 +176,12 @@ TEST(AllocBudget, DecodeIntoWarmedMessageDoesNotAllocate) {
   query.additional.push_back(ResourceRecord{DomainName{}, RrType::OPT,
                                             dns::RrClass::IN, 0,
                                             dns::OptRdata{4096}});
+  crypto::Cookie cookie{};
+  cookie.fill(0x42);
+  guard::CookieEngine::attach_txt_cookie(query, cookie, 0);
+  query.additional.push_back(ResourceRecord{
+      DomainName{}, static_cast<RrType>(99), dns::RrClass::IN, 0,
+      dns::RawRdata::of(99, Bytes(40, 0x17))});
   const Bytes query_wire = query.encode();
   const Bytes response_wire = referral().encode();
 
@@ -313,11 +321,13 @@ struct GuardBed {
   }
 
   /// Delivers `count` queries built by `make` (one fresh id each) to the
-  /// guard and runs until every reply is back at the client.
-  void send(int count, const std::function<Message(std::uint16_t)>& make) {
+  /// guard, addressed to `dst`, and runs until every reply is back at the
+  /// client.
+  void send(int count, const std::function<Message(std::uint16_t)>& make,
+            net::Ipv4Address dst) {
     for (int i = 0; i < count; ++i) {
       guard->deliver(net::Packet::make_udp({kClientIp, 5353},
-                                           {kAnsIp, net::kDnsPort},
+                                           {dst, net::kDnsPort},
                                            make(next_id++).encode()));
     }
     sim.run_for(milliseconds(20));
@@ -330,18 +340,11 @@ struct GuardBed {
 
   /// Warms the path up with `make`, then measures the guard's allocations
   /// over a batch.
-  PerPacket per_packet(const std::function<Message(std::uint16_t)>& make) {
-    send(64, make);
-    // Stock the buffer pool with full-size buffers. Otherwise a small one
-    // (a relayed reply's copy) can come back to an encode path and grow
-    // there: the pool's cost, not the guard's.
-    for (int i = 0; i < 256; ++i) {
-      Bytes b;
-      b.reserve(BufferPool::kDefaultReserve);
-      BufferPool::local().release(std::move(b));
-    }
+  PerPacket per_packet(const std::function<Message(std::uint16_t)>& make,
+                       net::Ipv4Address dst = kAnsIp) {
+    send(64, make, dst);
     guard->reset_counts();
-    send(64, make);
+    send(64, make, dst);
     EXPECT_EQ(guard->request_pkts, 64u);
     return {static_cast<double>(guard->request_allocs) /
                 static_cast<double>(guard->request_pkts),
@@ -364,10 +367,19 @@ TEST(AllocBudget, GuardModifiedDnsHitAndReplyRelay) {
   const auto counts = bed.per_packet(
       [&](std::uint16_t id) { return with_txt_cookie(id, cookie); });
   EXPECT_EQ(bed.guard->reply_pkts, 64u);
-  // The TXT cookie's strings vector and string; stripped in place.
-  EXPECT_EQ(counts.request, 2.0);
-  // The relayed reply is copied before it is re-emitted.
-  EXPECT_EQ(counts.ans_reply, 1.0);
+  // The TXT cookie is decoded inline and stripped in place; the relayed
+  // reply is copied into a pooled buffer.
+  EXPECT_EQ(counts.request, 0.0);
+  EXPECT_EQ(counts.ans_reply, 0.0);
+}
+
+TEST(AllocBudget, GuardModifiedDnsMint) {
+  GuardBed bed(guard::Scheme::ModifiedDns);
+  const auto counts = bed.per_packet(
+      [](std::uint16_t id) { return with_txt_cookie(id, crypto::Cookie{}); });
+  EXPECT_EQ(bed.guard->guard_stats().cookie_replies, 128u);
+  // The cookie reply is the decoded request, turned around in place.
+  EXPECT_EQ(counts.request, 0.0);
 }
 
 TEST(AllocBudget, GuardForgedTxtDrop) {
@@ -378,7 +390,7 @@ TEST(AllocBudget, GuardForgedTxtDrop) {
       [&](std::uint16_t id) { return with_txt_cookie(id, forged); });
   EXPECT_EQ(bed.guard->guard_stats().spoofs_dropped, 128u);
   EXPECT_EQ(bed.guard->reply_pkts, 0u);
-  EXPECT_EQ(counts.request, 2.0);  // decoding the TXT cookie
+  EXPECT_EQ(counts.request, 0.0);
 }
 
 TEST(AllocBudget, GuardNsNameHit) {
@@ -386,15 +398,17 @@ TEST(AllocBudget, GuardNsNameHit) {
   const auto label =
       bed.guard->cookie_engine().make_cookie_label(kClientIp, "com");
   ASSERT_TRUE(label.has_value());
-  const DomainName qname = name(label->c_str());
+  const DomainName qname = *DomainName::parse(*label);
   const auto counts = bed.per_packet([&](std::uint16_t id) {
     return Message::query(id, qname, RrType::A, false);
   });
   EXPECT_EQ(bed.guard->guard_stats().cookie_checks, 128u);
   EXPECT_EQ(bed.guard->reply_pkts, 64u);
-  // parse_cookie_label's decoded hex bytes; the question is restored in
-  // place.
-  EXPECT_EQ(counts.request, 1.0);
+  // The cookie label is parsed in place and the question restored in
+  // place; the ANS reply is rebuilt as the fabricated name's A records in
+  // the decoded reply itself.
+  EXPECT_EQ(counts.request, 0.0);
+  EXPECT_EQ(counts.ans_reply, 0.0);
 }
 
 TEST(AllocBudget, GuardNsNameMiss) {
@@ -403,9 +417,96 @@ TEST(AllocBudget, GuardNsNameMiss) {
     return Message::query(id, name("www.foo.com"), RrType::A, false);
   });
   EXPECT_EQ(bed.guard->guard_stats().fabricated_referrals, 128u);
-  // The referral built by response_to: its question and authority
-  // vectors.
-  EXPECT_EQ(counts.request, 2.0);
+  // The referral is the decoded request, turned around in place.
+  EXPECT_EQ(counts.request, 0.0);
+}
+
+TEST(AllocBudget, GuardFabricatedNsIpMissHitAndRelay) {
+  GuardBed bed(guard::Scheme::FabricatedNsIp);
+  const auto miss = bed.per_packet([](std::uint16_t id) {
+    return Message::query(id, name("www.foo.com"), RrType::A, false);
+  });
+  EXPECT_EQ(bed.guard->guard_stats().fabricated_referrals, 128u);
+  EXPECT_EQ(miss.request, 0.0);
+
+  // msg 3: the fabricated name, answered with the cookie address.
+  guard::CookieEngine& engine = bed.guard->cookie_engine();
+  const auto label = engine.make_cookie_label(kClientIp, "www");
+  ASSERT_TRUE(label.has_value());
+  const DomainName fabricated =
+      *name("foo.com").with_prefix_label(*label);
+  const auto hit = bed.per_packet([&](std::uint16_t id) {
+    return Message::query(id, fabricated, RrType::A, false);
+  });
+  EXPECT_EQ(bed.guard->guard_stats().cookie_replies, 128u);
+  EXPECT_EQ(hit.request, 0.0);
+
+  // msg 7: the real query, sent to the cookie address; its reply is
+  // relayed from that address (RelaySourceIp).
+  const net::Ipv4Address cookie2 = engine.make_cookie_address(
+      kClientIp, bed.guard->config().subnet_base, bed.guard->config().r_y);
+  const auto relay = bed.per_packet(
+      [](std::uint16_t id) {
+        return Message::query(id, name("www.foo.com"), RrType::A, false);
+      },
+      cookie2);
+  EXPECT_EQ(bed.guard->reply_pkts, 64u);
+  EXPECT_EQ(relay.request, 0.0);
+  EXPECT_EQ(relay.ans_reply, 0.0);
+}
+
+TEST(AllocBudget, GuardTcRedirect) {
+  GuardBed bed(guard::Scheme::TcpRedirect);
+  const auto counts = bed.per_packet([](std::uint16_t id) {
+    return Message::query(id, name("www.foo.com"), RrType::A, false);
+  });
+  EXPECT_EQ(bed.guard->guard_stats().tc_redirects, 128u);
+  EXPECT_EQ(counts.request, 0.0);
+}
+
+TEST(AllocBudget, GuardHostileAdditionalSection) {
+  // A root TXT of 200 one-byte strings and 20 unknown-type records: the
+  // sender picks how many strings and records there are, so none of them
+  // may cost the guard an allocation.
+  GuardBed bed(guard::Scheme::ModifiedDns);
+  const auto counts = bed.per_packet([](std::uint16_t id) {
+    Message m = Message::query(id, name("www.foo.com"), RrType::A, false);
+    dns::TxtRdata txt;
+    for (int i = 0; i < 200; ++i) {
+      EXPECT_TRUE(txt.append(BytesView(Bytes{static_cast<std::uint8_t>(i)})));
+    }
+    m.additional.push_back(ResourceRecord::txt(DomainName{}, txt, 0));
+    for (int i = 0; i < 20; ++i) {
+      m.additional.push_back(ResourceRecord{
+          DomainName{}, static_cast<RrType>(65280 + i), dns::RrClass::IN, 0,
+          dns::RawRdata::of(static_cast<std::uint16_t>(65280 + i),
+                            Bytes(4, static_cast<std::uint8_t>(i)))});
+    }
+    return m;
+  });
+  // No cookie among them: each gets the NS-name scheme's referral.
+  EXPECT_EQ(bed.guard->guard_stats().fabricated_referrals, 128u);
+  EXPECT_EQ(counts.request, 0.0);
+}
+
+TEST(AllocBudget, GuardLongFirstLabel) {
+  // The sender picks the first label's length; a 63-byte one overflows the
+  // cookie label and falls back to the TC redirect.
+  const std::string label(63, 'x');
+  for (const guard::Scheme scheme :
+       {guard::Scheme::NsName, guard::Scheme::FabricatedNsIp}) {
+    SCOPED_TRACE(guard::scheme_name(scheme));
+    GuardBed bed(scheme);
+    // Under a root guard the NS-name scheme refers the top-level label.
+    const DomainName qname = scheme == guard::Scheme::NsName
+                                 ? name(label.c_str())
+                                 : *name("foo.com").with_prefix_label(label);
+    const auto counts = bed.per_packet([&](std::uint16_t id) {
+      return Message::query(id, qname, RrType::A, false);
+    });
+    EXPECT_EQ(bed.guard->guard_stats().tc_redirects, 128u);
+    EXPECT_EQ(counts.request, 0.0);
+  }
 }
 
 TEST(AllocBudget, GuardTcpProxyQuery) {
@@ -436,6 +537,83 @@ TEST(AllocBudget, GuardTcpProxyQuery) {
   // relayed reply is framed in a pooled buffer.
   EXPECT_EQ(bed.guard->request_allocs, 0u);
   EXPECT_EQ(bed.guard->reply_allocs, 0u);
+}
+
+// --- the testbed's traffic generators ---------------------------------------
+
+/// Heap allocations of a whole simulation window, taken after a warm-up
+/// window of the same length: every node, the event queue and the network.
+std::uint64_t warmed_window_allocations(sim::Simulator& sim) {
+  sim.run_for(milliseconds(30));
+  return allocations_in([&] { sim.run_for(milliseconds(30)); });
+}
+
+TEST(AllocBudget, LrsDriverModesDoNotAllocate) {
+  // The modes hostbench drives, each against the scheme it speaks.
+  const std::pair<workload::DriveMode, guard::Scheme> modes[] = {
+      {workload::DriveMode::NsNameHit, guard::Scheme::NsName},
+      {workload::DriveMode::NsNameMiss, guard::Scheme::NsName},
+      {workload::DriveMode::FabricatedHit, guard::Scheme::FabricatedNsIp},
+      {workload::DriveMode::ModifiedHit, guard::Scheme::ModifiedDns},
+      {workload::DriveMode::TcpWithRedirect, guard::Scheme::TcpRedirect},
+  };
+  for (const auto& [mode, scheme] : modes) {
+    SCOPED_TRACE(workload::drive_mode_name(mode));
+    GuardBed bed(scheme);
+    const net::Ipv4Address driver_ip(10, 0, 1, 2);
+    workload::LrsSimulatorNode driver(bed.sim, "driver",
+                                      {.address = driver_ip,
+                                       .target = {kAnsIp, net::kDnsPort},
+                                       .mode = mode,
+                                       .concurrency = 8});
+    bed.sim.add_host_route(driver_ip, &driver);
+    // The driver keeps every latency sample; that vector's growth is not
+    // per-packet work.
+    driver.latencies().reserve(1 << 16);
+    driver.start();
+    EXPECT_EQ(warmed_window_allocations(bed.sim), 0u);
+    EXPECT_GT(driver.driver_stats().completed, 100u);
+    EXPECT_EQ(driver.driver_stats().timeouts, 0u);
+  }
+}
+
+TEST(AllocBudget, SpoofedFloodsDoNotAllocate) {
+  // hostbench's two floods: forged TXT cookies, and no cookie at all.
+  for (const bool txt_cookie : {true, false}) {
+    SCOPED_TRACE(txt_cookie ? "txt cookie" : "no cookie");
+    GuardBed bed(guard::Scheme::ModifiedDns);
+    attack::SpoofedFloodNode flood(
+        bed.sim, "flood",
+        {.own_address = net::Ipv4Address(10, 9, 9, 9),
+         .target = {kAnsIp, net::kDnsPort},
+         .rate = 100000,
+         .seed = 3},
+        {.random_txt_cookie = txt_cookie});
+    flood.start();
+    EXPECT_EQ(warmed_window_allocations(bed.sim), 0u);
+    EXPECT_GT(flood.flood_stats().sent, 5000u);
+  }
+}
+
+TEST(AllocBudget, ClientPopulationDoesNotAllocate) {
+  // Few clients at equal rates, a small resolver cache and short RTTs, so
+  // the warm-up fills every table the population and the guard keep
+  // (their growth while they fill is not per-packet work).
+  GuardBed bed(guard::Scheme::ModifiedDns);
+  workload::ClientPopulationNode::Config pc;
+  pc.population.num_clients = 8;
+  pc.population.rate_classes = 1;
+  pc.population.base_rate = 50000;
+  pc.population.cache_capacity = 8;
+  pc.population.cache_ttl = milliseconds(5);
+  pc.population.rtt_buckets = {{1.0, milliseconds(1)}};
+  pc.population.primed_fraction = 0.5;
+  pc.target = {kAnsIp, net::kDnsPort};
+  workload::ClientPopulationNode population(bed.sim, "population", pc);
+  population.start();
+  EXPECT_EQ(warmed_window_allocations(bed.sim), 0u);
+  EXPECT_GT(population.population_stats().acquisitions, 100u);
+  EXPECT_GT(population.population_stats().completed, 100u);
 }
 
 TEST(AllocBudget, Rl1UnseenSourceDoesNotAllocate) {

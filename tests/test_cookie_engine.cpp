@@ -16,10 +16,10 @@ TEST(CookieLabel, EncodesPrefixHexAndRestore) {
   CookieEngine e(1);
   auto label = e.make_cookie_label(Ipv4Address(10, 0, 1, 1), "com");
   ASSERT_TRUE(label.has_value());
-  EXPECT_EQ(label->substr(0, 2), "PR");
+  EXPECT_EQ(label->view().substr(0, 2), "PR");
   EXPECT_EQ(label->size(), 2u + 8u + 3u);
-  EXPECT_TRUE(dnsguard::is_hex(label->substr(2, 8)));
-  EXPECT_EQ(label->substr(10), "com");
+  EXPECT_TRUE(dnsguard::is_hex(label->view().substr(2, 8)));
+  EXPECT_EQ(label->view().substr(10), "com");
 }
 
 TEST(CookieLabel, ParsesBack) {

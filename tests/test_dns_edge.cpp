@@ -237,13 +237,79 @@ TEST(MessageEdge, DecodeIntoReleasesOversizeSections) {
 TEST(MessageEdge, EmptyTxtStringAllowed) {
   Message m;
   TxtRdata txt;
-  txt.strings.push_back(Bytes{});
+  ASSERT_TRUE(txt.append(BytesView(Bytes{})));
   m.answers.push_back(ResourceRecord::txt(*DomainName::parse("e.x"),
                                           std::move(txt), 1));
   auto d = Message::decode(BytesView(m.encode()));
   ASSERT_TRUE(d.has_value());
-  ASSERT_EQ(std::get<TxtRdata>(d->answers[0].rdata).strings.size(), 1u);
-  EXPECT_TRUE(std::get<TxtRdata>(d->answers[0].rdata).strings[0].empty());
+  ASSERT_EQ(std::get<TxtRdata>(d->answers[0].rdata).string_count(), 1u);
+  EXPECT_TRUE(std::get<TxtRdata>(d->answers[0].rdata).front().empty());
+}
+
+/// A message with one answer record of type `type` at the root owner whose
+/// RDATA is `rdata`, built byte by byte (the codec's own types cannot hold
+/// more than 512 RDATA bytes).
+Bytes one_record_wire(std::uint16_t type, BytesView rdata) {
+  ByteWriter w;
+  for (std::uint16_t v : {0, 0x8000, 0, 1, 0, 0}) w.u16(v);  // header
+  w.u8(0);  // root owner
+  w.u16(type);
+  w.u16(static_cast<std::uint16_t>(RrClass::IN));
+  w.u32(60);
+  w.u16(static_cast<std::uint16_t>(rdata.size()));
+  w.raw(rdata);
+  return std::move(w).take();
+}
+
+TEST(MessageEdge, TxtAndRawRdataAtCapacityRoundTrip) {
+  TxtRdata txt;
+  ASSERT_TRUE(txt.append(BytesView(Bytes(255, 'a'))));
+  ASSERT_TRUE(txt.append(BytesView(Bytes(255, 'b'))));
+  EXPECT_EQ(txt.bytes().size(), RdataBytes::kCapacity);
+  EXPECT_FALSE(txt.append(BytesView(Bytes{})));  // one byte more
+  Message m;
+  m.answers.push_back(ResourceRecord::txt(DomainName{}, txt, 60));
+  m.answers.push_back(ResourceRecord{
+      DomainName{}, static_cast<RrType>(99), RrClass::IN, 60,
+      RawRdata::of(99, Bytes(RdataBytes::kCapacity, 0x5c))});
+  auto d = Message::decode(BytesView(m.encode()));
+  ASSERT_TRUE(d.has_value());
+  EXPECT_EQ(*d, m);
+  EXPECT_EQ(std::get<TxtRdata>(d->answers[0].rdata).string_count(), 2u);
+  EXPECT_EQ(std::get<RawRdata>(d->answers[1].rdata).data.size(),
+            RdataBytes::kCapacity);
+}
+
+TEST(MessageEdge, RdataOverCapacityFailsDecode) {
+  // 512 bytes decode; 513 do not, for TXT (two 255-byte strings plus an
+  // empty one) and for an unknown type alike.
+  Bytes txt;
+  for (char c : {'a', 'b'}) {
+    txt.push_back(255);
+    txt.insert(txt.end(), 255, static_cast<std::uint8_t>(c));
+  }
+  ASSERT_EQ(txt.size(), RdataBytes::kCapacity);
+  const auto txt_type = static_cast<std::uint16_t>(RrType::TXT);
+  EXPECT_TRUE(
+      Message::decode(BytesView(one_record_wire(txt_type, txt))).has_value());
+  txt.push_back(0);
+  EXPECT_FALSE(
+      Message::decode(BytesView(one_record_wire(txt_type, txt))).has_value());
+
+  Bytes raw(RdataBytes::kCapacity, 0x5c);
+  EXPECT_TRUE(Message::decode(BytesView(one_record_wire(99, raw))).has_value());
+  raw.push_back(0x5c);
+  EXPECT_FALSE(
+      Message::decode(BytesView(one_record_wire(99, raw))).has_value());
+}
+
+TEST(MessageEdge, TxtStringOverrunningRdataRejected) {
+  // The last string's length byte claims more bytes than the RDATA holds.
+  const Bytes txt{3, 'a', 'b', 'c', 4, 'd'};
+  EXPECT_FALSE(Message::decode(BytesView(one_record_wire(
+                                   static_cast<std::uint16_t>(RrType::TXT),
+                                   txt)))
+                   .has_value());
 }
 
 TEST(MessageEdge, RdlengthLyingShortRejected) {
@@ -267,7 +333,7 @@ TEST(MessageEdge, NsRdataWithTrailingJunkRejected) {
   Message m2;
   m2.authority.push_back(ResourceRecord{
       *DomainName::parse("com"), RrType::NS, RrClass::IN, 1,
-      RawRdata{static_cast<std::uint16_t>(RrType::NS), Bytes{0, 0xff}}});
+      RawRdata::of(static_cast<std::uint16_t>(RrType::NS), Bytes{0, 0xff})});
   // RawRdata with type NS encodes junk bytes as NS RDATA.
   EXPECT_FALSE(Message::decode(BytesView(m2.encode())).has_value());
 }

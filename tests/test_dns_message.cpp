@@ -94,21 +94,27 @@ TEST(Message, TxtBinaryCookieRoundTrip) {
   Message d = round_trip(m);
   ASSERT_EQ(d.additional.size(), 1u);
   const auto& txt = std::get<TxtRdata>(d.additional[0].rdata);
-  ASSERT_EQ(txt.strings.size(), 1u);
-  EXPECT_EQ(txt.strings[0], cookie);
+  ASSERT_EQ(txt.string_count(), 1u);
+  EXPECT_EQ(Bytes(txt.front().begin(), txt.front().end()), cookie);
 }
 
 TEST(Message, TxtMultipleStringsRoundTrip) {
   TxtRdata txt;
-  txt.strings.push_back(Bytes{'a', 'b'});
-  txt.strings.push_back(Bytes{});
-  txt.strings.push_back(Bytes(255, 'x'));
+  ASSERT_TRUE(txt.append(BytesView(Bytes{'a', 'b'})));
+  ASSERT_TRUE(txt.append(BytesView(Bytes{})));
+  ASSERT_TRUE(txt.append(BytesView(Bytes(255, 'x'))));
+  EXPECT_FALSE(txt.append(BytesView(Bytes(256, 'y'))));  // one length byte
   Message m;
   m.answers.push_back(
       ResourceRecord::txt(*DomainName::parse("t.example"), txt, 60));
   Message d = round_trip(m);
-  EXPECT_EQ(std::get<TxtRdata>(d.answers[0].rdata).strings.size(), 3u);
-  EXPECT_EQ(std::get<TxtRdata>(d.answers[0].rdata), txt);
+  const auto& got = std::get<TxtRdata>(d.answers[0].rdata);
+  EXPECT_EQ(got.string_count(), 3u);
+  EXPECT_EQ(got.string(0).size(), 2u);
+  EXPECT_TRUE(got.string(1).empty());
+  EXPECT_EQ(got.string(2).size(), 255u);
+  EXPECT_TRUE(got.string(3).empty());
+  EXPECT_EQ(got, txt);
 }
 
 TEST(Message, CnameRoundTrip) {
@@ -125,10 +131,11 @@ TEST(Message, UnknownTypePreservedAsRaw) {
   Message m;
   m.answers.push_back(ResourceRecord{*DomainName::parse("x.example"),
                                      static_cast<RrType>(99), RrClass::IN, 5,
-                                     RawRdata{99, Bytes{1, 2, 3, 4}}});
+                                     RawRdata::of(99, Bytes{1, 2, 3, 4})});
   Message d = round_trip(m);
   const auto& raw = std::get<RawRdata>(d.answers[0].rdata);
-  EXPECT_EQ(raw.data, (Bytes{1, 2, 3, 4}));
+  const BytesView got = raw.data.bytes();
+  EXPECT_EQ(Bytes(got.begin(), got.end()), (Bytes{1, 2, 3, 4}));
 }
 
 TEST(Message, ResponseToCopiesIdAndQuestion) {

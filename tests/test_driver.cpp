@@ -1,6 +1,9 @@
 // LrsSimulatorNode (the paper's LRS simulator) behaviour.
 #include <gtest/gtest.h>
 
+#include <unordered_map>
+
+#include "common/rng.h"
 #include "guard/remote_guard.h"
 #include "server/authoritative_node.h"
 #include "sim/simulator.h"
@@ -155,6 +158,58 @@ TEST(TablePrinterFormat, Numbers) {
   EXPECT_EQ(TablePrinter::num(3.14159, 2), "3.14");
   EXPECT_EQ(TablePrinter::kilo(84200), "84.2K");
   EXPECT_EQ(TablePrinter::percent(0.256), "25.6%");
+}
+
+TEST(DriverQidIndex, MatchesAMapUnderRandomChurn) {
+  // The driver's flat index against std::unordered_map: ids claimed in
+  // sequence (as the driver does) and in random order, each of at most
+  // `live` workers holding one id, so the table never fills.
+  for (const bool sequential : {true, false}) {
+    for (const int live : {1, 3, 4, 250}) {
+      SCOPED_TRACE(testing::Message() << "live " << live << " sequential "
+                                      << sequential);
+      LrsSimulatorNode::QidIndex index;
+      index.reset(2 * static_cast<std::size_t>(live));
+      std::unordered_map<std::uint16_t, int> oracle;
+      std::vector<std::uint16_t> held(static_cast<std::size_t>(live), 0);
+      Rng rng(static_cast<std::uint64_t>(live) * 2 + (sequential ? 1 : 0));
+      std::uint16_t next = 1;
+      for (int step = 0; step < 20000; ++step) {
+        const auto w = static_cast<int>(rng.bounded(held.size()));
+        std::uint16_t& qid = held[static_cast<std::size_t>(w)];
+        if (qid != 0) {
+          index.erase(qid);
+          oracle.erase(qid);
+          qid = 0;
+        }
+        if (rng.chance(0.8)) {
+          std::uint16_t fresh;
+          do {
+            fresh = sequential ? next++
+                               : static_cast<std::uint16_t>(rng.next());
+          } while (fresh == 0 || oracle.count(fresh) > 0);
+          ASSERT_EQ(index.find(fresh), -1);
+          index.insert(fresh, w);
+          oracle[fresh] = w;
+          qid = fresh;
+        }
+        for (const std::uint16_t q : held) {
+          if (q != 0) {
+            ASSERT_EQ(index.find(q), oracle.at(q));
+          }
+        }
+        const auto probe = static_cast<std::uint16_t>(rng.next());
+        ASSERT_EQ(index.find(probe),
+                  oracle.count(probe) > 0 ? oracle.at(probe) : -1);
+      }
+      index.clear();
+      for (const std::uint16_t q : held) {
+        if (q != 0) {
+          EXPECT_EQ(index.find(q), -1);
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -570,6 +570,75 @@ TEST(TcpScheme, ProxyDropsEndTheirJourneyAtTheGuard) {
   EXPECT_EQ(ended_at_guard, throttled);
 }
 
+/// Counts journeys made only of marks that can only continue a journey: a
+/// completed journey that is a lone "drv.timeout", and an open journey,
+/// keyed by one of the driver's TCP client ports, holding nothing but
+/// "tcp.closed" marks.
+struct OrphanJourneys {
+  std::size_t ended_at_guard = 0;
+  std::size_t lone_timeouts = 0;
+  std::size_t closed_only = 0;
+
+  explicit OrphanJourneys(const obs::JourneyTracker& jt) {
+    for (const auto& j : jt.completed()) {
+      if (j.n_events == 0) continue;
+      if (j.events[j.n_events - 1].stage == "guard.drop") ++ended_at_guard;
+      if (j.n_events == 1 && j.events[0].stage == "drv.timeout") {
+        ++lone_timeouts;
+      }
+    }
+    for (std::uint32_t port = 30000; port < 32000; ++port) {
+      const auto* j = jt.find({kLrsIp.value(),
+                               static_cast<std::uint16_t>(port), 0});
+      if (j == nullptr) continue;
+      const auto* first = j->events.data();
+      if (std::all_of(first, first + j->n_events,
+                      [](const obs::JourneyTracker::Event& e) {
+                        return e.stage == "tcp.closed";
+                      })) {
+        ++closed_only;
+      }
+    }
+  }
+};
+
+TEST(Journeys, GuardDropIsCountedOnce) {
+  // RL2 lets the driver's address through once, so the guard drops every
+  // later proxied query and ends its journey at "guard.drop". The driver's
+  // timeout and the closes of both TCP stacks come later: they must not
+  // start a second journey for the same query.
+  GuardBed bed(Scheme::TcpRedirect, DriveMode::TcpDirect, 4, 0.0,
+               [](RemoteGuardNode::Config& gc) {
+                 gc.rl2.per_host_rate = 1;
+                 gc.rl2.per_host_burst = 1;
+               });
+  bed.sim.journeys().enable();
+  bed.run(milliseconds(25));
+  bed.sim.run_for(milliseconds(5));  // drain the last resets and closes
+  ASSERT_GT(bed.driver->driver_stats().timeouts, 0u);
+  const OrphanJourneys j(bed.sim.journeys());
+  EXPECT_GT(j.ended_at_guard, 0u);
+  EXPECT_EQ(j.lone_timeouts, 0u);
+  EXPECT_EQ(j.closed_only, 0u);
+}
+
+TEST(Journeys, GuardDropIsCountedOnceOverUdp) {
+  // The same over UDP: drop_other ends an RL2-throttled query's journey.
+  GuardBed bed(Scheme::ModifiedDns, DriveMode::ModifiedHit, 4, 0.0,
+               [](RemoteGuardNode::Config& gc) {
+                 gc.rl2.per_host_rate = 1;
+                 gc.rl2.per_host_burst = 1;
+               });
+  bed.sim.journeys().enable();
+  bed.run(milliseconds(25));
+  ASSERT_GT(bed.driver->driver_stats().timeouts, 0u);
+  ASSERT_GT(bed.guard->drop_counters().value(obs::DropReason::kRateLimited2),
+            0u);
+  const OrphanJourneys j(bed.sim.journeys());
+  EXPECT_GT(j.ended_at_guard, 0u);
+  EXPECT_EQ(j.lone_timeouts, 0u);
+}
+
 TEST(ModifiedScheme, CookieExchangeThenQuery) {
   GuardBed bed(Scheme::ModifiedDns, DriveMode::ModifiedMiss);
   bed.run(milliseconds(100));

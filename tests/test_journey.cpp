@@ -99,6 +99,24 @@ TEST(JourneyTracker, EndOnUnknownKeyMakesSingleEventJourney) {
   EXPECT_EQ(jt.stats().failed, 1u);
 }
 
+TEST(JourneyTracker, ContinueOnlyMarksNeverOpenAJourney) {
+  JourneyTracker jt;
+  jt.enable(16, 16);
+  jt.mark({5, 5, 0}, "tcp.closed", at(10), /*may_open=*/false);
+  jt.end({5, 5, 5}, "drv.timeout", at(11), /*ok=*/false, /*may_open=*/false);
+  EXPECT_EQ(jt.active_count(), 0u);
+  EXPECT_EQ(jt.completed_count(), 0u);
+  EXPECT_EQ(jt.stats().started, 0u);
+  // On an open journey they act as mark() and end() do.
+  jt.mark({5, 5, 5}, "drv.send", at(12));
+  jt.mark({5, 5, 5}, "tcp.closed", at(13), /*may_open=*/false);
+  jt.end({5, 5, 5}, "drv.timeout", at(14), /*ok=*/false, /*may_open=*/false);
+  auto done = jt.completed();
+  ASSERT_EQ(done.size(), 1u);
+  EXPECT_EQ(done[0].n_events, 3u);
+  EXPECT_FALSE(done[0].ok);
+}
+
 TEST(JourneyTracker, PoolFullEvictsOldestOpen) {
   JourneyTracker jt;
   jt.enable(4, 8);

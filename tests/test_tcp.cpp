@@ -452,9 +452,11 @@ TEST(TcpIdentity, EvictionEndsLikeEveryOtherClose) {
                            closed.emplace_back(c, tag);
                          }},
                  TcpStack::Options{.max_connections = 1});
-  stack.set_journey_fn([&marks](SocketAddr client, std::string_view stage) {
-    marks.emplace_back(client, stage);
-  });
+  stack.set_journey_fn(
+      [&marks](SocketAddr client, std::string_view stage, bool may_open) {
+        marks.emplace_back(client, stage);
+        EXPECT_EQ(may_open, stage != "tcp.closed");
+      });
   const SocketAddr a{Ipv4Address(10, 0, 0, 2), 4001};
   const SocketAddr b{Ipv4Address(10, 0, 0, 2), 4002};
   const ConnId first = stack.connect(a, Harness::server_addr());

@@ -65,7 +65,7 @@ TEST(ZoneParser, ParsesRepresentativeZone) {
 
   auto txt = z.find(*DomainName::parse("info.foo.com"), RrType::TXT);
   ASSERT_EQ(txt.size(), 1u);
-  EXPECT_EQ(std::get<dns::TxtRdata>(txt[0].rdata).strings.size(), 2u);
+  EXPECT_EQ(std::get<dns::TxtRdata>(txt[0].rdata).string_count(), 2u);
 }
 
 TEST(ZoneParser, RelativeAndAbsoluteNames) {
@@ -128,6 +128,18 @@ TEST(ZoneParser, ErrorsCarryLineNumbers) {
   auto err = must_fail("$ORIGIN ok.example.\nbroken IN A not-an-ip\n");
   EXPECT_EQ(err.line, 2);
   EXPECT_NE(err.message.find("IPv4"), std::string::npos);
+}
+
+TEST(ZoneParser, RejectsTxtOverRdataCapacity) {
+  // Two 255-byte strings fill the 512-byte RDATA buffer; a third does not
+  // fit.
+  const std::string s(255, 'a');
+  const std::string two = "$ORIGIN e.\nx IN TXT \"" + s + "\" \"" + s + "\"\n";
+  EXPECT_EQ(must_parse(two, "e.").record_count(), 1u);
+  auto err = must_fail("$ORIGIN e.\nx IN TXT \"" + s + "\" \"" + s +
+                       "\" \"b\"\n");
+  EXPECT_EQ(err.line, 2);
+  EXPECT_NE(err.message.find("512"), std::string::npos);
 }
 
 TEST(ZoneParser, RejectsUnknownType) {

@@ -127,6 +127,12 @@ HOT_PATH_ROOTS = (
     "EventQueue::pop",
     "EventQueue::run_next",
     "CookieEngine::verify*",
+    # Cookie encodings read and written per packet: the TXT cookie is a
+    # view into the decoded record, and cookie labels live in fixed
+    # buffers or as views into the question.
+    "CookieEngine::extract_txt_cookie",
+    "CookieEngine::parse_cookie_label",
+    "CookieEngine::make_cookie_label",
     "SynCookieGenerator::validate",
     "DropCounters::count",
     "TokenBucket::try_consume",
@@ -139,12 +145,14 @@ HOT_PATH_ROOTS = (
     "CookieHasher::compute",
     "Node::maybe_schedule_lane",
     "Node::release_outbox",
-    # DNS codec: names are inline wire forms, so reading, compressing,
-    # writing and transforming them, and encoding a whole message into a
-    # warmed buffer, never allocate. Message::decode_into is left out: its
-    # sections and TXT strings grow until their capacity settles, which
-    # tests/test_alloc_budget.cpp measures instead.
+    # DNS codec: names and RDATA are inline wire forms, so reading,
+    # compressing, writing and transforming them, decoding one record and
+    # encoding a whole message into a warmed buffer never allocate.
+    # Message::decode_into is left out: its section vectors grow until
+    # their capacity settles (the first messages of a shape allocate),
+    # which tests/test_alloc_budget.cpp measures instead.
     "read_name",
+    "ResourceRecord::decode_into",
     "NameCompressor::write",
     "write_name_uncompressed",
     "Message::encode_to",
