@@ -17,6 +17,14 @@
 //     connection holding one NAT entry, after the NAT table's high-water
 //     mark reached 16 vs 16,384 entries (16 connections of 1 vs 1,024
 //     pipelined queries to a server that never answers, then reset).
+//   - shard_aligned: VerifiedRequestLimiter::allow (RL2) for a never-seen
+//     host, with hosts that a 4-shard guard sends to shard 0 vs random
+//     hosts, at one table size (a cap of 4096 hosts; each timed batch of
+//     512 takes a new table from 87% to one short of full). shard_of_ip
+//     takes the top bits of ip x 0x9e3779b9, so one shard's sources share
+//     the top bits of the table's Fibonacci product too: an index
+//     bucketed by those bits would crowd them into a corner of itself.
+//     The ratio is shard-0 over random.
 //
 // No committed baseline: the result is wall-clock, and the gate is the
 // in-process ratio. The whole run takes well under a second, so quick mode
@@ -38,10 +46,51 @@ namespace {
 
 constexpr double kMaxRatio = 2.0;
 
+constexpr net::Ipv4Address kClientIp(10, 0, 1, 1);
+
 double median(std::vector<double> v) {
   std::sort(v.begin(), v.end());
   return v.empty() ? 0.0 : v[v.size() / 2];
 }
+
+// --- never-seen sources ------------------------------------------------------
+
+/// Exposes the guard's own source-to-shard map.
+class ShardPeek : public guard::RemoteGuardNode {
+ public:
+  using RemoteGuardNode::RemoteGuardNode;
+  using RemoteGuardNode::shard_of;
+};
+
+/// Never-seen hosts, in no useful order; with `shard0_of` set, only those
+/// the guard sends to shard 0.
+class HostStream {
+ public:
+  explicit HostStream(const ShardPeek* shard0_of) : guard_(shard0_of) {}
+
+  net::Ipv4Address next() {
+    while (true) {
+      // Murmur3's finalizer is a bijection on 32 bits: every source is
+      // new, and they arrive in no useful order, like a random-source
+      // flood's.
+      std::uint32_t x = next_++;
+      x ^= x >> 16;
+      x *= 0x85ebca6bu;
+      x ^= x >> 13;
+      x *= 0xc2b2ae35u;
+      x ^= x >> 16;
+      const net::Ipv4Address ip(x);
+      if (guard_ == nullptr) return ip;
+      const auto p = net::Packet::make_udp({ip, 5353}, {kGuardIp, 53},
+                                           Bytes{});
+      if (guard_->shard_of(p) == 0) return ip;
+    }
+  }
+
+ private:
+  const ShardPeek* guard_;
+  std::uint32_t next_ = 1;
+};
 
 // --- rl1_unseen --------------------------------------------------------------
 
@@ -52,14 +101,14 @@ class Rl1Flood {
             .tracker_capacity = tracker,
             .heavy_hitter_threshold =
                 std::numeric_limits<std::uint64_t>::max()}) {
-    for (std::size_t i = 0; i < tracker; ++i) rl1_.allow(fresh(), SimTime{});
+    for (std::size_t i = 0; i < tracker; ++i) rl1_.allow(hosts_.next(), SimTime{});
   }
 
   /// ns per allow() over `calls` never-seen sources.
   double time_unseen(int calls) {
     std::uint64_t allowed = 0;
     const auto t0 = wall_now();
-    for (int i = 0; i < calls; ++i) allowed += rl1_.allow(fresh(), SimTime{});
+    for (int i = 0; i < calls; ++i) allowed += rl1_.allow(hosts_.next(), SimTime{});
     const double ns = wall_seconds_since(t0) * 1e9 / calls;
     if (allowed != static_cast<std::uint64_t>(calls)) {
       std::printf("throttled\n");
@@ -68,27 +117,39 @@ class Rl1Flood {
   }
 
  private:
-  // Murmur3's finalizer is a bijection on 32 bits: every source is new,
-  // and they arrive in no useful order, like a random-source flood's.
-  net::Ipv4Address fresh() {
-    std::uint32_t x = next_++;
-    x ^= x >> 16;
-    x *= 0x85ebca6bu;
-    x ^= x >> 13;
-    x *= 0xc2b2ae35u;
-    x ^= x >> 16;
-    return net::Ipv4Address(x);
-  }
-
   ratelimit::CookieResponseLimiter rl1_;
-  std::uint32_t next_ = 1;
+  HostStream hosts_{nullptr};
 };
 
-// --- proxy_close -------------------------------------------------------------
+// --- shard_aligned -----------------------------------------------------------
 
-constexpr net::Ipv4Address kAnsIp(10, 1, 1, 254);
-constexpr net::Ipv4Address kGuardIp(10, 1, 1, 253);
-constexpr net::Ipv4Address kClientIp(10, 0, 1, 1);
+constexpr std::size_t kRl2Hosts = 1 << 12;
+constexpr int kRl2Batch = 512;
+
+/// ns per allow() over kRl2Batch never-seen hosts from `hosts`, on a new
+/// RL2 table that the same stream first fills to one batch short of its
+/// cap: the timed inserts run at an index load just under 1/2, where a
+/// crowded corner of the index shows most. The hosts are drawn before
+/// the clock starts, so the shard filter is not timed.
+double time_fresh_rl2(HostStream& hosts) {
+  ratelimit::VerifiedRequestLimiter rl2(
+      ratelimit::VerifiedRequestLimiter::Config{.max_hosts = kRl2Hosts});
+  for (std::size_t i = 0; i + kRl2Batch + 1 < kRl2Hosts; ++i) {
+    rl2.allow(hosts.next(), SimTime{});
+  }
+  std::vector<net::Ipv4Address> batch;
+  for (int i = 0; i < kRl2Batch; ++i) batch.push_back(hosts.next());
+  std::uint64_t allowed = 0;
+  const auto t0 = wall_now();
+  for (const auto ip : batch) allowed += rl2.allow(ip, SimTime{});
+  const double ns = wall_seconds_since(t0) * 1e9 / kRl2Batch;
+  if (allowed != static_cast<std::uint64_t>(kRl2Batch)) {
+    std::printf("refused\n");
+  }
+  return ns;
+}
+
+// --- proxy_close -------------------------------------------------------------
 
 /// A server that never answers: NAT entries stay until their connection
 /// closes.
@@ -267,6 +328,31 @@ int main() {
               "%.2f\n",
               large_hw, close.large_ns, close.ratio());
 
+  // shard_aligned: interleaved batches of never-seen hosts, random vs
+  // shard 0 of a 4-shard guard, each on a new table filled near its cap.
+  Result aligned{};
+  {
+    sim::Simulator sim;
+    guard::RemoteGuardNode::Config gc;
+    gc.guard_address = kGuardIp;
+    gc.ans_address = kAnsIp;
+    gc.subnet_base = net::Ipv4Address(10, 1, 1, 0);
+    gc.num_shards = 4;
+    const ShardPeek peek(sim, "guard", gc, nullptr);
+    HostStream random(nullptr);
+    HostStream shard0(&peek);
+    std::vector<double> r, z;
+    for (int i = 0; i < 41; ++i) {
+      r.push_back(time_fresh_rl2(random));
+      z.push_back(time_fresh_rl2(shard0));
+    }
+    aligned = {median(r), median(z)};
+  }
+  std::printf("shard_aligned  random hosts: %9.1f ns/allow\n",
+              aligned.small_ns);
+  std::printf("shard_aligned  shard-0 hosts: %8.1f ns/allow   ratio %.2f\n",
+              aligned.large_ns, aligned.ratio());
+
   const bool setup_ok = small_hw == 16 && large_hw == 16 * 1024 &&
                         leftover == 0;
   if (!setup_ok) {
@@ -276,8 +362,10 @@ int main() {
   }
   const bool rl1_ok = rl1.ratio() <= kMaxRatio;
   const bool close_ok = close.ratio() <= kMaxRatio;
-  std::printf("\nrl1_unseen %s, proxy_close %s\n", rl1_ok ? "ok" : "FAIL",
-              close_ok ? "ok" : "FAIL");
+  const bool aligned_ok = aligned.ratio() <= kMaxRatio;
+  std::printf("\nrl1_unseen %s, proxy_close %s, shard_aligned %s\n",
+              rl1_ok ? "ok" : "FAIL", close_ok ? "ok" : "FAIL",
+              aligned_ok ? "ok" : "FAIL");
 
   // No "profile" section: each scenario times a single operation.
   JsonResultWriter json("adversarial_host");
@@ -287,6 +375,9 @@ int main() {
   json.add("proxy_close_ns_nat_hw_16", close.small_ns);
   json.add("proxy_close_ns_nat_hw_16384", close.large_ns);
   json.add("proxy_close_ratio", close.ratio());
+  json.add("shard_aligned_ns_random", aligned.small_ns);
+  json.add("shard_aligned_ns_shard0", aligned.large_ns);
+  json.add("shard_aligned_ratio", aligned.ratio());
   json.write();
-  return setup_ok && rl1_ok && close_ok ? 0 : 1;
+  return setup_ok && rl1_ok && close_ok && aligned_ok ? 0 : 1;
 }

@@ -6,8 +6,9 @@
 // inflates the map until the guard swaps or dies. BoundedTable closes that
 // class in one place by combining
 //
-//   - a hard capacity cap (allocation happens up front / in chunks, and
-//     steady state never touches the allocator),
+//   - a hard capacity cap (the index and the slots grow with occupancy,
+//     never past the cap's bound, and steady state never touches the
+//     allocator),
 //   - LRU eviction at the cap (or refusal, for tables whose entries
 //     represent verified work that must not be displaced),
 //   - TTL and idle-timeout reaping, incremental via a wrapping cursor so
@@ -18,12 +19,16 @@
 //     heap profile.
 //
 // Layout: an open-addressing, linear-probe index of u32 slot references
-// over slots stored in a std::deque (chunked, addresses stable — Value*
-// handed out by find()/try_emplace() stay valid until that entry itself is
-// erased or evicted). The LRU list is intrusive: u32 prev/next indices in
-// the slots, no nodes, no allocation. Values live in std::optional so
-// Value needs no default constructor (TokenBucket has none) and free
-// slots hold no live Value.
+// over slots stored in fixed power-of-two chunks (addresses stable —
+// Value* handed out by find()/try_emplace() stay valid until that entry
+// itself is erased or evicted). The index starts at 8 buckets and doubles
+// whenever an insert would push its load above 1/2, up to the smallest
+// power of two >= 2 x capacity, and never shrinks; chunks are added as
+// slots are first used. So memory follows the live entries, and a full
+// table holds what a table sized up front would. The LRU list is
+// intrusive: u32 prev/next indices in the slots, no nodes, no allocation.
+// Values live in std::optional so Value needs no default constructor
+// (TokenBucket has none) and free slots hold no live Value.
 //
 // Reentrancy rule: the eviction callback runs after the entry has been
 // fully unlinked (it receives the moved-out key and value), so it may
@@ -36,9 +41,9 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -130,10 +135,13 @@ class BoundedTable {
 
   explicit BoundedTable(Config config) : config_(config) {
     if (config_.capacity == 0) config_.capacity = 1;
-    std::size_t buckets = 8;
-    while (buckets < config_.capacity * 2) buckets <<= 1;
-    index_.assign(buckets, 0);
-    mask_ = buckets - 1;
+    while (max_buckets_ < config_.capacity * 2) max_buckets_ <<= 1;
+    while ((std::size_t{1} << chunk_shift_) < config_.capacity &&
+           chunk_shift_ < kMaxChunkShift) {
+      ++chunk_shift_;
+    }
+    index_.assign(kMinBuckets, 0);
+    mask_ = kMinBuckets - 1;
   }
   BoundedTable() : BoundedTable(Config{}) {}
 
@@ -153,12 +161,12 @@ class BoundedTable {
       return nullptr;
     }
     const std::uint32_t si = index_[b] - 1;
-    if (expired(slots_[si], now)) {
-      remove_bucket(b, expire_reason(slots_[si], now));
+    if (expired(slot(si), now)) {
+      remove_bucket(b, expire_reason(slot(si), now));
       ++stats_.misses;
       return nullptr;
     }
-    Slot& s = slots_[si];
+    Slot& s = slot(si);
     s.last_use = now;
     lru_move_front(si);
     ++stats_.hits;
@@ -169,7 +177,7 @@ class BoundedTable {
   [[nodiscard]] const Value* peek(const Key& key, SimTime now) const {
     const std::size_t b = find_bucket(key);
     if (b == kNoBucket) return nullptr;
-    const Slot& s = slots_[index_[b] - 1];
+    const Slot& s = slot(index_[b] - 1);
     return expired(s, now) ? nullptr : &*s.value;
   }
 
@@ -184,11 +192,11 @@ class BoundedTable {
   /// the table's observable state alone, such as links between entries.
   [[nodiscard]] Value* occupant(const Key& key) {
     const std::size_t b = find_bucket(key);
-    return b == kNoBucket ? nullptr : &*slots_[index_[b] - 1].value;
+    return b == kNoBucket ? nullptr : &*slot(index_[b] - 1).value;
   }
   [[nodiscard]] const Value* occupant(const Key& key) const {
     const std::size_t b = find_bucket(key);
-    return b == kNoBucket ? nullptr : &*slots_[index_[b] - 1].value;
+    return b == kNoBucket ? nullptr : &*slot(index_[b] - 1).value;
   }
 
   /// Inserts Value{args...} under `key` if absent. An existing live entry
@@ -200,14 +208,14 @@ class BoundedTable {
     const std::size_t b = find_bucket(key);
     if (b != kNoBucket) {
       const std::uint32_t si = index_[b] - 1;
-      if (!expired(slots_[si], now)) {
-        Slot& s = slots_[si];
+      if (!expired(slot(si), now)) {
+        Slot& s = slot(si);
         s.last_use = now;
         lru_move_front(si);
         ++stats_.hits;
         return {&*s.value, false};
       }
-      remove_bucket(b, expire_reason(slots_[si], now));
+      remove_bucket(b, expire_reason(slot(si), now));
     }
     if (size_ >= config_.capacity) {
       if (!config_.evict_lru_when_full || lru_tail_ == kNil) {
@@ -220,12 +228,15 @@ class BoundedTable {
       // contact path and the cursor sweep must agree, or the
       // evicted_capacity gauge reads "table thrashing" when the table is
       // merely full of expired entries.
-      const Slot& tail = slots_[lru_tail_];
+      const Slot& tail = slot(lru_tail_);
       remove_slot(lru_tail_, expired(tail, now) ? expire_reason(tail, now)
                                                 : EvictReason::kCapacity);
     }
+    if ((size_ + 1) * 2 > index_.size() && index_.size() < max_buckets_) {
+      grow_index();
+    }
     const std::uint32_t si = alloc_slot();
-    Slot& s = slots_[si];
+    Slot& s = slot(si);
     s.key = key;
     s.value.emplace(std::forward<Args>(args)...);
     s.inserted_at = now;
@@ -245,7 +256,7 @@ class BoundedTable {
   bool set_expiry(const Key& key, SimTime expires_at) {
     const std::size_t b = find_bucket(key);
     if (b == kNoBucket) return false;
-    slots_[index_[b] - 1].expires_at = expires_at;
+    slot(index_[b] - 1).expires_at = expires_at;
     return true;
   }
 
@@ -270,10 +281,10 @@ class BoundedTable {
                        std::size_t>::max()) {
     std::size_t reaped = 0;
     for (std::size_t i = 0; i < max_scan; ++i) {
-      const std::size_t n = slots_.size();
+      const std::size_t n = slot_count_;
       if (n == 0 || i >= n) break;
       if (cursor_ >= n) cursor_ = 0;
-      Slot& s = slots_[cursor_];
+      Slot& s = slot(cursor_);
       if (s.value && expired(s, now)) {
         remove_slot(cursor_, expire_reason(s, now));
         ++reaped;
@@ -285,24 +296,27 @@ class BoundedTable {
 
   template <typename Fn>
   void for_each(Fn&& fn) {
-    for (auto& s : slots_) {
+    for (std::uint32_t i = 0; i < slot_count_; ++i) {
+      Slot& s = slot(i);
       if (s.value) fn(std::as_const(s.key), *s.value);
     }
   }
   template <typename Fn>
   void for_each(Fn&& fn) const {
-    for (const auto& s : slots_) {
+    for (std::uint32_t i = 0; i < slot_count_; ++i) {
+      const Slot& s = slot(i);
       if (s.value) fn(s.key, *s.value);
     }
   }
 
   /// The least-recently-used key, or nullptr when empty (tests).
   [[nodiscard]] const Key* lru_key() const {
-    return lru_tail_ == kNil ? nullptr : &slots_[lru_tail_].key;
+    return lru_tail_ == kNil ? nullptr : &slot(lru_tail_).key;
   }
 
   void clear() {
-    slots_.clear();
+    chunks_.clear();
+    slot_count_ = 0;
     free_.clear();
     index_.assign(index_.size(), 0);
     lru_head_ = lru_tail_ = kNil;
@@ -316,6 +330,9 @@ class BoundedTable {
   [[nodiscard]] std::size_t capacity() const { return config_.capacity; }
   [[nodiscard]] bool full() const { return size_ >= config_.capacity; }
   [[nodiscard]] const Config& config() const { return config_; }
+  /// Buckets in the index now: 8 at construction, doubling with
+  /// occupancy up to the smallest power of two >= 2 x capacity (tests).
+  [[nodiscard]] std::size_t bucket_count() const { return index_.size(); }
 
   [[nodiscard]] const BoundedTableStats& stats() const { return stats_; }
   [[nodiscard]] BoundedTableStats& stats() { return stats_; }
@@ -329,6 +346,8 @@ class BoundedTable {
       std::numeric_limits<std::size_t>::max();
   static constexpr std::int64_t kNoExpiryNs =
       std::numeric_limits<std::int64_t>::max();
+  static constexpr std::size_t kMinBuckets = 8;
+  static constexpr unsigned kMaxChunkShift = 8;  // 256 slots per chunk
 
   struct Slot {
     Key key{};
@@ -342,26 +361,48 @@ class BoundedTable {
 
   // Small keys (ports, query ids) hash to themselves under std::hash;
   // a Fibonacci multiply spreads them across the high bits before the
-  // power-of-two mask.
+  // power-of-two mask. The mask takes the bits from bit 32 up, whatever
+  // the index size, never the product's top bits: the guard's shard_of_ip
+  // picks a source's shard by the top bits of ip x 0x9e3779b9, so the
+  // sources of one shard share the top bits of this product too and
+  // would crowd into a corner of every shard's index (DESIGN.md §10).
   [[nodiscard]] std::size_t bucket_of(const Key& key) const {
     const std::uint64_t h =
         static_cast<std::uint64_t>(Hash{}(key)) * 0x9e3779b97f4a7c15ULL;
     return static_cast<std::size_t>(h >> 32) & mask_;
   }
 
+  [[nodiscard]] Slot& slot(std::uint32_t si) {
+    return chunks_[si >> chunk_shift_][si & ((1u << chunk_shift_) - 1)];
+  }
+  [[nodiscard]] const Slot& slot(std::uint32_t si) const {
+    return chunks_[si >> chunk_shift_][si & ((1u << chunk_shift_) - 1)];
+  }
+
   [[nodiscard]] std::size_t find_bucket(const Key& key) const {
     std::size_t b = bucket_of(key);
     while (index_[b] != 0) {
-      if (slots_[index_[b] - 1].key == key) return b;
+      if (slot(index_[b] - 1).key == key) return b;
       b = (b + 1) & mask_;
     }
     return kNoBucket;
   }
 
   void index_insert(std::uint32_t si) {
-    std::size_t b = bucket_of(slots_[si].key);
+    std::size_t b = bucket_of(slot(si).key);
     while (index_[b] != 0) b = (b + 1) & mask_;
     index_[b] = si + 1;
+  }
+
+  // Doubles the index and reinserts every live slot. Runs at most
+  // log2(max_buckets_ / 8) times in the table's life, so its O(table)
+  // cost totals O(capacity) (DESIGN.md §10).
+  void grow_index() {
+    index_.assign(index_.size() * 2, 0);
+    mask_ = index_.size() - 1;
+    for (std::uint32_t si = 0; si < slot_count_; ++si) {
+      if (slot(si).value) index_insert(si);
+    }
   }
 
   // Backward-shift deletion keeps every remaining entry reachable from
@@ -373,7 +414,7 @@ class BoundedTable {
     while (true) {
       j = (j + 1) & mask_;
       if (index_[j] == 0) break;
-      const std::size_t home = bucket_of(slots_[index_[j] - 1].key);
+      const std::size_t home = bucket_of(slot(index_[j] - 1).key);
       const bool home_in_hole_j = hole < j ? (home > hole && home <= j)
                                            : (home > hole || home <= j);
       if (!home_in_hole_j) {
@@ -401,27 +442,31 @@ class BoundedTable {
       free_.pop_back();
       return si;
     }
-    slots_.emplace_back();
-    return static_cast<std::uint32_t>(slots_.size() - 1);
+    if ((slot_count_ >> chunk_shift_) == chunks_.size()) {
+      // Every slot is in use: chunks stop at the table's high-water mark.
+      chunks_.push_back(std::make_unique<Slot[]>(std::size_t{1}
+                                                 << chunk_shift_));
+    }
+    return slot_count_++;
   }
 
   void lru_push_front(std::uint32_t si) {
-    Slot& s = slots_[si];
+    Slot& s = slot(si);
     s.lru_prev = kNil;
     s.lru_next = lru_head_;
-    if (lru_head_ != kNil) slots_[lru_head_].lru_prev = si;
+    if (lru_head_ != kNil) slot(lru_head_).lru_prev = si;
     lru_head_ = si;
     if (lru_tail_ == kNil) lru_tail_ = si;
   }
   void lru_unlink(std::uint32_t si) {
-    Slot& s = slots_[si];
+    Slot& s = slot(si);
     if (s.lru_prev != kNil) {
-      slots_[s.lru_prev].lru_next = s.lru_next;
+      slot(s.lru_prev).lru_next = s.lru_next;
     } else {
       lru_head_ = s.lru_next;
     }
     if (s.lru_next != kNil) {
-      slots_[s.lru_next].lru_prev = s.lru_prev;
+      slot(s.lru_next).lru_prev = s.lru_prev;
     } else {
       lru_tail_ = s.lru_prev;
     }
@@ -434,14 +479,14 @@ class BoundedTable {
   }
 
   void remove_slot(std::uint32_t si, std::optional<EvictReason> reason) {
-    std::size_t b = bucket_of(slots_[si].key);
+    std::size_t b = bucket_of(slot(si).key);
     while (index_[b] != si + 1) b = (b + 1) & mask_;
     remove_bucket(b, reason);
   }
 
   void remove_bucket(std::size_t b, std::optional<EvictReason> reason) {
     const std::uint32_t si = index_[b] - 1;
-    Slot& s = slots_[si];
+    Slot& s = slot(si);
     index_erase_at(b);
     lru_unlink(si);
     Key key = std::move(s.key);
@@ -468,7 +513,13 @@ class BoundedTable {
   Config config_;
   std::vector<std::uint32_t> index_;  // slot index + 1; 0 = empty
   std::size_t mask_ = 0;
-  std::deque<Slot> slots_;            // stable addresses, chunked growth
+  std::size_t max_buckets_ = kMinBuckets;  // index size at capacity
+  // Slot i lives at chunks_[i >> chunk_shift_][i & (chunk size - 1)]: 256
+  // slots a chunk, or the capacity rounded up to a power of two when that
+  // is smaller. Chunks never move, so slot addresses are stable.
+  std::vector<std::unique_ptr<Slot[]>> chunks_;
+  std::uint32_t slot_count_ = 0;      // slots ever handed out
+  unsigned chunk_shift_ = 0;
   std::vector<std::uint32_t> free_;
   std::uint32_t lru_head_ = kNil;     // most recently used
   std::uint32_t lru_tail_ = kNil;     // least recently used

@@ -41,6 +41,15 @@ void Node::deliver(net::Packet packet) {
   sim_.mutable_stats().packets_delivered++;
   trace(obs::TraceEvent::kRx, packet);
   (void)lane.ring.try_push(std::move(packet));  // full() checked above
+  // Serve on arrival: an idle lane with nothing else due at this instant
+  // would run its service event next anyway, at this same instant, so
+  // serving now reorders nothing and saves the event. Not from inside
+  // this node's own process(): serve_lane is not reentrant.
+  if (!lane.scheduled && lane.busy_until <= now() && !in_process_ &&
+      sim_.next_event_time() > now()) {
+    serve_lane(lane_idx);
+    return;
+  }
   maybe_schedule_lane(lane_idx);
 }
 

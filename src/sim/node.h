@@ -77,7 +77,11 @@ class Node {
            static_cast<double>(window.ns);
   }
 
-  /// Entry point used by the Simulator: enqueue an arriving packet.
+  /// Entry point used by the Simulator: enqueue an arriving packet. When
+  /// its lane is idle and no other event is due at this instant, the
+  /// packet is served at once, so deliver() may run process() (and hand
+  /// its sends to the network) before it returns. Callers outside an
+  /// arrival event (tests, hostbench's replay) see that too.
   void deliver(net::Packet packet);
 
   /// The node's packet-lifecycle trace ring (rx -> classify -> rewrite /

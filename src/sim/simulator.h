@@ -73,6 +73,8 @@ class Simulator {
   /// Number of scheduled-but-not-yet-fired events (observability; also
   /// how the scheduler benchmark picks a representative standing window).
   [[nodiscard]] std::size_t pending_events() const { return queue_.size(); }
+  /// Instant of the earliest pending event, or kNoEventTime.
+  [[nodiscard]] SimTime next_event_time() const { return queue_.next_time(); }
 
   /// Runs until the queue is empty or `until` is reached.
   void run_until(SimTime until);

@@ -223,14 +223,27 @@ void LrsSimulatorNode::send_exchange(int w, const dns::DomainName& qname,
 
 void LrsSimulatorNode::arm_timeout(int w) {
   Worker& worker = workers_[static_cast<std::size_t>(w)];
-  std::uint64_t gen = ++worker.timer_generation;
-  schedule_in(config_.timeout, [this, w, gen] { on_timeout(w, gen); });
+  worker.deadline = now() + config_.timeout;
+  worker.armed = true;
+  if (!worker.timer_pending) schedule_timer(w);
 }
 
-void LrsSimulatorNode::on_timeout(int w, std::uint64_t generation) {
-  if (!running_) return;
+void LrsSimulatorNode::schedule_timer(int w) {
   Worker& worker = workers_[static_cast<std::size_t>(w)];
-  if (worker.timer_generation != generation) return;
+  worker.timer_pending = true;
+  schedule_in(worker.deadline - now(), [this, w] { on_timer(w); });
+}
+
+void LrsSimulatorNode::on_timer(int w) {
+  Worker& worker = workers_[static_cast<std::size_t>(w)];
+  worker.timer_pending = false;
+  if (!running_ || !worker.armed) return;
+  if (now() < worker.deadline) {
+    // A later exchange moved the deadline while this event waited.
+    schedule_timer(w);
+    return;
+  }
+  worker.armed = false;
   stats_.timeouts++;
   // The guard may have ended this journey already, at its drop.
   journey_end(worker, "drv.timeout", /*ok=*/false, /*may_open=*/false);
@@ -258,7 +271,7 @@ void LrsSimulatorNode::on_timeout(int w, std::uint64_t generation) {
 
 void LrsSimulatorNode::complete(int w) {
   Worker& worker = workers_[static_cast<std::size_t>(w)];
-  worker.timer_generation++;  // disarm
+  worker.armed = false;
   if (worker.pending_qid != 0) {
     qid_to_worker_.erase(worker.pending_qid);
     worker.pending_qid = 0;
@@ -486,7 +499,7 @@ SimDuration LrsSimulatorNode::process(const net::Packet& packet) {
     return config_.per_packet_cost;
   }
   // This exchange is resolved; disarm its timer.
-  worker.timer_generation++;
+  worker.armed = false;
   qid_to_worker_.erase(rx_.header.id);
   worker.pending_qid = 0;
   advance(w, rx_, packet.src_ip);

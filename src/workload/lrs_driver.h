@@ -135,7 +135,13 @@ class LrsSimulatorNode : public sim::Node {
   struct Worker {
     int stage = 0;
     std::uint16_t pending_qid = 0;
-    std::uint64_t timer_generation = 0;
+    // One live timer per worker. `deadline` is when the armed exchange
+    // times out; `armed` is false once it is answered. The timer event
+    // (`timer_pending`) is scheduled only when none is in the queue: one
+    // that fires before a moved deadline re-arms itself there.
+    SimTime deadline{};
+    bool armed = false;
+    bool timer_pending = false;
     SimTime request_started{};
     // learned state
     dns::DomainName fabricated_name;
@@ -158,8 +164,11 @@ class LrsSimulatorNode : public sim::Node {
   /// Claims a query id not in flight for worker `w`, releasing the
   /// worker's previous one.
   std::uint16_t claim_qid(int w);
+  /// Arms worker `w`'s exchange timeout `config_.timeout` from now.
   void arm_timeout(int w);
-  void on_timeout(int w, std::uint64_t generation);
+  /// Schedules worker `w`'s timer event for its deadline.
+  void schedule_timer(int w);
+  void on_timer(int w);
   void complete(int w);
   void restart(int w);
   void start_tcp(int w);

@@ -6,13 +6,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
 #include <vector>
 
+#include "guard/remote_guard.h"
 #include "obs/metrics.h"
+#include "sim/simulator.h"
 
 namespace dnsguard::common {
 namespace {
@@ -20,6 +24,25 @@ namespace {
 using Table = BoundedTable<std::uint32_t, std::string>;
 
 SimTime at(std::int64_t ms) { return SimTime{} + milliseconds(ms); }
+
+/// xorshift64: a fixed stream of pseudo-random words.
+struct XorShift {
+  std::uint64_t s = 0x123456789abcdefULL;
+  std::uint64_t operator()() {
+    s ^= s << 13;
+    s ^= s >> 7;
+    s ^= s << 17;
+    return s;
+  }
+};
+
+/// The index size a table of `capacity` has when full: the smallest power
+/// of two >= 2 x capacity, and at least 8.
+std::size_t full_buckets(std::size_t capacity) {
+  std::size_t b = 8;
+  while (b < 2 * capacity) b <<= 1;
+  return b;
+}
 
 TEST(BoundedTable, InsertFindErase) {
   Table t({.capacity = 8});
@@ -166,13 +189,7 @@ TEST(BoundedTable, IndexIntegrityUnderHeavyChurn) {
   // std::unordered_map oracle.
   BoundedTable<std::uint16_t, std::uint32_t> t({.capacity = 512});
   std::unordered_map<std::uint16_t, std::uint32_t> oracle;
-  std::uint64_t rng = 0x123456789abcdefULL;
-  auto next = [&rng]() {
-    rng ^= rng << 13;
-    rng ^= rng >> 7;
-    rng ^= rng << 17;
-    return rng;
-  };
+  XorShift next;
   for (int i = 0; i < 20000; ++i) {
     const auto key = static_cast<std::uint16_t>(next() % 700);
     if (next() % 3 == 0) {
@@ -347,6 +364,231 @@ TEST(BoundedTable, ReapCoversEntriesInsertedByEvictionCallback) {
   EXPECT_EQ(t.size(), 2u);
   EXPECT_NE(t.peek(100, at(21)), nullptr);
   EXPECT_NE(t.peek(101, at(21)), nullptr);
+}
+
+TEST(BoundedTable, IndexGrowsWithOccupancyUpToItsFullSize) {
+  // The index starts at 8 buckets and doubles whenever an insert would
+  // take its load above 1/2; at capacity it is the size a table sized up
+  // front has, and it never grows past that or shrinks.
+  for (std::size_t cap : {1u, 3u, 4u, 5u, 16u, 100u, 1000u, 4096u}) {
+    Table t({.capacity = cap});
+    EXPECT_EQ(t.bucket_count(), 8u) << cap;
+    std::size_t prev = 8;
+    for (std::uint32_t k = 0; k < cap; ++k) {
+      t.try_emplace(k, at(0), "v");
+      std::size_t want = 8;
+      while (want < 2 * t.size()) want <<= 1;
+      EXPECT_EQ(t.bucket_count(), want) << cap << " at size " << t.size();
+      EXPECT_TRUE(t.bucket_count() == prev || t.bucket_count() == 2 * prev);
+      prev = t.bucket_count();
+    }
+    EXPECT_EQ(t.bucket_count(), full_buckets(cap)) << cap;
+    // LRU churn at the cap, then emptying: the index stays put.
+    for (std::uint32_t k = 0; k < 3 * cap; ++k) {
+      t.try_emplace(100000 + k, at(1), "w");
+      ASSERT_EQ(t.bucket_count(), full_buckets(cap)) << cap;
+    }
+    t.clear();
+    EXPECT_EQ(t.bucket_count(), full_buckets(cap)) << cap;
+  }
+}
+
+TEST(BoundedTable, ChurnOracleAcrossEveryDoubling) {
+  // Inserts outnumber erases 3:1, so the table climbs from empty to its
+  // cap through every doubling of the index (8 -> 8192) with
+  // backward-shift erases interleaved; after each doubling every oracle
+  // entry must still be found through the rebuilt index.
+  constexpr std::size_t kCap = 4096;
+  BoundedTable<std::uint32_t, std::uint32_t> t({.capacity = kCap});
+  std::unordered_map<std::uint32_t, std::uint32_t> oracle;
+  XorShift next;
+  std::size_t doublings = 0;
+  std::size_t buckets = t.bucket_count();
+  for (int i = 0; i < 60000; ++i) {
+    const auto key = static_cast<std::uint32_t>(next() % 6000);
+    if (next() % 4 == 0) {
+      EXPECT_EQ(t.erase(key), oracle.erase(key) > 0);
+    } else if (oracle.size() < kCap || oracle.count(key) != 0) {
+      auto r = t.try_emplace(key, at(i), static_cast<std::uint32_t>(i));
+      auto [it, inserted] =
+          oracle.try_emplace(key, static_cast<std::uint32_t>(i));
+      ASSERT_NE(r.value, nullptr);
+      EXPECT_EQ(r.inserted, inserted);
+      EXPECT_EQ(*r.value, it->second);
+    }
+    ASSERT_EQ(t.size(), oracle.size());
+    if (t.bucket_count() != buckets) {
+      ASSERT_EQ(t.bucket_count(), 2 * buckets);
+      buckets = t.bucket_count();
+      ++doublings;
+      for (const auto& [k, v] : oracle) {
+        const std::uint32_t* found = t.peek(k, at(i));
+        ASSERT_NE(found, nullptr) << "key " << k << " after doubling to "
+                                  << buckets;
+        EXPECT_EQ(*found, v);
+      }
+    }
+  }
+  EXPECT_EQ(doublings, 10u);
+  EXPECT_EQ(t.bucket_count(), full_buckets(kCap));
+  for (const auto& [k, v] : oracle) {
+    auto* found = t.find(k, at(99999));
+    ASSERT_NE(found, nullptr);
+    EXPECT_EQ(*found, v);
+  }
+}
+
+TEST(BoundedTable, ValuePointersSurviveChunksAndDoublings) {
+  // 2048 slots span eight 256-slot chunks, and the index doubles nine
+  // times on the way; no Value* moves.
+  Table t({.capacity = 2048});
+  std::vector<std::string*> pinned;
+  for (std::uint32_t k = 0; k < 2048; ++k) {
+    pinned.push_back(t.try_emplace(k, at(0), std::to_string(k)).value);
+  }
+  for (std::uint32_t k = 0; k < 2048; k += 3) t.erase(k);
+  for (std::uint32_t k = 5000; k < 5300; ++k) t.try_emplace(k, at(1), "w");
+  for (std::uint32_t k = 0; k < 2048; ++k) {
+    if (k % 3 == 0) continue;
+    ASSERT_EQ(t.find(k, at(2)), pinned[k]) << k;
+    EXPECT_EQ(*pinned[k], std::to_string(k));
+  }
+}
+
+TEST(BoundedTable, ReapAndForEachVisitSlotsInSlotOrder) {
+  // Slots are handed out in order, and freed ones are reused last-freed
+  // first; both walks follow slot order across chunk boundaries.
+  Table t({.capacity = 1024, .ttl = milliseconds(10)});
+  for (std::uint32_t k = 0; k < 600; ++k) t.try_emplace(k, at(0), "v");
+  t.erase(10);
+  t.erase(300);
+  t.try_emplace(1000, at(0), "v");  // takes 300's slot
+  t.try_emplace(1001, at(0), "v");  // takes 10's slot
+  std::vector<std::uint32_t> want;
+  for (std::uint32_t k = 0; k < 600; ++k) {
+    want.push_back(k == 10 ? 1001 : k == 300 ? 1000 : k);
+  }
+  std::vector<std::uint32_t> walked;
+  t.for_each([&](const std::uint32_t& k, std::string&) { walked.push_back(k); });
+  EXPECT_EQ(walked, want);
+
+  std::vector<std::uint32_t> reaped;
+  t.set_evict_callback([&](const std::uint32_t& k, std::string&,
+                           EvictReason) { reaped.push_back(k); });
+  std::size_t total = 0;
+  for (int i = 0; i < 7; ++i) total += t.reap(at(20), 100);
+  EXPECT_EQ(total, 600u);
+  EXPECT_EQ(reaped, want);
+}
+
+/// A key that records where each default-constructed instance lives:
+/// every slot of a new chunk default-constructs its key.
+struct PlacedKey {
+  static inline std::vector<const PlacedKey*> defaults;
+  std::uint32_t v = 0;
+  PlacedKey() { defaults.push_back(this); }
+  explicit PlacedKey(std::uint32_t x) : v(x) {}
+  bool operator==(const PlacedKey& o) const { return v == o.v; }
+};
+struct PlacedKeyHash {
+  std::size_t operator()(const PlacedKey& k) const { return k.v; }
+};
+
+TEST(BoundedTable, SmallTableAllocatesOneChunkOfItsCapacity) {
+  // Slots come in chunks of 256, or of the capacity rounded up to a power
+  // of two when that is smaller: a capacity-16 table builds one 16-slot
+  // array at its first insert and no slot after that.
+  PlacedKey::defaults.clear();
+  BoundedTable<PlacedKey, int, PlacedKeyHash> t({.capacity = 16});
+  EXPECT_TRUE(PlacedKey::defaults.empty()) << "no slot before an insert";
+  t.try_emplace(PlacedKey(0), at(0), 0);
+  ASSERT_EQ(PlacedKey::defaults.size(), 16u);
+  const auto stride = reinterpret_cast<std::uintptr_t>(PlacedKey::defaults[1]) -
+                      reinterpret_cast<std::uintptr_t>(PlacedKey::defaults[0]);
+  for (std::size_t i = 1; i < 16; ++i) {
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(PlacedKey::defaults[i]) -
+                  reinterpret_cast<std::uintptr_t>(PlacedKey::defaults[i - 1]),
+              stride)
+        << "one contiguous array";
+  }
+  for (std::uint32_t k = 1; k < 16; ++k) t.try_emplace(PlacedKey(k), at(0), 0);
+  EXPECT_EQ(PlacedKey::defaults.size(), 16u);
+
+  // A large table's chunks stop at 256 slots.
+  PlacedKey::defaults.clear();
+  BoundedTable<PlacedKey, int, PlacedKeyHash> big({.capacity = 100000});
+  big.try_emplace(PlacedKey(0), at(0), 0);
+  EXPECT_EQ(PlacedKey::defaults.size(), 256u);
+}
+
+/// An IPv4 source whose equality comparisons are counted: each is one
+/// probe of the table's index.
+struct CountedIp {
+  static inline std::uint64_t compares = 0;
+  net::Ipv4Address ip;
+  bool operator==(const CountedIp& o) const {
+    ++compares;
+    return ip == o.ip;
+  }
+};
+struct CountedIpHash {
+  std::size_t operator()(const CountedIp& k) const {
+    return std::hash<net::Ipv4Address>{}(k.ip);
+  }
+};
+
+/// Exposes the guard's own source-to-shard map.
+class ShardPeek : public guard::RemoteGuardNode {
+ public:
+  using RemoteGuardNode::RemoteGuardNode;
+  using RemoteGuardNode::shard_of;
+};
+
+/// Mean key comparisons per find() over `sources`, after filling a table
+/// of twice their number to half with them.
+double compares_per_find(const std::vector<net::Ipv4Address>& sources) {
+  BoundedTable<CountedIp, int, CountedIpHash> t(
+      {.capacity = 2 * sources.size()});
+  for (auto ip : sources) t.try_emplace(CountedIp{ip}, at(0), 0);
+  CountedIp::compares = 0;
+  for (auto ip : sources) EXPECT_NE(t.find(CountedIp{ip}, at(0)), nullptr);
+  return static_cast<double>(CountedIp::compares) /
+         static_cast<double>(sources.size());
+}
+
+TEST(BoundedTable, OneShardsSourcesDoNotClusterInTheIndex) {
+  // A 4-shard guard sends a source to the shard named by the top bits of
+  // ip x 0x9e3779b9, so one shard's sources share the top bits of the
+  // table's Fibonacci product as well. The index must take its bucket
+  // from bits other than the top ones, or a shard's sources crowd into a
+  // corner of its index: top-bit bucketing reads ~47 comparisons per find
+  // here, against ~1.5 for random sources.
+  sim::Simulator sim;
+  guard::RemoteGuardNode::Config gc;
+  gc.guard_address = net::Ipv4Address(10, 1, 1, 253);
+  gc.ans_address = net::Ipv4Address(10, 1, 1, 254);
+  gc.subnet_base = net::Ipv4Address(10, 1, 1, 0);
+  gc.num_shards = 4;
+  ShardPeek guard(sim, "guard", gc, /*ans=*/nullptr);
+
+  constexpr std::size_t kSources = 1 << 15;
+  XorShift next;
+  std::vector<net::Ipv4Address> shard0, random;
+  while (shard0.size() < kSources || random.size() < kSources) {
+    const net::Ipv4Address ip(static_cast<std::uint32_t>(next() >> 32));
+    if (random.size() < kSources) random.push_back(ip);
+    const auto p = net::Packet::make_udp({ip, 5353}, {gc.guard_address, 53},
+                                         Bytes{});
+    if (shard0.size() < kSources && guard.shard_of(p) == 0) {
+      shard0.push_back(ip);
+    }
+  }
+  const double aligned = compares_per_find(shard0);
+  const double uniform = compares_per_find(random);
+  EXPECT_GE(aligned, 1.0);
+  EXPECT_LE(aligned, 2.0 * uniform)
+      << "shard-0 sources " << aligned << " vs random " << uniform
+      << " comparisons per find";
 }
 
 }  // namespace

@@ -1,7 +1,10 @@
 // LrsSimulatorNode (the paper's LRS simulator) behaviour.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "guard/remote_guard.h"
@@ -125,6 +128,112 @@ TEST(Driver, HitModesPrimeExactlyOnce) {
   // stop; steady state is 1 exchange per request.
   EXPECT_LE(s.exchanges_sent, s.completed + 13);
   EXPECT_EQ(bed.guard->guard_stats().cookies_minted, 4u);
+}
+
+/// A server at the driver's target that answers a query by echoing it
+/// with QR set, at no CPU cost, and drops every `drop_every`-th query
+/// (0: none). Records the ids of the queries it dropped.
+class Responder : public sim::Node {
+ public:
+  Responder(sim::Simulator& sim, int drop_every)
+      : sim::Node(sim, "responder"), drop_every_(drop_every) {
+    sim.add_host_route(kAnsIp, this);
+  }
+  std::vector<std::uint16_t> dropped;
+
+ protected:
+  SimDuration process(const net::Packet& p) override {
+    const std::uint16_t id = static_cast<std::uint16_t>(
+        (std::uint16_t{p.payload[0]} << 8) | p.payload[1]);
+    if (drop_every_ > 0 && ++seen_ % drop_every_ == 0) {
+      dropped.push_back(id);
+      return {};
+    }
+    Bytes reply(p.payload.begin(), p.payload.end());
+    reply[2] |= 0x80;  // QR
+    send(net::Packet::make_udp(p.dst(), p.src(), std::move(reply)));
+    return {};
+  }
+
+ private:
+  int drop_every_;
+  int seen_ = 0;
+};
+
+TEST(Driver, OneLiveTimerPerWorker) {
+  // Exchanges take ~50 ms against a 200 ms timeout, so a timer per
+  // exchange would leave about four dead ones per worker in the queue.
+  // One timer per worker, moved to each new deadline, keeps the queue at
+  // most a timer per worker plus the packets in flight.
+  sim::Simulator sim;
+  Responder server(sim, /*drop_every=*/0);
+  constexpr int kWorkers = 16;
+  LrsSimulatorNode driver(sim, "driver",
+                          {.address = kDriverIp,
+                           .target = {kAnsIp, net::kDnsPort},
+                           .mode = DriveMode::PlainUdp,
+                           .concurrency = kWorkers,
+                           .timeout = milliseconds(200)});
+  sim.add_host_route(kDriverIp, &driver);
+  sim.set_latency(&driver, &server, milliseconds(25));
+  driver.start();
+  std::size_t peak = 0;
+  for (int step = 0; step < 2000; ++step) {
+    sim.run_for(milliseconds(1));
+    const auto& n = sim.stats();
+    const std::uint64_t in_flight =
+        n.packets_sent - n.packets_delivered - n.packets_dropped_no_route -
+        n.packets_dropped_queue_full - n.packets_dropped_loss;
+    ASSERT_LE(sim.pending_events(), kWorkers + in_flight) << "at step "
+                                                          << step;
+    peak = std::max(peak, sim.pending_events());
+  }
+  driver.stop();
+  EXPECT_EQ(driver.driver_stats().timeouts, 0u);
+  EXPECT_GT(driver.driver_stats().completed, 500u);
+  EXPECT_LE(peak, 2u * kWorkers);
+}
+
+TEST(Driver, DroppedExchangeRetriesExactlyOneTimeoutLater) {
+  // Every other query is dropped. The worker's one timer, moved forward
+  // by each answered exchange, must still fire exactly `timeout` after
+  // the dropped query left, so the next query departs then (tap time).
+  sim::Simulator sim;
+  Responder server(sim, /*drop_every=*/2);
+  const SimDuration timeout = milliseconds(10);
+  LrsSimulatorNode driver(sim, "driver",
+                          {.address = kDriverIp,
+                           .target = {kAnsIp, net::kDnsPort},
+                           .mode = DriveMode::PlainUdp,
+                           .concurrency = 1,
+                           .timeout = timeout});
+  sim.add_host_route(kDriverIp, &driver);
+  std::vector<std::pair<SimTime, std::uint16_t>> sent;  // (departure, id)
+  sim.set_tap([&](SimTime t, const sim::Node* from, const sim::Node*,
+                  const net::Packet& p) {
+    if (from != &driver) return;
+    sent.emplace_back(t, static_cast<std::uint16_t>(
+                             (std::uint16_t{p.payload[0]} << 8) |
+                             p.payload[1]));
+  });
+  driver.start();
+  sim.run_for(milliseconds(200));
+  driver.stop();
+  ASSERT_GE(server.dropped.size(), 5u);
+  // The last dropped query may still be waiting when the run ends.
+  EXPECT_LE(driver.driver_stats().timeouts, server.dropped.size());
+  EXPECT_GE(driver.driver_stats().timeouts + 1, server.dropped.size());
+  std::size_t checked = 0;
+  for (std::size_t i = 0; i + 1 < sent.size(); ++i) {
+    if (std::find(server.dropped.begin(), server.dropped.end(),
+                  sent[i].second) == server.dropped.end()) {
+      continue;
+    }
+    EXPECT_EQ((sent[i + 1].first - sent[i].first).ns, timeout.ns)
+        << "after dropped query " << sent[i].second;
+    ++checked;
+  }
+  EXPECT_GE(checked, 5u);
 }
 
 TEST(Driver, ModeNamesAreStable) {

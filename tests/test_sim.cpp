@@ -456,9 +456,11 @@ TEST(NodeIds, SenderDestroyedBeforeDepartureStillDelivers) {
   EXPECT_EQ(client.arrivals[0].ns, microseconds(1200).ns);
 }
 
-TEST(Hop, ServedHopCostsTwoEvents) {
-  // Each hop is one arrival and one lane service; nothing runs at the
-  // departure, which the tap sees as the packet's stamp.
+TEST(Hop, IdleLaneServesOnArrival) {
+  // A packet that finds its lane idle, with nothing else due at that
+  // instant, is served inside its arrival event: each hop is one event,
+  // and nothing runs at the departure, which the tap sees as the
+  // packet's stamp.
   Simulator sim;
   sim.set_default_latency(microseconds(100));
   ProbeNode client(sim, "client", SimDuration{});
@@ -477,6 +479,69 @@ TEST(Hop, ServedHopCostsTwoEvents) {
   EXPECT_EQ(client.arrivals[0].ns, microseconds(1200).ns);
   EXPECT_EQ(departures,
             (std::vector<std::int64_t>{0, microseconds(1100).ns}));
+  EXPECT_EQ(sim.metrics().find_counter("sim.events_dispatched")->value(), 2u);
+}
+
+TEST(Hop, BusyLaneStillSchedulesService) {
+  // The second packet arrives while the first is in service: it waits for
+  // a service event at the lane's busy_until, and leaves one service time
+  // after the first.
+  Simulator sim;
+  sim.set_default_latency(microseconds(100));
+  ProbeNode client(sim, "client", SimDuration{});
+  ProbeNode server(sim, "server", milliseconds(1));
+  server.echo = true;
+  sim.add_host_route(Ipv4Address(10, 0, 0, 1), &server);
+  sim.add_host_route(Ipv4Address(10, 0, 0, 9), &client);
+  std::vector<std::int64_t> departures;
+  sim.set_tap([&](SimTime t, const Node*, const Node*, const Packet&) {
+    departures.push_back(t.ns);
+  });
+  sim.send_packet(&client, make_pkt(Ipv4Address(10, 0, 0, 9),
+                                    Ipv4Address(10, 0, 0, 1)));
+  sim.run_until(SimTime{microseconds(100).ns});
+  sim.send_packet(&client, make_pkt(Ipv4Address(10, 0, 0, 9),
+                                    Ipv4Address(10, 0, 0, 1)));
+  sim.run_until(SimTime{microseconds(200).ns});
+  EXPECT_EQ(sim.pending_events(), 2u) << "the reply and the service event";
+  sim.run_all();
+  EXPECT_EQ(server.arrivals,
+            (std::vector<SimTime>{SimTime{microseconds(100).ns},
+                                  SimTime{microseconds(1100).ns}}));
+  EXPECT_EQ(departures,
+            (std::vector<std::int64_t>{0, microseconds(1100).ns,
+                                       microseconds(100).ns,
+                                       microseconds(2100).ns}));
+  EXPECT_EQ(client.arrivals,
+            (std::vector<SimTime>{SimTime{microseconds(1200).ns},
+                                  SimTime{microseconds(2200).ns}}));
+  // Two arrivals at the server, its one service event, two at the client.
+  EXPECT_EQ(sim.metrics().find_counter("sim.events_dispatched")->value(), 5u);
+}
+
+TEST(Hop, SameInstantEventStillSchedulesService) {
+  // An event due at the arrival's own instant, scheduled after it, runs
+  // before the service, as it would with a service event: serving on
+  // arrival must not jump it.
+  Simulator sim;
+  sim.set_default_latency(microseconds(100));
+  ProbeNode client(sim, "client", SimDuration{});
+  ProbeNode server(sim, "server", milliseconds(1));
+  server.echo = true;
+  sim.add_host_route(Ipv4Address(10, 0, 0, 1), &server);
+  sim.add_host_route(Ipv4Address(10, 0, 0, 9), &client);
+  sim.send_packet(&client, make_pkt(Ipv4Address(10, 0, 0, 9),
+                                    Ipv4Address(10, 0, 0, 1)));
+  std::size_t served_before_marker = 99;
+  sim.schedule_at(SimTime{microseconds(100).ns},
+                  [&] { served_before_marker = server.arrivals.size(); });
+  sim.run_all();
+  EXPECT_EQ(served_before_marker, 0u);
+  EXPECT_EQ(server.arrivals,
+            (std::vector<SimTime>{SimTime{microseconds(100).ns}}));
+  ASSERT_EQ(client.arrivals.size(), 1u);
+  EXPECT_EQ(client.arrivals[0].ns, microseconds(1200).ns);
+  // The arrival, the marker, the service event, the reply's arrival.
   EXPECT_EQ(sim.metrics().find_counter("sim.events_dispatched")->value(), 4u);
 }
 

@@ -212,5 +212,22 @@ TEST(WireDigest, TcpRedirect) {
   EXPECT_EQ(s.digest.value(), 1375056639256628664u);
 }
 
+TEST(WireDigest, LossyDriversTimeOut) {
+  // In-flight loss makes drivers time out, so their timers fire, re-arm
+  // and restart exchanges: the wire must not move with how the timers
+  // are kept.
+  Scenario s(Scheme::ModifiedDns);
+  s.sim.set_loss_rate(0.05, 99);
+  s.add_driver(DriveMode::ModifiedHit, Ipv4Address(10, 0, 1, 1), 3);
+  s.add_driver(DriveMode::NsNameHit, Ipv4Address(10, 0, 1, 2), 4);
+  s.add_driver(DriveMode::TcpWithRedirect, Ipv4Address(10, 0, 1, 3), 5);
+  s.run();
+  std::uint64_t timeouts = 0;
+  for (const auto& d : s.drivers) timeouts += d->driver_stats().timeouts;
+  EXPECT_GT(timeouts, 0u);
+  EXPECT_EQ(s.digest.packets(), 1014u);
+  EXPECT_EQ(s.digest.value(), 8548845946555827081u);
+}
+
 }  // namespace
 }  // namespace dnsguard

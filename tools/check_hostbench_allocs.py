@@ -3,9 +3,9 @@
 
 Runs every hostbench workload at --seed 1 --seconds 1 --trace 0 and fails
 when its host.allocs_per_guard_pkt exceeds the measured value below plus
-0.05. The count repeats exactly for a seed, so any new heap allocation on
-the packet path trips the gate. Lower a value together with the change
-that removes allocations. Run from the repository root:
+0.005, one allocation per 200 guard packets. The count repeats exactly
+for a seed, so any new heap allocation on the packet path trips the
+gate. Lower a value together with the change that removes allocations. Run from the repository root:
 
     python3 tools/check_hostbench_allocs.py
 """
@@ -18,11 +18,11 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # host.allocs_per_guard_pkt at --seed 1 (GCC 12, libstdc++).
 MEASURED = {
-    "legit_steady": 0.046,
-    "spoof_flood": 0.005,
-    "tcp_churn": 0.000,
+    "legit_steady": 0.0015,
+    "spoof_flood": 0.0002,
+    "tcp_churn": 0.0003,
 }
-SLACK = 0.05
+SLACK = 0.005
 
 
 def allocs_per_guard_pkt(workload: str) -> float:
@@ -50,7 +50,7 @@ def main() -> int:
         ok = value <= limit
         failures += 0 if ok else 1
         print(f"{'ok  ' if ok else 'FAIL'} {workload}: "
-              f"host.allocs_per_guard_pkt {value:.3f} (limit {limit:.3f})")
+              f"host.allocs_per_guard_pkt {value:.4f} (limit {limit:.4f})")
     return 1 if failures else 0
 
 
