@@ -8,6 +8,14 @@ obs::JourneyKey jkey_of(std::uint32_t lrs_ip, const dns::Message& m) {
           m.question() != nullptr ? m.question()->qname.hash32() : 0};
 }
 
+/// Hard caps on the per-ANS maps ("1 cookie per ANS", Table I — but the
+/// ANS address is remote-influenced, so the maps are bounded).
+constexpr std::size_t kMaxCookieCache = 4096;
+constexpr std::size_t kMaxNotCapable = 4096;
+/// Distinct ANSs with held queries; the LRU bucket's queries are flushed
+/// cookie-less when the cap is hit.
+constexpr std::size_t kMaxHeldAnses = 1024;
+
 }  // namespace
 
 LocalGuardNode::LocalGuardNode(sim::Simulator& sim, std::string name,
@@ -15,9 +23,9 @@ LocalGuardNode::LocalGuardNode(sim::Simulator& sim, std::string name,
     : sim::Node(sim, std::move(name)),
       config_(config),
       lrs_(lrs),
-      cookies_({.capacity = config_.max_cookie_cache}),
-      not_capable_until_({.capacity = config_.max_not_capable}),
-      held_({.capacity = config_.max_held_anses}) {
+      cookies_({.capacity = kMaxCookieCache}),
+      not_capable_until_({.capacity = kMaxNotCapable}),
+      held_({.capacity = kMaxHeldAnses}) {
   set_profile_stage(obs::prof::Stage::kGuardService);
   stats_.bind(this->sim().metrics(), "local_guard");
   cookies_.bind_metrics(this->sim().metrics(), "local_guard.cookies");
@@ -44,16 +52,9 @@ bool LocalGuardNode::has_cookie_for(net::Ipv4Address ans) const {
 
 SimDuration LocalGuardNode::process(const net::Packet& packet) {
   cost_ = config_.packet_cost;
-  // Amortized reaping: a few index slots per packet, plus a periodic full
-  // sweep so expired entries do not linger through quiet spells.
+  // Amortized reaping: a few slots per packet.
   cookies_.reap(now(), 16);
   not_capable_until_.reap(now(), 16);
-  if (config_.sweep_every_packets > 0 &&
-      ++sweep_counter_ >= config_.sweep_every_packets) {
-    sweep_counter_ = 0;
-    cookies_.reap(now());
-    not_capable_until_.reap(now());
-  }
   if (!packet.is_udp()) {
     // TCP traffic (truncation fallback) passes through transparently.
     if (packet.src_ip == config_.lrs_address) {

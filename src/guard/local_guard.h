@@ -13,6 +13,11 @@
 //     timeout the held queries are released without cookies, so an
 //     unprotected ANS keeps working — incremental deployability.
 //   - Inbound responses: strip/cache any cookie TXT, deliver to the LRS.
+//
+// The per-ANS maps are capped BoundedTables. A cached cookie expires with
+// its TXT record's TTL and a not-capable mark after not_capable_ttl; each
+// packet reaps a few slots of both, so over a long run against many ANSs
+// the maps hold the live working set (DESIGN.md §10).
 #pragma once
 
 #include <deque>
@@ -60,18 +65,6 @@ class LocalGuardNode : public sim::Node {
     /// has no remote guard) before probing again. Incremental deployment:
     /// unguarded ANSs are served plainly with no per-query delay.
     SimDuration not_capable_ttl = seconds(60);
-    /// Full-sweep cadence: every N processed packets all expired cookie
-    /// and not-capable entries are reaped (on top of the per-packet
-    /// incremental reaping), so long runs against many ANSs keep the maps
-    /// bounded by the live working set.
-    std::uint32_t sweep_every_packets = 1024;
-    /// Hard caps on the per-ANS maps ("1 cookie per ANS", Table I — but
-    /// the ANS address is remote-influenced, so the maps are bounded).
-    std::size_t max_cookie_cache = 4096;
-    std::size_t max_not_capable = 4096;
-    /// Distinct ANSs with held queries; the LRU bucket's queries are
-    /// flushed cookie-less when the cap is hit.
-    std::size_t max_held_anses = 1024;
   };
 
   LocalGuardNode(sim::Simulator& sim, std::string name, Config config,
@@ -115,7 +108,6 @@ class LocalGuardNode : public sim::Node {
   common::BoundedTable<net::Ipv4Address, HeldBucket> held_;
   LocalGuardStats stats_;
   SimDuration cost_{};
-  std::uint32_t sweep_counter_ = 0;
 };
 
 }  // namespace dnsguard::guard

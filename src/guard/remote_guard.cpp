@@ -63,6 +63,15 @@ constexpr std::uint16_t kNatPortBase = 20000;
 constexpr std::uint32_t kNatPortSpan = 40000;
 /// Packets a shard lane drains per service burst (N > 1).
 constexpr std::size_t kShardBurst = 32;
+/// Receive-queue depth, split evenly over the shards' lanes. Sized like a
+/// kernel backlog: thousands of concurrent proxied TCP connections keep
+/// one segment each in flight, and dropping those (our mini-TCP has no
+/// retransmission) would stall connections rather than just delay them.
+/// A lane's ring allocates only as deep as its queue has ever been, not
+/// this limit (DESIGN.md §13).
+constexpr std::size_t kRxQueueCapacity = 65536;
+constexpr std::uint32_t kFabricatedNsTtl = 604800;  // 1 week (§III.B.1)
+constexpr std::uint32_t kCookieTtl = 604800;
 
 }  // namespace
 
@@ -81,7 +90,7 @@ ratelimit::VerifiedRequestLimiter::Config RemoteGuardNode::divide_rl2(
 
 RemoteGuardNode::RemoteGuardNode(sim::Simulator& sim, std::string name,
                                  Config config, sim::Node* ans)
-    : sim::Node(sim, std::move(name), config.rx_queue_capacity),
+    : sim::Node(sim, std::move(name), kRxQueueCapacity),
       config_(std::move(config)),
       ans_(ans),
       engine_(config_.key_seed) {
@@ -91,6 +100,10 @@ RemoteGuardNode::RemoteGuardNode(sim::Simulator& sim, std::string name,
 
   const std::uint32_t ports_per_shard = kNatPortSpan / static_cast<std::uint32_t>(n);
   nat_ports_per_shard_ = ports_per_shard;
+  // Response-rewrite state lifetime.
+  constexpr SimDuration kPendingTtl = seconds(5);
+  // Connection-rate buckets idle this long are recycled.
+  constexpr SimDuration kConnBucketIdle = seconds(30);
   shards_.reserve(n);
   for (std::size_t k = 0; k < n; ++k) {
     const auto port_base =
@@ -100,13 +113,13 @@ RemoteGuardNode::RemoteGuardNode(sim::Simulator& sim, std::string name,
         ratelimit::VerifiedRequestLimiter(divide_rl2(config_.rl2, n)),
         common::BoundedTable<PendingKey, PendingAction, PendingKeyHash>(
             {.capacity = ceil_div(config_.pending_table_capacity, n),
-             .ttl = config_.pending_ttl}),
+             .ttl = kPendingTtl}),
         common::BoundedTable<std::uint16_t, NatEntry>(
             {.capacity = ceil_div(config_.nat_table_capacity, n),
              .ttl = config_.nat_ttl}),
         common::BoundedTable<net::Ipv4Address, ratelimit::TokenBucket>(
             {.capacity = ceil_div(config_.conn_bucket_capacity, n),
-             .idle_timeout = config_.conn_bucket_idle}),
+             .idle_timeout = kConnBucketIdle}),
         /*nat_port_base=*/port_base,
         /*nat_port_limit=*/
         static_cast<std::uint16_t>(port_base + ports_per_shard),
@@ -131,7 +144,8 @@ RemoteGuardNode::RemoteGuardNode(sim::Simulator& sim, std::string name,
                              .syn_cookie_secret = config_.key_seed ^
                                                   0xabcdef0123456789ULL,
                              .max_connections =
-                                 config_.proxy_max_connections});
+                                 config_.proxy_max_connections,
+                             .max_lifetime = config_.proxy_max_lifetime});
   tcp_->listen(net::kDnsPort);
 
   // A NAT entry leaving involuntarily means its ANS reply is never coming
@@ -174,9 +188,6 @@ RemoteGuardNode::RemoteGuardNode(sim::Simulator& sim, std::string name,
     registry.attach_counter(p + ".dropped", scheme_counters_[i].dropped);
   }
 
-  if (config_.proxy_lifetime_rtt_multiple > 0) {
-    schedule_in(config_.estimated_rtt, [this] { proxy_reap_loop(); });
-  }
   if (config_.key_rotation_interval.ns > 0) {
     schedule_in(config_.key_rotation_interval, [this] { rotation_loop(); });
   }
@@ -190,13 +201,6 @@ void RemoteGuardNode::rotation_loop() {
   engine_.rotate(next_seed);
   stats_.key_rotations++;
   schedule_in(config_.key_rotation_interval, [this] { rotation_loop(); });
-}
-
-void RemoteGuardNode::proxy_reap_loop() {
-  SimDuration max_life = SimDuration{static_cast<std::int64_t>(
-      config_.estimated_rtt.ns * config_.proxy_lifetime_rtt_multiple)};
-  tcp_->reap(SimDuration{0}, max_life);
-  schedule_in(config_.estimated_rtt, [this] { proxy_reap_loop(); });
 }
 
 void RemoteGuardNode::install(int subnet_prefix_len) {
@@ -484,7 +488,7 @@ void RemoteGuardNode::do_modified_dns(const net::Packet& packet,
     jmark("guard.mint");
     query.become_response();
     CookieEngine::attach_txt_cookie(query, engine_.mint(packet.src_ip),
-                                    config_.cookie_ttl);
+                                    kCookieTtl);
     stats_.cookie_replies++;
     reply(packet, query);
     return;
@@ -570,7 +574,7 @@ void RemoteGuardNode::do_ns_name(const net::Packet& packet,
 
   query.become_response();
   query.authority.push_back(dns::ResourceRecord::ns(
-      next_level, *fabricated, config_.fabricated_ns_ttl));
+      next_level, *fabricated, kFabricatedNsTtl));
   stats_.fabricated_referrals++;
   reply(packet, query);
 }
@@ -617,7 +621,7 @@ void RemoteGuardNode::do_fabricated_ns_ip(const net::Packet& packet,
       query.become_response();
       query.header.aa = true;
       query.answers.push_back(
-          dns::ResourceRecord::a(q.qname, cookie2, config_.cookie_ttl));
+          dns::ResourceRecord::a(q.qname, cookie2, kCookieTtl));
       stats_.cookie_replies++;
       reply(packet, query);
       return;
@@ -646,7 +650,7 @@ void RemoteGuardNode::do_fabricated_ns_ip(const net::Packet& packet,
   }
   query.become_response();
   query.authority.push_back(dns::ResourceRecord::ns(
-      q.qname, *fabricated, config_.fabricated_ns_ttl));
+      q.qname, *fabricated, kFabricatedNsTtl));
   stats_.fabricated_referrals++;
   reply(packet, query);
 }
@@ -699,9 +703,11 @@ void RemoteGuardNode::proxy_on_message(tcp::ConnId conn, BytesView message) {
   // shard's disjoint port range so the ANS reply routes back here.
   Shard& sh = *cur_shard_;
   sh.nat.reap(now(), 16);
+  // Ports probed before giving up when NAT source ports collide.
+  constexpr int kNatPortProbeLimit = 32;
   std::uint16_t port = 0;
   NatEntry* entry = nullptr;
-  for (int probe = 0; probe < config_.nat_port_probe_limit; ++probe) {
+  for (int probe = 0; probe < kNatPortProbeLimit; ++probe) {
     const std::uint16_t candidate = sh.next_nat_port++;
     if (sh.next_nat_port < sh.nat_port_base ||
         sh.next_nat_port >= sh.nat_port_limit) {
@@ -768,8 +774,9 @@ void RemoteGuardNode::handle_proxy_nat_response(const net::Packet& packet) {
 }
 
 void RemoteGuardNode::proxy_on_closed(std::uint32_t head) {
-  // Close can fire from timer context where cur_shard_ is stale; each
-  // port names its shard.
+  // A connection can close during another shard's segment (the stack
+  // expires connections while it handles any segment), where cur_shard_
+  // is not the connection's shard; each port names its shard.
   for (auto port = static_cast<std::uint16_t>(head); port != 0;) {
     auto& nat = shards_[shard_of_nat_port(port)]->nat;
     const std::uint16_t next = nat.occupant(port)->next_port;

@@ -129,9 +129,6 @@ class RemoteGuardNode : public sim::Node {
     /// Requests/sec above which spoof detection engages; 0 = always on.
     double activation_threshold_rps = 0.0;
 
-    std::uint32_t fabricated_ns_ttl = 604800;  // 1 week (§III.B.1)
-    std::uint32_t cookie_ttl = 604800;
-
     CostModel costs;
 
     ratelimit::CookieResponseLimiter::Config rl1;
@@ -140,13 +137,9 @@ class RemoteGuardNode : public sim::Node {
     /// Per-client TCP connection-rate token bucket (§III.C).
     double proxy_conn_rate = 200.0;
     double proxy_conn_burst = 100.0;
-    /// Remove TCP connections living longer than this multiple of RTT
-    /// (§III.C: 5×RTT). 0 disables lifetime reaping.
-    double proxy_lifetime_rtt_multiple = 0.0;
-    SimDuration estimated_rtt = microseconds(400);
-
-    /// Response-rewrite state lifetime.
-    SimDuration pending_ttl = seconds(5);
+    /// Reset proxied TCP connections that have lived this long (§III.C:
+    /// 5×RTT); zero turns the limit off.
+    SimDuration proxy_max_lifetime{};
 
     /// Per-source state caps. Every table below is bounded + reaping so a
     /// spoofed-source flood cannot exhaust guard memory (the guard must
@@ -156,27 +149,16 @@ class RemoteGuardNode : public sim::Node {
     /// arrives, LRU-recycled (connection closed) at capacity.
     std::size_t nat_table_capacity = 16384;
     SimDuration nat_ttl = seconds(5);
-    /// Ports probed before giving up when NAT source ports collide.
-    int nat_port_probe_limit = 32;
     /// Per-client TCP connection-rate buckets; idle ones are recycled.
     std::size_t conn_bucket_capacity = 16384;
-    SimDuration conn_bucket_idle = seconds(30);
     /// Monitored proxy TCP connections; the least-recently active one is
     /// reset at the cap (§III.C's connection-removal policy).
     std::size_t proxy_max_connections = 16384;
 
-    /// Receive-queue depth, split evenly over the shards' lanes. Sized
-    /// like a kernel backlog: thousands of concurrent proxied TCP
-    /// connections keep one segment each in flight, and dropping those
-    /// (our mini-TCP has no retransmission) would stall connections rather
-    /// than just delay them. A lane's ring allocates only as deep as its
-    /// queue has ever been, not this limit (DESIGN.md §13).
-    std::size_t rx_queue_capacity = 65536;
-
     /// Shard-per-core model: all per-source state (RL1/RL2 buckets,
     /// pending rewrites, NAT entries, connection buckets) is partitioned
     /// by source hash into this many independent shards. Each shard is
-    /// fed by its own lane of rx_queue_capacity / num_shards packets.
+    /// fed by its own lane of an equal share of the receive queue.
     /// With more than one, lanes drain in bursts of up to 32 packets; 1
     /// (the default) keeps the Node's single lane, served one packet at a
     /// time. Table capacities above are totals; each shard gets its share
@@ -317,7 +299,6 @@ class RemoteGuardNode : public sim::Node {
   void proxy_on_message(tcp::ConnId conn, BytesView message);
   /// Erases the closed connection's NAT entries, starting at `head`.
   void proxy_on_closed(std::uint32_t head);
-  void proxy_reap_loop();
   void rotation_loop();
 
   /// A proxied query's NAT entry. The entries of one connection form a

@@ -11,6 +11,11 @@ AuthoritativeServerNode::AuthoritativeServerNode(sim::Simulator& sim,
                                                  Config config)
     : sim::Node(sim, std::move(name)), config_(config) {
   set_profile_stage(obs::prof::Stage::kAnsService);
+  // Cap on tracked TCP connections (and their framing buffers); the LRU
+  // connection is reset at the cap, like a full accept backlog.
+  constexpr std::size_t kMaxTcpConnections = 65536;
+  // Reset TCP connections idle this long.
+  constexpr SimDuration kTcpIdleTimeout = seconds(30);
   tcp_ = std::make_unique<tcp::TcpStack>(
       [this](net::Packet p) { send(std::move(p)); },
       [this] { return now(); },
@@ -20,20 +25,13 @@ AuthoritativeServerNode::AuthoritativeServerNode(sim::Simulator& sim,
           .on_closed = {},
       },
       tcp::TcpStack::Options{.syn_cookies = false,
-                             .max_connections = config.max_tcp_connections});
+                             .max_connections = kMaxTcpConnections,
+                             .max_idle = kTcpIdleTimeout});
   tcp_->listen(net::kDnsPort);
   tcp_->set_drop_counters(&drops_);
   ans_stats_.bind(this->sim().metrics(), "server.ans");
   drops_.bind(this->sim().metrics(), "server.ans");
   tcp_->bind_metrics(this->sim().metrics(), "server.ans.tcp");
-
-  // Periodic reaping of dead TCP connections.
-  schedule_in(config_.tcp_idle_timeout, [this] { reap_loop(); });
-}
-
-void AuthoritativeServerNode::reap_loop() {
-  tcp_->reap(config_.tcp_idle_timeout, SimDuration{0});
-  schedule_in(config_.tcp_idle_timeout, [this] { reap_loop(); });
 }
 
 void AuthoritativeServerNode::apply_ttl_override(dns::Message& m) const {
@@ -49,8 +47,10 @@ dns::Message AuthoritativeServerNode::answer(const dns::Message& query,
   apply_ttl_override(a.message);
 
   // EDNS0 (RFC 6891): an OPT record in the query advertises the
-  // requester's reassembly capability; honor it (clamped) instead of the
-  // classic 512-byte limit, and mirror an OPT in the response.
+  // requester's reassembly capability; honor it (clamped to the largest
+  // UDP payload served to EDNS0 requesters) instead of the classic
+  // 512-byte limit, and mirror an OPT in the response.
+  constexpr std::uint16_t kMaxEdnsPayload = 4096;
   std::size_t max_udp = dns::kMaxUdpPayload;
   bool requester_edns = false;
   for (const auto& rr : query.additional) {
@@ -59,14 +59,14 @@ dns::Message AuthoritativeServerNode::answer(const dns::Message& query,
       const auto& opt = std::get<dns::OptRdata>(rr.rdata);
       max_udp = std::clamp<std::size_t>(opt.udp_payload_size,
                                         dns::kMaxUdpPayload,
-                                        config_.max_edns_payload);
+                                        kMaxEdnsPayload);
       break;
     }
   }
   if (requester_edns) {
     a.message.additional.push_back(dns::ResourceRecord{
         dns::DomainName{}, dns::RrType::OPT, dns::RrClass::IN, 0,
-        dns::OptRdata{static_cast<std::uint16_t>(config_.max_edns_payload)}});
+        dns::OptRdata{kMaxEdnsPayload}});
   }
 
   if (!via_tcp && a.message.encode().size() > max_udp) {

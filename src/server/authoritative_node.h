@@ -57,13 +57,6 @@ class AuthoritativeServerNode : public sim::Node {
     /// (Fig. 5 config: "TTL of each DNS response is configured to be 0 to
     /// disable DNS caching").
     std::optional<std::uint32_t> ttl_override;
-    /// Reap TCP connections idle longer than this.
-    SimDuration tcp_idle_timeout = seconds(30);
-    /// Largest UDP payload served to EDNS0 requesters (RFC 6891).
-    std::size_t max_edns_payload = 4096;
-    /// Cap on tracked TCP connections (and their framing buffers); the
-    /// LRU connection is reset at the cap, like a full accept backlog.
-    std::size_t max_tcp_connections = 65536;
   };
 
   AuthoritativeServerNode(sim::Simulator& sim, std::string name,
@@ -86,7 +79,6 @@ class AuthoritativeServerNode : public sim::Node {
  private:
   void apply_ttl_override(dns::Message& m) const;
   void on_tcp_message(tcp::ConnId conn, BytesView message);
-  void reap_loop();
 
   Config config_;
   AuthoritativeEngine engine_;

@@ -13,6 +13,8 @@ namespace {
 /// two bytes big-endian.
 constexpr std::size_t kLengthBytes = 2;
 constexpr std::size_t kMaxMessage = 0xffff;
+/// Connection-table slots checked for expiry per segment handled.
+constexpr std::size_t kReapPerSegment = 8;
 
 std::size_t message_length(const std::uint8_t* prefix) {
   return std::size_t{prefix[0]} << 8 | prefix[1];
@@ -47,16 +49,26 @@ TcpStack::TcpStack(SendFn send, ClockFn clock, Callbacks callbacks,
       callbacks_(std::move(callbacks)),
       options_(options),
       syn_cookies_(options.syn_cookie_secret),
-      conns_({.capacity = options.max_connections}) {
+      conns_({.capacity = options.max_connections,
+              .ttl = options.max_lifetime,
+              .idle_timeout = options.max_idle}) {
   conns_.set_evict_callback([this](const ConnId&, Connection& c,
-                                   common::EvictReason) {
-    // Connection table full: reset the least-recently active victim so
-    // its peer learns immediately, and tell the owner it is gone.
+                                   common::EvictReason reason) {
+    // Reset the victim so its peer learns immediately, and tell the owner
+    // it is gone.
     stats_.resets_sent++;
     emit(c.local, c.remote, net::TcpFlags{.rst = true}, c.snd_nxt,
          c.rcv_nxt);
-    stats_.connections_evicted++;
-    if (drops_ != nullptr) drops_->count(obs::DropReason::kStateTableFull);
+    if (reason == common::EvictReason::kCapacity) {
+      // Table full: the least-recently active connection made room.
+      stats_.connections_evicted++;
+      if (drops_ != nullptr) drops_->count(obs::DropReason::kStateTableFull);
+    } else {
+      // Past the owner's idle or lifetime limit.
+      stats_.connections_aborted++;
+      stats_.connections_reaped++;
+      if (drops_ != nullptr) drops_->count(obs::DropReason::kProxyTimeout);
+    }
     closed(c);
   });
 }
@@ -117,8 +129,6 @@ TcpStack::Connection& TcpStack::create(net::SocketAddr local,
   c.local = local;
   c.remote = remote;
   c.state = state;
-  c.opened_at = clock_();
-  c.last_activity = c.opened_at;
   return c;
 }
 
@@ -180,7 +190,6 @@ void TcpStack::flush(Connection& c) {
   emit(c.local, c.remote, net::TcpFlags{.psh = true, .ack = true}, c.snd_nxt,
        c.rcv_nxt, std::exchange(c.tx, {}));
   c.snd_nxt += n;
-  c.last_activity = clock_();
 }
 
 void TcpStack::deliver(Connection* c, BytesView data) {
@@ -236,10 +245,13 @@ void TcpStack::abort(ConnId id) {
 bool TcpStack::handle_packet(const net::Packet& packet) {
   if (!packet.is_tcp()) return false;
   stats_.segments_in++;
+  const SimTime now = clock_();
+  if (options_.max_idle.ns > 0 || options_.max_lifetime.ns > 0) {
+    conns_.reap(now, kReapPerSegment);
+  }
   const net::TcpHeader& h = packet.tcp();
   const ConnId id{packet.dst(), packet.src()};
   Connection* c = find(id);
-  SimTime now = clock_();
 
   // --- no existing connection state ---------------------------------------
   if (c == nullptr) {
@@ -299,8 +311,6 @@ bool TcpStack::handle_packet(const net::Packet& packet) {
   }
 
   // --- existing connection --------------------------------------------------
-  c->last_activity = now;
-
   if (h.flags.rst) {
     stats_.connections_aborted++;
     destroy(*c);
@@ -379,28 +389,11 @@ bool TcpStack::handle_packet(const net::Packet& packet) {
   return true;
 }
 
-std::size_t TcpStack::reap(SimDuration max_idle, SimDuration max_lifetime) {
-  SimTime now = clock_();
-  std::vector<ConnId> victims;
-  conns_.for_each([&](const ConnId& id, const Connection& c) {
-    bool idle_out = max_idle.ns > 0 && (now - c.last_activity) > max_idle;
-    bool life_out = max_lifetime.ns > 0 && (now - c.opened_at) > max_lifetime;
-    if (idle_out || life_out) victims.push_back(id);
-  });
-  for (ConnId id : victims) abort(id);
-  stats_.connections_reaped += victims.size();
-  if (drops_ != nullptr && !victims.empty()) {
-    drops_->count(obs::DropReason::kProxyTimeout, victims.size());
-  }
-  return victims.size();
-}
-
 std::vector<TcpStack::ConnectionInfo> TcpStack::connections() const {
   std::vector<ConnectionInfo> out;
   out.reserve(conns_.size());
   conns_.for_each([&](const ConnId& id, const Connection& c) {
-    out.push_back(
-        ConnectionInfo{id, c.state, c.opened_at, c.last_activity});
+    out.push_back(ConnectionInfo{id, c.state});
   });
   return out;
 }
@@ -409,7 +402,7 @@ std::optional<TcpStack::ConnectionInfo> TcpStack::connection(
     ConnId id) const {
   const Connection* c = conns_.peek(id, clock_());
   if (c == nullptr) return std::nullopt;
-  return ConnectionInfo{id, c->state, c->opened_at, c->last_activity};
+  return ConnectionInfo{id, c->state};
 }
 
 }  // namespace dnsguard::tcp

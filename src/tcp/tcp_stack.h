@@ -2,11 +2,13 @@
 //
 // Scope (deliberate): three-way handshake with optional SYN cookies,
 // in-order reliable data transfer of small segments, FIN/RST teardown,
-// idle reaping. Links in the simulator never reorder and only drop at
-// saturated receive queues, so there is no retransmission machinery —
-// a stalled connection is reclaimed by the owner's idle/duration policy,
-// matching the DNS guard's "connection older than 5×RTT is removed" rule
-// (§III.C).
+// idle and lifetime limits. Links in the simulator never reorder and only
+// drop at saturated receive queues, so there is no retransmission
+// machinery: a stalled connection is reclaimed by its owner's limits,
+// such as the DNS guard's "connection older than 5×RTT is removed" rule
+// (§III.C). The limits live in Options and the connection table enforces
+// them: an expired connection is reset when it is looked up, or when the
+// table's reap cursor reaches it, a few slots per segment handled.
 //
 // The stack carries whole DNS messages, framed as RFC 1035 §4.2.2 says:
 // send_message() writes each message behind its two-byte big-endian
@@ -99,6 +101,10 @@ class TcpStack {
     /// reset to make room — the moral equivalent of an OS dropping from a
     /// full accept backlog.
     std::size_t max_connections = 65536;
+    /// Reset a connection that no segment or owner call has touched for
+    /// max_idle, or that has lived max_lifetime; zero turns a limit off.
+    SimDuration max_idle{};
+    SimDuration max_lifetime{};
   };
 
   using SendFn = std::function<void(net::Packet)>;
@@ -133,11 +139,6 @@ class TcpStack {
   /// RST or ignore).
   bool handle_packet(const net::Packet& packet);
 
-  /// Drops every connection idle longer than `max_idle` or alive longer
-  /// than `max_lifetime` (zero duration disables the respective check).
-  /// Returns how many were reaped.
-  std::size_t reap(SimDuration max_idle, SimDuration max_lifetime);
-
   [[nodiscard]] std::size_t connection_count() const { return conns_.size(); }
   [[nodiscard]] const TcpStackStats& stats() const { return stats_; }
 
@@ -146,7 +147,7 @@ class TcpStack {
   void bind_metrics(obs::MetricsRegistry& registry, std::string_view prefix);
 
   /// Optional drop-reason sink: rejected SYN-cookie ACKs count as
-  /// kSynCookieFail, reaped monitored connections as kProxyTimeout.
+  /// kSynCookieFail, connections past a limit as kProxyTimeout.
   void set_drop_counters(obs::DropCounters* drops) { drops_ = drops; }
 
   /// Optional journey hook, fired at connection milestones ("tcp.syn",
@@ -165,8 +166,6 @@ class TcpStack {
   struct ConnectionInfo {
     ConnId id;
     TcpState state;
-    SimTime opened_at;
-    SimTime last_activity;
   };
   [[nodiscard]] std::vector<ConnectionInfo> connections() const;
   [[nodiscard]] std::optional<ConnectionInfo> connection(ConnId id) const;
@@ -178,8 +177,6 @@ class TcpStack {
     TcpState state = TcpState::Closed;
     std::uint32_t snd_nxt = 0;  // next sequence number we will send
     std::uint32_t rcv_nxt = 0;  // next sequence number we expect
-    SimTime opened_at;
-    SimTime last_activity;
     bool client_role = false;  // we initiated via connect()
     std::uint32_t tag = 0;     // the owner's, through tag()
     /// The unfinished tail of an incoming message, length included; whole

@@ -180,7 +180,6 @@ void LrsSimulatorNode::begin_request(int w) {
     case DriveMode::TcpDirect: {
       worker.stage = 1;
       start_tcp(w);
-      arm_timeout(w);
       return;
     }
     case DriveMode::TcpWithRedirect: {
@@ -466,6 +465,9 @@ void LrsSimulatorNode::start_tcp(int w) {
   Bytes wire = tx_.encode_pooled();
   tcp_->send_message(worker.conn, BytesView(wire));
   BufferPool::local().release(std::move(wire));
+  // The stack does not retransmit: a lost SYN, query or reply, or a SYN
+  // the guard throttles, ends in this timeout.
+  arm_timeout(w);
 }
 
 void LrsSimulatorNode::on_tcp_message(tcp::ConnId conn, BytesView message) {

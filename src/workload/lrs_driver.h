@@ -171,6 +171,8 @@ class LrsSimulatorNode : public sim::Node {
   void on_timer(int w);
   void complete(int w);
   void restart(int w);
+  /// Sends worker `w`'s query on a new TCP connection and arms its
+  /// exchange timeout.
   void start_tcp(int w);
   void on_tcp_message(tcp::ConnId conn, BytesView message);
 

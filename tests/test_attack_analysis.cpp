@@ -148,8 +148,7 @@ TEST(StolenCookie, RateLimitedPerSourceAddress) {
 TEST(ProxyLifetime, LongLivedConnectionsReaped) {
   Bed bed;
   bed.make_guard(Scheme::TcpRedirect, [](RemoteGuardNode::Config& gc) {
-    gc.proxy_lifetime_rtt_multiple = 5.0;
-    gc.estimated_rtt = microseconds(400);
+    gc.proxy_max_lifetime = 5 * microseconds(400);
   });
   // Open a TCP connection by hand and never use it.
   tcp::TcpStack client(
@@ -179,9 +178,18 @@ TEST(ProxyLifetime, LongLivedConnectionsReaped) {
   client.connect({Ipv4Address(10, 0, 1, 7), 4000}, {kAnsIp, net::kDnsPort});
   bed.sim.run_for(milliseconds(1));
   EXPECT_EQ(bed.guard->proxy_connections(), 1u);
-  // 5 x 0.4 ms = 2 ms lifetime; after 10 ms it must be gone.
+  // 5 x 0.4 ms = 2 ms lifetime. After 10 ms, the next segment the proxy
+  // handles, a second connection's SYN, resets the first.
   bed.sim.run_for(milliseconds(10));
-  EXPECT_EQ(bed.guard->proxy_connections(), 0u);
+  const tcp::ConnId second =
+      client.connect({Ipv4Address(10, 0, 1, 7), 4001}, {kAnsIp, net::kDnsPort});
+  bed.sim.run_for(milliseconds(1));
+  EXPECT_EQ(bed.guard->drop_counters().value(obs::DropReason::kProxyTimeout),
+            1u);
+  EXPECT_EQ(bed.guard->proxy_connections(), 1u);
+  const auto conns = client.connections();
+  ASSERT_EQ(conns.size(), 1u);
+  EXPECT_EQ(conns[0].id, second);
 }
 
 // Simulator-wide conservation property, observed through the tap: every

@@ -113,6 +113,14 @@ TEST(BindNode, ServesDnsOverTcp) {
   EXPECT_GT(bed.ans->ans_stats().tcp_queries, 5u);
 }
 
+TEST(BindNode, LeavesNoTimerBehind) {
+  // Idle TCP connections expire through the stack's connection table, not
+  // a reap timer, so a simulation holding a BIND ANS runs dry.
+  Bed bed;
+  bed.sim.run_for(seconds(1));
+  EXPECT_EQ(bed.sim.pending_events(), 0u);
+}
+
 TEST(BindNode, UdpCapacityMatchesCalibration) {
   // Offered 20K req/s against the 14K req/s cost model: utilization
   // saturates and completions cap out around capacity.

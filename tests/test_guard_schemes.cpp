@@ -59,6 +59,8 @@ struct GuardBed {
     gc.rl1.per_address_burst = 1e5;
     gc.rl2.per_host_rate = 1e6;
     gc.rl2.per_host_burst = 1e5;
+    gc.proxy_conn_rate = 1e7;
+    gc.proxy_conn_burst = 1e6;
     if (tweak) tweak(gc);
     guard = std::make_unique<RemoteGuardNode>(sim, "guard", gc, ans.get());
     guard->install(/*subnet_prefix_len=*/24);
@@ -225,6 +227,36 @@ TEST(TcpScheme, ProxyConnectionsAreCleanedUp) {
   bed.run(milliseconds(200));
   bed.sim.run_for(milliseconds(50));  // drain teardown
   EXPECT_LE(bed.guard->proxy_connections(), 8u);
+}
+
+TEST(TcpScheme, ConnectionRateLimitHoldsAClientToItsRate) {
+  // §III.C's per-client connection-rate limit at the paper's 200/s, burst
+  // 100. Two redirected workers open connections faster than that: once
+  // the burst is spent, the client completes 20 requests per 100 ms, and
+  // each throttled SYN ends in the worker's timeout.
+  GuardBed bed(Scheme::TcpRedirect, DriveMode::TcpWithRedirect, 2, 0.0,
+               [](RemoteGuardNode::Config& gc) {
+                 gc.proxy_conn_rate = 200.0;
+                 gc.proxy_conn_burst = 100.0;
+               });
+  bed.driver->start();
+  bed.sim.run_for(milliseconds(100));
+  for (int window = 1; window < 5; ++window) {
+    SCOPED_TRACE(window);
+    const std::uint64_t before = bed.driver->driver_stats().completed;
+    bed.sim.run_for(milliseconds(100));
+    const std::uint64_t done = bed.driver->driver_stats().completed - before;
+    EXPECT_GE(done, 18u);
+    EXPECT_LE(done, 22u);
+  }
+  bed.driver->stop();
+  const std::uint64_t throttled = bed.guard->guard_stats().proxy_conn_throttled;
+  EXPECT_GT(throttled, 0u);
+  const obs::Counter* dropped =
+      bed.sim.metrics().find_counter("guard.drop.proxy_conn_throttled");
+  ASSERT_NE(dropped, nullptr);
+  EXPECT_EQ(dropped->value(), throttled);
+  EXPECT_GT(bed.driver->driver_stats().timeouts, 0u);
 }
 
 // --- modified-DNS scheme -------------------------------------------------------
@@ -814,6 +846,7 @@ TEST_P(ZeroFalsePositives, LegitNeverDropped) {
   EXPECT_GT(bed.driver->driver_stats().completed, 20u);
   EXPECT_EQ(bed.driver->driver_stats().timeouts, 0u)
       << "scheme dropped legitimate traffic under attack";
+  EXPECT_EQ(bed.guard->guard_stats().proxy_conn_throttled, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -224,7 +224,6 @@ TEST(LocalGuard, ExpiredMapEntriesAreSwept) {
   // Regression: cookies_ and not_capable_until_ grew without bound over
   // long runs against many distinct ANSs.
   LocalGuardNode::Config cfg;
-  cfg.sweep_every_packets = 8;
   cfg.not_capable_ttl = seconds(1);
   Bed bed(cfg);
 
@@ -248,7 +247,7 @@ TEST(LocalGuard, ExpiredMapEntriesAreSwept) {
   bed.sim.run_for(milliseconds(5));
   EXPECT_EQ(bed.lg->cookie_cache_size(), 50u);
 
-  // Everything expires; background traffic triggers the lazy sweep.
+  // Everything expires; background traffic triggers the per-packet reap.
   bed.sim.run_for(seconds(3));
   for (std::uint16_t i = 0; i < 20; ++i) {
     dns::Message q = dns::Message::query(
@@ -264,7 +263,6 @@ TEST(LocalGuard, ExpiredMapEntriesAreSwept) {
 
 TEST(LocalGuard, NotCapableMapStaysBounded) {
   LocalGuardNode::Config cfg;
-  cfg.sweep_every_packets = 4;
   cfg.not_capable_ttl = milliseconds(100);
   cfg.cookie_request_timeout = milliseconds(20);
   Bed bed(cfg);
@@ -295,10 +293,10 @@ TEST(LocalGuard, NotCapableMapStaysBounded) {
     peak = std::max(peak, bed.lg->not_capable_size());
     bed.sim.run_for(milliseconds(200));  // past not_capable_ttl
   }
-  // 80 servers were marked in total; the sweep keeps only the live window.
+  // 80 servers were marked in total; the reap keeps only the live window.
   EXPECT_LE(peak, 20u);
   bed.sim.run_for(milliseconds(500));
-  // One final packet burst to trigger the sweep on a quiet guard.
+  // One final packet burst to trigger the reap on a quiet guard.
   for (std::uint16_t i = 0; i < 8; ++i) {
     dns::Message q = dns::Message::query(
         900 + i, *dns::DomainName::parse("www.foo.com"), dns::RrType::A,

@@ -30,7 +30,7 @@ struct Harness {
   /// Runs after each server message is recorded.
   std::function<void(ConnId)> on_server_message;
 
-  explicit Harness(bool syn_cookies = false) {
+  explicit Harness(TcpStack::Options server_options = {}) {
     client = std::make_unique<TcpStack>(
         [this](Packet p) { wire_to_server.push_back(std::move(p)); },
         [this] { return clock; },
@@ -53,7 +53,7 @@ struct Harness {
             [this](ConnId c, std::uint32_t tag) {
               server_closed.emplace_back(c, tag);
             }},
-        TcpStack::Options{.syn_cookies = syn_cookies});
+        server_options);
     server->listen(53);
   }
 
@@ -221,27 +221,44 @@ TEST(TcpClose, AbortSendsRst) {
 }
 
 TEST(TcpReap, IdleConnectionsRemoved) {
-  Harness h;
-  h.client->connect(Harness::client_addr(), Harness::server_addr());
+  Harness h({.max_idle = seconds(5)});
+  ConnId c = h.client->connect(Harness::client_addr(), Harness::server_addr());
   h.pump();
   h.clock = h.clock + seconds(10);
-  EXPECT_EQ(h.server->reap(seconds(5), SimDuration{}), 1u);
+  // The next segment the server handles finds the connection expired.
+  h.client->send_message(c, BytesView(Bytes{1}));
+  h.pump();
   EXPECT_EQ(h.server->connection_count(), 0u);
+  EXPECT_EQ(h.server->stats().connections_reaped, 1u);
 }
 
 TEST(TcpReap, LifetimeLimitEnforced) {
   // §III.C: connections alive longer than 5x RTT are removed.
-  Harness h;
+  Harness h({.max_lifetime = milliseconds(2)});
   ConnId c = h.client->connect(Harness::client_addr(), Harness::server_addr());
   h.pump();
   h.clock = h.clock + milliseconds(3);
   h.client->send_message(c, BytesView(Bytes{1}));  // keep it non-idle
   h.pump();
-  EXPECT_EQ(h.server->reap(SimDuration{}, milliseconds(2)), 1u);
+  EXPECT_EQ(h.server->connection_count(), 0u);
+  EXPECT_EQ(h.server->stats().connections_reaped, 1u);
+}
+
+TEST(TcpReap, NoLimitNoExpiry) {
+  Harness h;
+  ConnId c = h.client->connect(Harness::client_addr(), Harness::server_addr());
+  h.pump();
+  h.clock = h.clock + seconds(3600);
+  ASSERT_TRUE(h.client->send_message(c, BytesView(Bytes{'q'})));
+  h.pump();
+  ASSERT_EQ(h.server_messages.size(), 1u);
+  EXPECT_EQ(h.server_messages[0].second, (Bytes{'q'}));
+  EXPECT_EQ(h.server->connection_count(), 1u);
+  EXPECT_EQ(h.server->stats().connections_reaped, 0u);
 }
 
 TEST(SynCookies, StatelessUntilAckArrives) {
-  Harness h(/*syn_cookies=*/true);
+  Harness h({.syn_cookies = true});
   h.client->connect(Harness::client_addr(), Harness::server_addr());
   // Deliver only the SYN.
   ASSERT_EQ(h.wire_to_server.size(), 1u);
@@ -258,7 +275,7 @@ TEST(SynCookies, StatelessUntilAckArrives) {
 }
 
 TEST(SynCookies, DataFlowsAfterCookieHandshake) {
-  Harness h(/*syn_cookies=*/true);
+  Harness h({.syn_cookies = true});
   ConnId c = h.client->connect(Harness::client_addr(), Harness::server_addr());
   h.pump();
   h.client->send_message(c, BytesView(Bytes{'q'}));
@@ -268,7 +285,7 @@ TEST(SynCookies, DataFlowsAfterCookieHandshake) {
 }
 
 TEST(SynCookies, ForgedAckRejected) {
-  Harness h(/*syn_cookies=*/true);
+  Harness h({.syn_cookies = true});
   // An attacker skips the SYN and fires a bare ACK with a made-up ack
   // number (blind spoofing): must be rejected with a RST, no state.
   Packet forged = Packet::make_tcp({Ipv4Address(6, 6, 6, 6), 1234},
@@ -282,7 +299,7 @@ TEST(SynCookies, ForgedAckRejected) {
 }
 
 TEST(SynCookies, StaleCookieRejected) {
-  Harness h(/*syn_cookies=*/true);
+  Harness h({.syn_cookies = true});
   h.client->connect(Harness::client_addr(), Harness::server_addr());
   // SYN reaches server; SYN-ACK reaches client; client emits final ACK.
   h.server->handle_packet(h.wire_to_server.front());
@@ -439,19 +456,34 @@ TEST(TcpIdentity, ReconnectOnTheSamePairNamesTheNewConnection) {
       << "the new connection is open; only the first one closed";
 }
 
-TEST(TcpIdentity, EvictionEndsLikeEveryOtherClose) {
-  // A one-connection table: the second connect() evicts the first, which
-  // must close as any other close does, tag and journey mark included.
+/// Why a connection leaves its table involuntarily.
+enum class Expiry { kCapacity, kIdle, kLifetime };
+
+/// Opens a connection with tag 7, lets `cause` remove it, and checks that it
+/// closes as any other close does (tag, journey mark, RST to the peer) and
+/// books its own tally.
+void expect_expiry_ends_like_every_other_close(Expiry cause) {
+  SimTime clock{};
+  std::vector<Packet> sent;
   std::vector<std::pair<ConnId, std::uint32_t>> closed;
   std::vector<std::pair<SocketAddr, std::string_view>> marks;
-  TcpStack stack([](Packet) {}, [] { return SimTime{}; },
+  TcpStack::Options options;
+  switch (cause) {
+    case Expiry::kCapacity: options.max_connections = 1; break;
+    case Expiry::kIdle: options.max_idle = milliseconds(1); break;
+    case Expiry::kLifetime: options.max_lifetime = milliseconds(1); break;
+  }
+  TcpStack stack([&sent](Packet p) { sent.push_back(std::move(p)); },
+                 [&clock] { return clock; },
                  TcpStack::Callbacks{
                      .on_message = {},
                      .on_closed =
                          [&closed](ConnId c, std::uint32_t tag) {
                            closed.emplace_back(c, tag);
                          }},
-                 TcpStack::Options{.max_connections = 1});
+                 options);
+  obs::DropCounters drops;
+  stack.set_drop_counters(&drops);
   stack.set_journey_fn(
       [&marks](SocketAddr client, std::string_view stage, bool may_open) {
         marks.emplace_back(client, stage);
@@ -461,8 +493,16 @@ TEST(TcpIdentity, EvictionEndsLikeEveryOtherClose) {
   const SocketAddr b{Ipv4Address(10, 0, 0, 2), 4002};
   const ConnId first = stack.connect(a, Harness::server_addr());
   *stack.tag(first) = 7;
+  clock = clock + milliseconds(2);
+  // At the cap, the second connect() evicts the first. Past a limit, the
+  // first segment the stack handles resets it: here the SYN-ACK of the
+  // second connection.
   const ConnId second = stack.connect(b, Harness::server_addr());
-  EXPECT_EQ(stack.stats().connections_evicted, 1u);
+  if (cause != Expiry::kCapacity) {
+    stack.handle_packet(Packet::make_tcp(
+        Harness::server_addr(), b, net::TcpFlags{.syn = true, .ack = true},
+        /*seq=*/9000, /*ack=*/sent.back().tcp().seq + 1));
+  }
   EXPECT_EQ(stack.tag(first), nullptr);
   EXPECT_NE(stack.tag(second), nullptr);
   ASSERT_EQ(closed.size(), 1u);
@@ -470,6 +510,25 @@ TEST(TcpIdentity, EvictionEndsLikeEveryOtherClose) {
   EXPECT_EQ(closed[0].second, 7u);
   const std::pair<SocketAddr, std::string_view> closed_mark{a, "tcp.closed"};
   EXPECT_EQ(std::count(marks.begin(), marks.end(), closed_mark), 1);
+  EXPECT_EQ(std::count_if(sent.begin(), sent.end(),
+                          [&a](const Packet& p) {
+                            return p.tcp().flags.rst && p.src() == a &&
+                                   p.dst() == Harness::server_addr();
+                          }),
+            1);
+  const bool capacity = cause == Expiry::kCapacity;
+  EXPECT_EQ(stack.stats().connections_evicted, capacity ? 1u : 0u);
+  EXPECT_EQ(drops.value(obs::DropReason::kStateTableFull), capacity ? 1u : 0u);
+  EXPECT_EQ(stack.stats().connections_reaped, capacity ? 0u : 1u);
+  EXPECT_EQ(drops.value(obs::DropReason::kProxyTimeout), capacity ? 0u : 1u);
+}
+
+TEST(TcpIdentity, EvictionEndsLikeEveryOtherClose) {
+  for (const Expiry cause :
+       {Expiry::kCapacity, Expiry::kIdle, Expiry::kLifetime}) {
+    SCOPED_TRACE(static_cast<int>(cause));
+    expect_expiry_ends_like_every_other_close(cause);
+  }
 }
 
 }  // namespace
