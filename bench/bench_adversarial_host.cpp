@@ -169,7 +169,7 @@ class RstTimedGuard : public guard::RemoteGuardNode {
 
  protected:
   SimDuration process(const net::Packet& p) override {
-    if (!p.is_tcp() || !p.tcp().flags.rst) return RemoteGuardNode::process(p);
+    if (!p.is_tcp() || !p.flags.rst) return RemoteGuardNode::process(p);
     const auto t0 = wall_now();
     const SimDuration d = RemoteGuardNode::process(p);
     rst_ns.push_back(wall_seconds_since(t0) * 1e9);

@@ -21,13 +21,12 @@ namespace {
 
 std::string describe(const net::Packet& p) {
   if (p.is_tcp()) {
-    const auto& h = p.tcp();
     std::string flags;
-    if (h.flags.syn) flags += "SYN ";
-    if (h.flags.ack) flags += "ACK ";
-    if (h.flags.fin) flags += "FIN ";
-    if (h.flags.rst) flags += "RST ";
-    if (h.flags.psh) flags += "PSH ";
+    if (p.flags.syn) flags += "SYN ";
+    if (p.flags.ack) flags += "ACK ";
+    if (p.flags.fin) flags += "FIN ";
+    if (p.flags.rst) flags += "RST ";
+    if (p.flags.psh) flags += "PSH ";
     return "TCP " + flags + (p.payload.empty()
                                  ? ""
                                  : "(" + std::to_string(p.payload.size()) +

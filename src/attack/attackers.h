@@ -44,7 +44,6 @@ class FloodNodeBase : public sim::Node {
   void stop() { running_ = false; }
   void set_rate(double rate) { config_.rate = rate; }
   [[nodiscard]] const FloodStats& flood_stats() const { return stats_; }
-  void reset_flood_stats() { stats_ = FloodStats{}; }
 
  protected:
   /// Builds the next attack packet (subclass-specific spoofing/cookies).

@@ -63,15 +63,6 @@ enum class EvictReason : std::uint8_t {
   kIdle,      // not touched for longer than the idle timeout
 };
 
-[[nodiscard]] constexpr std::string_view evict_reason_name(EvictReason r) {
-  switch (r) {
-    case EvictReason::kCapacity: return "capacity";
-    case EvictReason::kTtl: return "ttl";
-    case EvictReason::kIdle: return "idle";
-  }
-  return "?";
-}
-
 /// Counter/gauge cells for one table; bind() attaches them under
 /// "<prefix>.size", "<prefix>.evicted_capacity", ... so every bounded
 /// table in the system exports the same shape.
@@ -239,7 +230,6 @@ class BoundedTable {
     Slot& s = slot(si);
     s.key = key;
     s.value.emplace(std::forward<Args>(args)...);
-    s.inserted_at = now;
     s.last_use = now;
     s.expires_at =
         config_.ttl.ns > 0 ? now + config_.ttl : SimTime{kNoExpiryNs};
@@ -352,7 +342,6 @@ class BoundedTable {
   struct Slot {
     Key key{};
     std::optional<Value> value;  // disengaged == free slot
-    SimTime inserted_at{};
     SimTime last_use{};
     SimTime expires_at{kNoExpiryNs};
     std::uint32_t lru_prev = kNil;

@@ -1,10 +1,8 @@
-// Byte-buffer reader/writer with network (big-endian) byte order.
+// Byte buffers and a big-endian (network order) writer.
 //
-// These are the primitives every wire codec in the project (IPv4/UDP/TCP
-// headers, DNS messages) is built on. ByteWriter appends to an internal
-// vector; ByteReader walks a non-owning span and reports truncation via
-// error flags instead of exceptions so codecs can reject malformed packets
-// cheaply on the hot path.
+// ByteWriter is what the DNS encoder builds wire bytes with: it appends
+// to an internal vector. Decoding reads through dns::Cursor
+// (dns/cursor.h), the program's only wire reader.
 #pragma once
 
 #include <cstddef>
@@ -23,7 +21,6 @@ using BytesView = std::span<const std::uint8_t>;
 class ByteWriter {
  public:
   ByteWriter() = default;
-  explicit ByteWriter(std::size_t reserve) { buf_.reserve(reserve); }
   /// Adopts an existing buffer (cleared, capacity kept) so codecs can
   /// re-serialize into recycled storage without reallocating.
   explicit ByteWriter(Bytes&& reuse) : buf_(std::move(reuse)) { buf_.clear(); }
@@ -47,7 +44,7 @@ class ByteWriter {
     buf_.insert(buf_.end(), s.begin(), s.end());
   }
 
-  /// Overwrite a previously written 16-bit field (e.g. length/checksum
+  /// Overwrite a previously written 16-bit field (e.g. RDLENGTH
   /// backpatching). `at` must point at an already-written offset.
   void patch_u16(std::size_t at, std::uint16_t v);
 
@@ -58,35 +55,6 @@ class ByteWriter {
 
  private:
   Bytes buf_;
-};
-
-/// Walks a read-only byte span. On underflow, sets an error flag and
-/// returns zeroes; callers check `ok()` once at the end of a parse.
-class ByteReader {
- public:
-  explicit ByteReader(BytesView data) : data_(data) {}
-
-  std::uint8_t u8();
-  std::uint16_t u16();
-  std::uint32_t u32();
-  /// Reads `n` bytes; returns an empty view and flags error on underflow.
-  BytesView raw(std::size_t n);
-
-  /// Absolute-offset random access (needed for DNS name decompression).
-  [[nodiscard]] BytesView whole() const { return data_; }
-  [[nodiscard]] std::size_t pos() const { return pos_; }
-  void seek(std::size_t pos);
-  void skip(std::size_t n);
-
-  [[nodiscard]] std::size_t remaining() const { return data_.size() - pos_; }
-  [[nodiscard]] bool ok() const { return ok_; }
-  /// Manually poison the reader (parse-level validation failure).
-  void fail() { ok_ = false; }
-
- private:
-  BytesView data_;
-  std::size_t pos_ = 0;
-  bool ok_ = true;
 };
 
 }  // namespace dnsguard

@@ -35,9 +35,6 @@ struct SimDuration {
 constexpr SimDuration nanoseconds(std::int64_t n) { return {n}; }
 constexpr SimDuration microseconds(std::int64_t us) { return {us * 1000}; }
 constexpr SimDuration milliseconds(std::int64_t ms) { return {ms * 1000000}; }
-constexpr SimDuration milliseconds_f(double ms) {
-  return {static_cast<std::int64_t>(ms * 1e6)};
-}
 constexpr SimDuration seconds(std::int64_t s) { return {s * 1000000000}; }
 constexpr SimDuration seconds_f(double s) {
   return {static_cast<std::int64_t>(s * 1e9)};

@@ -2,9 +2,9 @@
 // wire bytes.
 //
 // Every DNS parse path (message.cpp, name.cpp, records.cpp) walks the
-// incoming datagram through this type instead of doing raw offset
-// arithmetic on a ByteReader. The contract the decode-bounds lint rule
-// enforces is that *all* positional reasoning lives here:
+// incoming datagram through this type; it is the program's only wire
+// reader. The contract the decode-bounds lint rule enforces is that *all*
+// positional reasoning lives here:
 //
 //   - reads (u8/u16/u32/raw/chars/skip) saturate against a limit and
 //     poison the cursor instead of reading out of bounds;

@@ -28,6 +28,7 @@ LocalGuardNode::LocalGuardNode(sim::Simulator& sim, std::string name,
       held_({.capacity = kMaxHeldAnses}) {
   set_profile_stage(obs::prof::Stage::kGuardService);
   stats_.bind(this->sim().metrics(), "local_guard");
+  drops_.bind(this->sim().metrics(), "local_guard");
   cookies_.bind_metrics(this->sim().metrics(), "local_guard.cookies");
   not_capable_until_.bind_metrics(this->sim().metrics(),
                                   "local_guard.not_capable");
@@ -119,6 +120,15 @@ void LocalGuardNode::handle_outbound(const net::Packet& packet,
     stats_.queries_held++;
     if (jt.enabled()) {
       jt.mark(jkey_of(packet.src_ip.value(), query), "lguard.hold", now());
+    }
+  } else {
+    // The bucket is full and its cookie request is already out: the query
+    // is neither held nor forwarded.
+    drops_.count(obs::DropReason::kStateTableFull);
+    trace(obs::TraceEvent::kDrop, packet, obs::DropReason::kStateTableFull);
+    if (jt.enabled()) {
+      jt.end(jkey_of(packet.src_ip.value(), query), "lguard.drop", now(),
+             /*ok=*/false);
     }
   }
   if (!bucket.request_outstanding) {

@@ -25,6 +25,7 @@
 #include "common/bounded_table.h"
 #include "dns/message.h"
 #include "guard/cookie_engine.h"
+#include "obs/drop_reason.h"
 #include "obs/metrics.h"
 #include "sim/node.h"
 
@@ -60,6 +61,8 @@ class LocalGuardNode : public sim::Node {
     SimDuration cookie_request_timeout = milliseconds(500);
     /// Per-packet CPU cost of the module.
     SimDuration packet_cost = nanoseconds(700);
+    /// Queries held per ANS while its cookie request is out; one more is
+    /// dropped and charged to local_guard.drop.state_table_full.
     std::size_t max_held_per_ans = 1024;
     /// How long to remember that an ANS answered without a cookie (i.e.
     /// has no remote guard) before probing again. Incremental deployment:
@@ -75,8 +78,6 @@ class LocalGuardNode : public sim::Node {
 
   [[nodiscard]] const LocalGuardStats& local_stats() const { return stats_; }
   [[nodiscard]] bool has_cookie_for(net::Ipv4Address ans) const;
-  /// Drops a cached cookie (tests: simulate expiry).
-  void forget_cookie(net::Ipv4Address ans) { cookies_.erase(ans); }
   /// Current map sizes (tests assert long runs stay bounded).
   [[nodiscard]] std::size_t cookie_cache_size() const {
     return cookies_.size();
@@ -107,6 +108,7 @@ class LocalGuardNode : public sim::Node {
   common::BoundedTable<net::Ipv4Address, SimTime> not_capable_until_;
   common::BoundedTable<net::Ipv4Address, HeldBucket> held_;
   LocalGuardStats stats_;
+  obs::DropCounters drops_;  // bound as "local_guard.drop.<reason>"
   SimDuration cost_{};
 };
 

@@ -345,7 +345,7 @@ std::size_t RemoteGuardNode::shard_of(const net::Packet& packet) const {
     if (packet.dst_ip == config_.guard_address) {
       // Proxied-query reply: the NAT destination port identifies the
       // shard that allocated it (the client's shard).
-      return shard_of_nat_port(packet.udp().dst_port);
+      return shard_of_nat_port(packet.dst_port);
     }
     // Plain ANS response: owned by the requester's shard.
     return shard_of_ip(packet.dst_ip);
@@ -366,7 +366,7 @@ SimDuration RemoteGuardNode::process(const net::Packet& packet) {
     charge(SimDuration{static_cast<std::int64_t>(
         config_.costs.proxy_table_per_conn.ns *
         static_cast<std::int64_t>(tcp_->connection_count()))});
-    if (packet.tcp().flags.syn && !packet.tcp().flags.ack) {
+    if (packet.flags.syn && !packet.flags.ack) {
       charge(config_.costs.proxy_connection);
       // Per-client connection-rate throttle (§III.C). The bucket table is
       // bounded: idle clients are reaped incrementally and the LRU client
@@ -743,7 +743,7 @@ void RemoteGuardNode::proxy_on_message(tcp::ConnId conn, BytesView message) {
 
 void RemoteGuardNode::handle_proxy_nat_response(const net::Packet& packet) {
   DNSGUARD_PROF_SCOPE(obs::prof::Stage::kGuardNat);
-  const std::uint16_t port = packet.udp().dst_port;
+  const std::uint16_t port = packet.dst_port;
   NatEntry* found = cur_shard_->nat.find(port, now());
   if (found == nullptr) {
     // No NAT entry: the proxied connection is gone (reaped / recycled) or

@@ -38,8 +38,4 @@ std::optional<Ipv4Address> Ipv4Address::parse(std::string_view s) {
                      static_cast<std::uint8_t>(parts[3]));
 }
 
-std::string SocketAddr::to_string() const {
-  return ip.to_string() + ":" + std::to_string(port);
-}
-
 }  // namespace dnsguard::net

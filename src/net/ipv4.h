@@ -49,7 +49,6 @@ struct SocketAddr {
   std::uint16_t port = 0;
 
   constexpr auto operator<=>(const SocketAddr&) const = default;
-  [[nodiscard]] std::string to_string() const;
 };
 
 inline constexpr std::uint16_t kDnsPort = 53;

@@ -1,61 +1,63 @@
 // The Packet: the unit of traffic in the simulator.
 //
-// A Packet is a structured view of one IP datagram — addressing, transport
-// header and payload — with exact wire serialization both ways. Components
-// in the simulator (guards, servers, attackers) operate on the structured
-// form; tests round-trip through the byte form to keep the structured view
-// honest; and `wire_size()` drives byte-level accounting (link loads,
-// amplification ratios).
+// A Packet is one IP datagram as the simulation sees it: its addresses,
+// ports, transport protocol, TCP's sequence numbers and flags, and the
+// payload. Nothing here is ever serialized: components in the simulator
+// (guards, servers, attackers) read these fields directly, and
+// `wire_size()` charges the IPv4 and UDP/TCP header bytes a real datagram
+// would carry, which drives byte-level accounting (link loads, the
+// amplification ratios of §III.E and §III.G).
 #pragma once
 
-#include <optional>
-#include <string>
-#include <variant>
+#include <cstddef>
+#include <cstdint>
 
 #include "common/bytes.h"
-#include "net/headers.h"
 #include "net/ipv4.h"
 
 namespace dnsguard::net {
 
+inline constexpr std::size_t kIpv4HeaderSize = 20;
+inline constexpr std::size_t kUdpHeaderSize = 8;
+inline constexpr std::size_t kTcpHeaderSize = 20;
+
+enum class Protocol : std::uint8_t { kUdp, kTcp };
+
+/// TCP control flags, one bit each.
+struct TcpFlags {
+  bool fin : 1 = false;
+  bool syn : 1 = false;
+  bool rst : 1 = false;
+  bool psh : 1 = false;
+  bool ack : 1 = false;
+};
+
 struct Packet {
   Ipv4Address src_ip;
   Ipv4Address dst_ip;
-  std::uint8_t ttl = 64;
-  /// UDP or TCP transport header; the alternative chosen determines the IP
-  /// protocol field on the wire.
-  std::variant<UdpHeader, TcpHeader> transport = UdpHeader{};
+  /// TCP sequence and acknowledgement numbers; zero on UDP.
+  std::uint32_t seq = 0;
+  std::uint32_t ack = 0;
+  std::uint16_t src_port = 0;
+  std::uint16_t dst_port = 0;
+  Protocol protocol = Protocol::kUdp;
+  /// TCP flags; all clear on UDP.
+  TcpFlags flags;
   /// The transport payload (for DNS traffic, the DNS message bytes; for
   /// DNS-over-TCP, the 2-byte-length-framed stream chunk).
   Bytes payload;
 
-  [[nodiscard]] bool is_udp() const {
-    return std::holds_alternative<UdpHeader>(transport);
-  }
-  [[nodiscard]] bool is_tcp() const {
-    return std::holds_alternative<TcpHeader>(transport);
-  }
-  [[nodiscard]] const UdpHeader& udp() const {
-    return std::get<UdpHeader>(transport);
-  }
-  [[nodiscard]] UdpHeader& udp() { return std::get<UdpHeader>(transport); }
-  [[nodiscard]] const TcpHeader& tcp() const {
-    return std::get<TcpHeader>(transport);
-  }
-  [[nodiscard]] TcpHeader& tcp() { return std::get<TcpHeader>(transport); }
+  [[nodiscard]] bool is_udp() const { return protocol == Protocol::kUdp; }
+  [[nodiscard]] bool is_tcp() const { return protocol == Protocol::kTcp; }
 
-  [[nodiscard]] std::uint16_t src_port() const;
-  [[nodiscard]] std::uint16_t dst_port() const;
-  [[nodiscard]] SocketAddr src() const { return {src_ip, src_port()}; }
-  [[nodiscard]] SocketAddr dst() const { return {dst_ip, dst_port()}; }
+  [[nodiscard]] SocketAddr src() const { return {src_ip, src_port}; }
+  [[nodiscard]] SocketAddr dst() const { return {dst_ip, dst_port}; }
 
   /// Total on-wire size in bytes: IP header + transport header + payload.
-  [[nodiscard]] std::size_t wire_size() const;
-
-  /// Serializes the full datagram (IP + transport + payload).
-  [[nodiscard]] Bytes to_wire() const;
-  /// Parses a full datagram; nullopt on any malformation.
-  [[nodiscard]] static std::optional<Packet> from_wire(BytesView wire);
+  [[nodiscard]] std::size_t wire_size() const {
+    return kIpv4HeaderSize + (is_udp() ? kUdpHeaderSize : kTcpHeaderSize) +
+           payload.size();
+  }
 
   /// Builds a UDP datagram.
   [[nodiscard]] static Packet make_udp(SocketAddr from, SocketAddr to,
@@ -75,8 +77,6 @@ struct Packet {
   /// the simulator, so dns::Message::encode_pooled() reuses the capacity
   /// instead of reallocating per packet.
   void release_payload();
-
-  [[nodiscard]] std::string summary() const;
 };
 
 }  // namespace dnsguard::net

@@ -106,11 +106,6 @@ std::string MetricsRegistry::attach_gauge(std::string_view name, Gauge& cell) {
   return register_cell(name, Kind::kGauge, &cell);
 }
 
-std::string MetricsRegistry::attach_histogram(std::string_view name,
-                                              LatencyHistogram& cell) {
-  return register_cell(name, Kind::kHistogram, &cell);
-}
-
 void MetricsRegistry::detach_prefix(std::string_view prefix) {
   std::erase_if(entries_, [prefix](const Entry& e) {
     return e.name.size() >= prefix.size() &&

@@ -157,7 +157,6 @@ class MetricsRegistry {
   /// cell was registered under (may carry a "#N" suffix on collision).
   std::string attach_counter(std::string_view name, Counter& cell);
   std::string attach_gauge(std::string_view name, Gauge& cell);
-  std::string attach_histogram(std::string_view name, LatencyHistogram& cell);
 
   /// Drops every registration whose name starts with `prefix` (attached
   /// cells only become unreachable; owned cells also stay allocated so

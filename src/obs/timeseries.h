@@ -50,7 +50,6 @@ class TimeSeriesSampler {
   void stop() { running_ = false; }
   [[nodiscard]] bool running() const { return running_; }
 
-  [[nodiscard]] SimDuration window_length() const { return window_; }
   /// When the currently open window closes (the owner schedules its
   /// boundary event at this time).
   [[nodiscard]] SimTime next_boundary() const { return open_start_ + window_; }

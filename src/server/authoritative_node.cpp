@@ -81,7 +81,7 @@ dns::Message AuthoritativeServerNode::answer(const dns::Message& query,
 
 SimDuration AuthoritativeServerNode::process(const net::Packet& packet) {
   if (packet.is_udp()) {
-    if (packet.udp().dst_port != net::kDnsPort) return SimDuration{0};
+    if (packet.dst_port != net::kDnsPort) return SimDuration{0};
     auto query = dns::Message::decode(BytesView(packet.payload));
     if (!query || query->header.qr || query->question() == nullptr) {
       ans_stats_.malformed++;
@@ -106,7 +106,7 @@ SimDuration AuthoritativeServerNode::process(const net::Packet& packet) {
 
   // TCP path: the stack drives callbacks; costs accrue in pending_cost_.
   pending_cost_ = config_.tcp_segment_cost;
-  if (packet.tcp().flags.syn && !packet.tcp().flags.ack) {
+  if (packet.flags.syn && !packet.flags.ack) {
     pending_cost_ = pending_cost_ + config_.tcp_connection_cost;
   }
   tcp_->handle_packet(packet);
@@ -133,7 +133,7 @@ void AuthoritativeServerNode::on_tcp_message(tcp::ConnId conn,
 }
 
 SimDuration AnsSimulatorNode::process(const net::Packet& packet) {
-  if (!packet.is_udp() || packet.udp().dst_port != net::kDnsPort) {
+  if (!packet.is_udp() || packet.dst_port != net::kDnsPort) {
     return SimDuration{0};
   }
   dns::Message& m = rx_;

@@ -544,7 +544,7 @@ SimDuration RecursiveResolverNode::process(const net::Packet& packet) {
   }
 
   // A recursive client query (stub resolver).
-  if (packet.udp().dst_port == net::kDnsPort && m->header.rd &&
+  if (packet.dst_port == net::kDnsPort && m->header.rd &&
       m->question() != nullptr) {
     trace(obs::TraceEvent::kClassify, packet);
     stats_.client_queries++;

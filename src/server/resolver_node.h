@@ -105,7 +105,6 @@ class RecursiveResolverNode : public sim::Node {
                std::optional<obs::JourneyKey> jkey = std::nullopt);
 
   [[nodiscard]] const ResolverStats& resolver_stats() const { return stats_; }
-  void reset_resolver_stats() { stats_ = ResolverStats{}; }
   [[nodiscard]] RrCache& cache() { return cache_; }
   [[nodiscard]] const Config& config() const { return config_; }
   [[nodiscard]] std::size_t inflight_tasks() const { return tasks_.size(); }

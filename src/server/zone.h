@@ -91,7 +91,6 @@ class AuthoritativeEngine {
   [[nodiscard]] Answer answer(const dns::Message& query) const;
 
   [[nodiscard]] const Zone* zone_for(const dns::DomainName& name) const;
-  [[nodiscard]] std::size_t zone_count() const { return zones_.size(); }
 
  private:
   std::vector<Zone> zones_;

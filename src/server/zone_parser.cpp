@@ -2,9 +2,8 @@
 
 #include <cctype>
 #include <charconv>
+#include <optional>
 #include <vector>
-
-#include "common/log.h"
 
 namespace dnsguard::server {
 namespace {
@@ -283,16 +282,6 @@ ZoneParseResult parse_zone(std::string_view text,
     }
   }
   return zone;
-}
-
-std::optional<Zone> parse_zone_or_log(std::string_view text,
-                                      const dns::DomainName& default_origin) {
-  ZoneParseResult r = parse_zone(text, default_origin);
-  if (auto* err = std::get_if<ZoneParseError>(&r)) {
-    DG_LOG_ERROR("zone", "parse failed: %s", err->to_string().c_str());
-    return std::nullopt;
-  }
-  return std::get<Zone>(std::move(r));
 }
 
 }  // namespace dnsguard::server

@@ -13,7 +13,6 @@
 // Errors carry the 1-based line number for operator-friendly messages.
 #pragma once
 
-#include <optional>
 #include <string>
 #include <string_view>
 #include <variant>
@@ -37,9 +36,5 @@ using ZoneParseResult = std::variant<Zone, ZoneParseError>;
 /// a $ORIGIN directive overrides it.
 [[nodiscard]] ZoneParseResult parse_zone(std::string_view text,
                                          const dns::DomainName& default_origin);
-
-/// Convenience: returns the zone or nullopt, logging the error.
-[[nodiscard]] std::optional<Zone> parse_zone_or_log(
-    std::string_view text, const dns::DomainName& default_origin);
 
 }  // namespace dnsguard::server

@@ -88,7 +88,6 @@ class Node {
   /// drop -> tx). Bounded, always on, dumpable on test failure:
   ///   EXPECT_EQ(...) << node.trace_ring().dump(node.name());
   [[nodiscard]] const obs::TraceRing& trace_ring() const { return trace_; }
-  obs::TraceRing& mutable_trace_ring() { return trace_; }
 
  protected:
   /// Handles one packet. Implementations do their protocol work, emit

@@ -29,19 +29,6 @@ void append_framed(Bytes& out, BytesView message) {
 
 }  // namespace
 
-std::string tcp_state_name(TcpState s) {
-  switch (s) {
-    case TcpState::SynSent: return "SYN_SENT";
-    case TcpState::SynReceived: return "SYN_RCVD";
-    case TcpState::Established: return "ESTABLISHED";
-    case TcpState::FinWait: return "FIN_WAIT";
-    case TcpState::CloseWait: return "CLOSE_WAIT";
-    case TcpState::LastAck: return "LAST_ACK";
-    case TcpState::Closed: return "CLOSED";
-  }
-  return "?";
-}
-
 TcpStack::TcpStack(SendFn send, ClockFn clock, Callbacks callbacks,
                    Options options)
     : send_(std::move(send)),
@@ -155,9 +142,8 @@ void TcpStack::emit(net::SocketAddr from, net::SocketAddr to,
 
 void TcpStack::send_rst(const net::Packet& to_packet) {
   stats_.resets_sent++;
-  const auto& h = to_packet.tcp();
   emit(to_packet.dst(), to_packet.src(), net::TcpFlags{.rst = true},
-       h.ack, h.seq + 1);
+       to_packet.ack, to_packet.seq + 1);
 }
 
 ConnId TcpStack::connect(net::SocketAddr local, net::SocketAddr remote) {
@@ -249,15 +235,14 @@ bool TcpStack::handle_packet(const net::Packet& packet) {
   if (options_.max_idle.ns > 0 || options_.max_lifetime.ns > 0) {
     conns_.reap(now, kReapPerSegment);
   }
-  const net::TcpHeader& h = packet.tcp();
   const ConnId id{packet.dst(), packet.src()};
   Connection* c = find(id);
 
   // --- no existing connection state ---------------------------------------
   if (c == nullptr) {
     bool listening = std::find(listen_ports_.begin(), listen_ports_.end(),
-                               h.dst_port) != listen_ports_.end();
-    if (h.flags.syn && !h.flags.ack) {
+                               packet.dst_port) != listen_ports_.end();
+    if (packet.flags.syn && !packet.flags.ack) {
       if (!listening) {
         if (drops_ != nullptr) drops_->count(obs::DropReason::kStraySegment);
         send_rst(packet);
@@ -268,27 +253,27 @@ bool TcpStack::handle_packet(const net::Packet& packet) {
       if (options_.syn_cookies) {
         // Stateless: encode the cookie in our ISN, keep no state.
         std::uint32_t isn =
-            syn_cookies_.make(packet.src(), packet.dst(), h.seq, now);
+            syn_cookies_.make(packet.src(), packet.dst(), packet.seq, now);
         stats_.syn_cookies_sent++;
         emit(packet.dst(), packet.src(),
-             net::TcpFlags{.syn = true, .ack = true}, isn, h.seq + 1);
+             net::TcpFlags{.syn = true, .ack = true}, isn, packet.seq + 1);
         return true;
       }
       Connection& nc = create(packet.dst(), packet.src(),
                               TcpState::SynReceived);
-      nc.rcv_nxt = h.seq + 1;
+      nc.rcv_nxt = packet.seq + 1;
       nc.snd_nxt = next_isn();
       emit(nc.local, nc.remote, net::TcpFlags{.syn = true, .ack = true},
            nc.snd_nxt, nc.rcv_nxt);
       nc.snd_nxt += 1;
       return true;
     }
-    if (h.flags.ack && !h.flags.syn && !h.flags.rst && options_.syn_cookies &&
-        listening) {
+    if (packet.flags.ack && !packet.flags.syn && !packet.flags.rst &&
+        options_.syn_cookies && listening) {
       // Possibly the third packet of a cookie handshake: ack-1 must be a
       // valid cookie for (src, dst, client_isn = seq-1).
-      std::uint32_t acked_isn = h.ack - 1;
-      if (!syn_cookies_.validate(packet.src(), packet.dst(), h.seq - 1,
+      std::uint32_t acked_isn = packet.ack - 1;
+      if (!syn_cookies_.validate(packet.src(), packet.dst(), packet.seq - 1,
                                  acked_isn, now)) {
         stats_.syn_cookies_rejected++;
         if (drops_ != nullptr) drops_->count(obs::DropReason::kSynCookieFail);
@@ -297,21 +282,21 @@ bool TcpStack::handle_packet(const net::Packet& packet) {
       }
       stats_.syn_cookies_accepted++;
       c = &create(packet.dst(), packet.src(), TcpState::Established);
-      c->rcv_nxt = h.seq;
-      c->snd_nxt = h.ack;
+      c->rcv_nxt = packet.seq;
+      c->snd_nxt = packet.ack;
       stats_.connections_established++;
       if (journey_) journey_(c->remote, "tcp.established", true);
       // The ACK may carry data already (common for eager clients); the
       // established path below delivers it.
     } else {
       if (drops_ != nullptr) drops_->count(obs::DropReason::kStraySegment);
-      if (!h.flags.rst) send_rst(packet);
+      if (!packet.flags.rst) send_rst(packet);
       return false;
     }
   }
 
   // --- existing connection --------------------------------------------------
-  if (h.flags.rst) {
+  if (packet.flags.rst) {
     stats_.connections_aborted++;
     destroy(*c);
     return true;
@@ -319,8 +304,8 @@ bool TcpStack::handle_packet(const net::Packet& packet) {
 
   switch (c->state) {
     case TcpState::SynSent: {
-      if (h.flags.syn && h.flags.ack && h.ack == c->snd_nxt) {
-        c->rcv_nxt = h.seq + 1;
+      if (packet.flags.syn && packet.flags.ack && packet.ack == c->snd_nxt) {
+        c->rcv_nxt = packet.seq + 1;
         c->state = TcpState::Established;
         emit(c->local, c->remote, net::TcpFlags{.ack = true}, c->snd_nxt,
              c->rcv_nxt);
@@ -332,7 +317,7 @@ bool TcpStack::handle_packet(const net::Packet& packet) {
       return true;  // stray segment during handshake: ignore
     }
     case TcpState::SynReceived: {
-      if (h.flags.ack && h.ack == c->snd_nxt) {
+      if (packet.flags.ack && packet.ack == c->snd_nxt) {
         c->state = TcpState::Established;
         stats_.connections_established++;
         if (journey_) journey_(c->remote, "tcp.established", true);
@@ -347,7 +332,7 @@ bool TcpStack::handle_packet(const net::Packet& packet) {
     case TcpState::FinWait:
     case TcpState::CloseWait: {
       if (!packet.payload.empty()) {
-        if (h.seq == c->rcv_nxt) {
+        if (packet.seq == c->rcv_nxt) {
           c->rcv_nxt += static_cast<std::uint32_t>(packet.payload.size());
           emit(c->local, c->remote, net::TcpFlags{.ack = true}, c->snd_nxt,
                c->rcv_nxt);
@@ -362,7 +347,7 @@ bool TcpStack::handle_packet(const net::Packet& packet) {
           return true;
         }
       }
-      if (h.flags.fin) {
+      if (packet.flags.fin) {
         c->rcv_nxt += 1;
         emit(c->local, c->remote, net::TcpFlags{.ack = true}, c->snd_nxt,
              c->rcv_nxt);
@@ -377,7 +362,7 @@ bool TcpStack::handle_packet(const net::Packet& packet) {
       return true;
     }
     case TcpState::LastAck: {
-      if (h.flags.ack && h.ack == c->snd_nxt) {
+      if (packet.flags.ack && packet.ack == c->snd_nxt) {
         stats_.connections_closed++;
         destroy(*c);
       }

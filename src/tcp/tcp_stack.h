@@ -61,8 +61,6 @@ enum class TcpState : std::uint8_t {
   Closed,
 };
 
-[[nodiscard]] std::string tcp_state_name(TcpState s);
-
 /// The stats fields are obs::Counter cells: they read and increment like
 /// plain uint64s, and bind_metrics() publishes them in a MetricsRegistry
 /// without copying.

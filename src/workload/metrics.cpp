@@ -1,6 +1,6 @@
 #include "workload/metrics.h"
 
-#include <cmath>
+#include <cstdio>
 
 namespace dnsguard::workload {
 
@@ -43,23 +43,6 @@ std::string TablePrinter::percent(double v, int decimals) {
   char buf[48];
   std::snprintf(buf, sizeof buf, "%.*f%%", decimals, v * 100.0);
   return buf;
-}
-
-void RateDriver::start() {
-  if (running_) return;
-  running_ = true;
-  ++epoch_;
-  tick();
-}
-
-void RateDriver::tick() {
-  if (!running_ || rate_ <= 0) return;
-  fired_++;
-  fn_();
-  std::uint64_t epoch = epoch_;
-  sim_.schedule_in(seconds_f(1.0 / rate_), [this, epoch] {
-    if (epoch == epoch_) tick();
-  });
 }
 
 }  // namespace dnsguard::workload

@@ -1,15 +1,9 @@
-// Experiment metrics & reporting helpers shared by the bench binaries.
+// Report formatting shared by the bench binaries: the fixed-width tables
+// they print paper-style rows with.
 #pragma once
 
-#include <cstdint>
-#include <cstdio>
-#include <functional>
 #include <string>
 #include <vector>
-
-#include "common/time.h"
-#include "obs/metrics.h"
-#include "sim/simulator.h"
 
 namespace dnsguard::workload {
 
@@ -28,53 +22,6 @@ class TablePrinter {
  private:
   std::vector<std::string> headers_;
   int width_;
-};
-
-/// An open-loop driver: invokes `fn` at a fixed rate until stopped.
-/// Used for the Fig. 5 legitimate LRSs ("constant rate of 1K requests/sec").
-class RateDriver {
- public:
-  RateDriver(sim::Simulator& sim, double rate_per_sec,
-             std::function<void()> fn)
-      : sim_(sim), rate_(rate_per_sec), fn_(std::move(fn)) {}
-
-  void start();
-  void stop() { running_ = false; }
-  void set_rate(double r) { rate_ = r; }
-  [[nodiscard]] std::uint64_t fired() const { return fired_; }
-
- private:
-  void tick();
-
-  sim::Simulator& sim_;
-  double rate_;
-  std::function<void()> fn_;
-  bool running_ = false;
-  std::uint64_t fired_ = 0;
-  std::uint64_t epoch_ = 0;
-};
-
-/// Counts events within a measurement window; throughput = count/window.
-/// The tally is an obs::Counter cell so a bench can publish it in the
-/// simulator's registry (attach()) and have it appear in BENCH_*.json.
-class ThroughputMeter {
- public:
-  void record(std::uint64_t n = 1) { count_ += n; }
-  void reset() { count_.reset(); }
-  [[nodiscard]] std::uint64_t count() const { return count_.value(); }
-  [[nodiscard]] double per_second(SimDuration window) const {
-    return window.ns > 0
-               ? static_cast<double>(count_.value()) / window.seconds()
-               : 0.0;
-  }
-
-  /// Registers the window tally under `name`.
-  void attach(obs::MetricsRegistry& registry, std::string_view name) {
-    registry.attach_counter(name, count_);
-  }
-
- private:
-  obs::Counter count_;
 };
 
 }  // namespace dnsguard::workload

@@ -439,7 +439,7 @@ SimDuration ClientPopulationNode::process(const net::Packet& packet) {
         (static_cast<std::uint64_t>(packet.dst_ip.value()) << 16) ^
         response.header.id));
     net::Ipv4Address src = packet.dst_ip;
-    std::uint16_t port = packet.dst_port();
+    std::uint16_t port = packet.dst_port;
     std::uint16_t id = static_cast<std::uint16_t>(response.header.id + 1);
     // Encoded now: wire bytes fit EventFn's inline buffer, a name does not.
     tx_.set_query(id, qst->qname, dns::RrType::A, false);

@@ -213,10 +213,6 @@ class PopulationEngine {
   [[nodiscard]] double max_rate() const { return max_rate_; }
 
   [[nodiscard]] const PopulationConfig& config() const { return config_; }
-  [[nodiscard]] const ZipfSampler& zipf() const { return zipf_; }
-  [[nodiscard]] const LognormalRateClasses& rate_model() const {
-    return rates_;
-  }
 
   /// The client id's source address (pure function: id -> IP).
   [[nodiscard]] net::Ipv4Address client_address(std::uint64_t client) const;

@@ -1,4 +1,4 @@
-// Unit tests for the byte codec, hex and RNG foundations.
+// Unit tests for the byte writer, hex and RNG foundations.
 #include <gtest/gtest.h>
 
 #include "common/bytes.h"
@@ -41,45 +41,6 @@ TEST(ByteWriter, PatchBeyondEndIsIgnored) {
   w.patch_u16(0, 0xffff);  // would need 2 bytes, only 1 present
   EXPECT_EQ(w.size(), 1u);
   EXPECT_EQ(w.bytes()[0], 1);
-}
-
-TEST(ByteReader, RoundTripsWriter) {
-  ByteWriter w;
-  w.u8(7);
-  w.u16(1024);
-  w.u32(123456789);
-  w.raw(std::string_view("abc"));
-  ByteReader r(w.view());
-  EXPECT_EQ(r.u8(), 7);
-  EXPECT_EQ(r.u16(), 1024);
-  EXPECT_EQ(r.u32(), 123456789u);
-  BytesView s = r.raw(3);
-  EXPECT_TRUE(r.ok());
-  EXPECT_EQ(s[0], 'a');
-  EXPECT_EQ(r.remaining(), 0u);
-}
-
-TEST(ByteReader, UnderflowSetsError) {
-  Bytes data{1, 2};
-  ByteReader r{BytesView(data)};
-  r.u32();
-  EXPECT_FALSE(r.ok());
-}
-
-TEST(ByteReader, SeekBeyondEndFails) {
-  Bytes data{1, 2, 3};
-  ByteReader r{BytesView(data)};
-  r.seek(4);
-  EXPECT_FALSE(r.ok());
-}
-
-TEST(ByteReader, SeekSupportsRandomAccess) {
-  Bytes data{10, 20, 30, 40};
-  ByteReader r{BytesView(data)};
-  r.skip(3);
-  r.seek(1);
-  EXPECT_EQ(r.u8(), 20);
-  EXPECT_TRUE(r.ok());
 }
 
 TEST(Hex, EncodesLowercase) {

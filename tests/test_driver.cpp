@@ -242,27 +242,6 @@ TEST(Driver, ModeNamesAreStable) {
   EXPECT_EQ(drive_mode_name(DriveMode::TcpWithRedirect), "tcp/redirect");
 }
 
-TEST(RateDriver, FiresAtConfiguredRate) {
-  sim::Simulator sim;
-  int fired = 0;
-  RateDriver driver(sim, 500.0, [&] { fired++; });
-  driver.start();
-  sim.run_for(seconds(2));
-  driver.stop();
-  sim.run_for(seconds(1));
-  EXPECT_NEAR(fired, 1000, 5);
-}
-
-TEST(ThroughputMeter, CountsAndConverts) {
-  ThroughputMeter m;
-  m.record(10);
-  m.record();
-  EXPECT_EQ(m.count(), 11u);
-  EXPECT_DOUBLE_EQ(m.per_second(seconds(2)), 5.5);
-  m.reset();
-  EXPECT_EQ(m.count(), 0u);
-}
-
 TEST(TablePrinterFormat, Numbers) {
   EXPECT_EQ(TablePrinter::num(3.14159, 2), "3.14");
   EXPECT_EQ(TablePrinter::kilo(84200), "84.2K");

@@ -64,8 +64,12 @@ Packet random_udp_garbage(Rng& rng) {
 Packet random_tcp_garbage(Rng& rng) {
   Bytes payload(rng.bounded(40));
   for (auto& b : payload) b = static_cast<std::uint8_t>(rng.next());
-  net::TcpFlags flags = net::TcpFlags::from_byte(
-      static_cast<std::uint8_t>(rng.next()));
+  const auto bits = static_cast<std::uint8_t>(rng.next());
+  const net::TcpFlags flags{.fin = (bits & 0x01) != 0,
+                            .syn = (bits & 0x02) != 0,
+                            .rst = (bits & 0x04) != 0,
+                            .psh = (bits & 0x08) != 0,
+                            .ack = (bits & 0x10) != 0};
   Ipv4Address src(static_cast<std::uint32_t>(rng.next()));
   return Packet::make_tcp({src, static_cast<std::uint16_t>(rng.next())},
                           {kAnsIp, net::kDnsPort}, flags,

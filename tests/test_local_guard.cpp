@@ -220,6 +220,23 @@ TEST(LocalGuard, HeldQueueBounded) {
   EXPECT_EQ(bed.lg->local_stats().queries_held, 4u);
 }
 
+TEST(LocalGuard, QueryPastTheHeldCapIsChargedToAReason) {
+  LocalGuardNode::Config cfg;
+  cfg.max_held_per_ans = 2;
+  Bed bed(cfg);
+  for (std::uint16_t i = 0; i < 3; ++i) bed.lrs_sends_query(300 + i);
+  // The ANS never answers; the cookie request times out.
+  bed.sim.run_for(cfg.cookie_request_timeout + milliseconds(10));
+  const obs::Counter* dropped =
+      bed.sim.metrics().find_counter("local_guard.drop.state_table_full");
+  ASSERT_NE(dropped, nullptr);
+  EXPECT_EQ(dropped->value(), 1u);
+  EXPECT_EQ(bed.lg->local_stats().queries_held, 2u);
+  EXPECT_EQ(bed.lg->local_stats().released_without_cookie, 2u);
+  // The zero-cookie probe and the two held queries.
+  EXPECT_EQ(bed.ans.received.size(), 3u);
+}
+
 TEST(LocalGuard, ExpiredMapEntriesAreSwept) {
   // Regression: cookies_ and not_capable_until_ grew without bound over
   // long runs against many distinct ANSs.

@@ -1,7 +1,6 @@
-// IPv4 addressing, header wire formats and full packet round-trips.
+// IPv4 addressing and the Packet's size and byte accounting.
 #include <gtest/gtest.h>
 
-#include "net/headers.h"
 #include "net/ipv4.h"
 #include "net/packet.h"
 
@@ -36,99 +35,6 @@ TEST(Ipv4Address, SubnetMembership) {
   EXPECT_FALSE(Ipv4Address(10, 1, 2, 1).in_subnet(base, 32));
 }
 
-TEST(InternetChecksum, KnownVector) {
-  // Classic example from RFC 1071 discussions.
-  Bytes data{0x00, 0x01, 0xf2, 0x03, 0xf4, 0xf5, 0xf6, 0xf7};
-  std::uint16_t sum = internet_checksum(BytesView(data));
-  // Verify the defining property instead of a magic constant: appending
-  // the checksum makes the total sum come out as zero-complement.
-  Bytes with_sum = data;
-  with_sum.push_back(static_cast<std::uint8_t>(sum >> 8));
-  with_sum.push_back(static_cast<std::uint8_t>(sum));
-  EXPECT_EQ(internet_checksum(BytesView(with_sum)), 0);
-}
-
-TEST(InternetChecksum, OddLength) {
-  Bytes data{0xab, 0xcd, 0xef};
-  std::uint16_t sum = internet_checksum(BytesView(data));
-  Bytes padded = data;
-  padded.push_back(0);  // pad to even, then append checksum
-  (void)padded;
-  EXPECT_NE(sum, 0);
-}
-
-TEST(Ipv4Header, EncodeDecodeRoundTrip) {
-  Ipv4Header h;
-  h.src = Ipv4Address(10, 0, 0, 1);
-  h.dst = Ipv4Address(10, 0, 0, 2);
-  h.proto = IpProto::Udp;
-  h.ttl = 61;
-  ByteWriter w;
-  h.encode(w, 100);
-  ByteReader r(w.view());
-  auto d = Ipv4Header::decode(r);
-  ASSERT_TRUE(d.has_value());
-  EXPECT_EQ(d->src, h.src);
-  EXPECT_EQ(d->dst, h.dst);
-  EXPECT_EQ(d->ttl, 61);
-  EXPECT_EQ(d->total_length, kIpv4HeaderSize + 100);
-}
-
-TEST(Ipv4Header, CorruptedChecksumRejected) {
-  Ipv4Header h;
-  h.src = Ipv4Address(1, 2, 3, 4);
-  h.dst = Ipv4Address(5, 6, 7, 8);
-  ByteWriter w;
-  h.encode(w, 0);
-  Bytes bytes = std::move(w).take();
-  bytes[8] ^= 0xff;  // flip TTL without fixing the checksum
-  ByteReader r{BytesView(bytes)};
-  EXPECT_FALSE(Ipv4Header::decode(r).has_value());
-}
-
-TEST(TcpFlags, ByteRoundTrip) {
-  TcpFlags f{.fin = true, .syn = false, .rst = true, .psh = false,
-             .ack = true};
-  EXPECT_EQ(TcpFlags::from_byte(f.to_byte()), f);
-}
-
-TEST(Packet, UdpWireRoundTrip) {
-  Bytes payload{1, 2, 3, 4, 5};
-  Packet p = Packet::make_udp({Ipv4Address(10, 0, 0, 1), 1234},
-                              {Ipv4Address(10, 0, 0, 2), 53}, payload);
-  Bytes wire = p.to_wire();
-  EXPECT_EQ(wire.size(), p.wire_size());
-  auto q = Packet::from_wire(BytesView(wire));
-  ASSERT_TRUE(q.has_value());
-  EXPECT_EQ(q->src().to_string(), "10.0.0.1:1234");
-  EXPECT_EQ(q->dst().to_string(), "10.0.0.2:53");
-  EXPECT_EQ(q->payload, payload);
-}
-
-TEST(Packet, TcpWireRoundTrip) {
-  Bytes payload{9, 8, 7};
-  Packet p = Packet::make_tcp({Ipv4Address(10, 0, 0, 1), 40000},
-                              {Ipv4Address(10, 0, 0, 2), 53},
-                              TcpFlags{.psh = true, .ack = true}, 1000, 2000,
-                              payload);
-  auto q = Packet::from_wire(BytesView(p.to_wire()));
-  ASSERT_TRUE(q.has_value());
-  ASSERT_TRUE(q->is_tcp());
-  EXPECT_EQ(q->tcp().seq, 1000u);
-  EXPECT_EQ(q->tcp().ack, 2000u);
-  EXPECT_TRUE(q->tcp().flags.psh);
-  EXPECT_TRUE(q->tcp().flags.ack);
-  EXPECT_EQ(q->payload, payload);
-}
-
-TEST(Packet, TruncatedWireRejected) {
-  Packet p = Packet::make_udp({Ipv4Address(1, 1, 1, 1), 1},
-                              {Ipv4Address(2, 2, 2, 2), 2}, Bytes{1, 2, 3});
-  Bytes wire = p.to_wire();
-  wire.pop_back();
-  EXPECT_FALSE(Packet::from_wire(BytesView(wire)).has_value());
-}
-
 TEST(Packet, WireSizeAccountsHeaders) {
   Packet u = Packet::make_udp({Ipv4Address(1, 1, 1, 1), 1},
                               {Ipv4Address(2, 2, 2, 2), 2}, Bytes(30, 0));
@@ -139,20 +45,11 @@ TEST(Packet, WireSizeAccountsHeaders) {
   EXPECT_EQ(t.wire_size(), 20u + 20u + 30u);
 }
 
-// Property: UDP packets of many payload sizes survive the wire.
-class PacketSizeSweep : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(PacketSizeSweep, RoundTrips) {
-  Bytes payload(GetParam(), 0xab);
-  Packet p = Packet::make_udp({Ipv4Address(10, 9, 8, 7), 5353},
-                              {Ipv4Address(7, 8, 9, 10), 53}, payload);
-  auto q = Packet::from_wire(BytesView(p.to_wire()));
-  ASSERT_TRUE(q.has_value());
-  EXPECT_EQ(q->payload.size(), GetParam());
+TEST(Packet, FlatLayoutFitsIn48Bytes) {
+  // Every delivery closure, lane ring slot and outbox entry holds a Packet
+  // by value.
+  EXPECT_LE(sizeof(Packet), 48u);
 }
-
-INSTANTIATE_TEST_SUITE_P(Sizes, PacketSizeSweep,
-                         ::testing::Values(0u, 1u, 12u, 128u, 512u, 1400u));
 
 }  // namespace
 }  // namespace dnsguard::net

@@ -256,7 +256,7 @@ TEST(Resolver, TcpQueryLeavesWithTheHandshakeAck) {
   t.sim.set_tap([&](SimTime at, const sim::Node* from, const sim::Node*,
                     const net::Packet& p) {
     if (from != t.lrs.get() || !p.is_tcp()) return;
-    const net::TcpFlags f = p.tcp().flags;
+    const net::TcpFlags f = p.flags;
     if (!ack_at && f.ack && !f.syn && !f.fin && p.payload.empty()) {
       ack_at = at;
     }

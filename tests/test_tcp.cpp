@@ -339,7 +339,7 @@ TEST(TcpFraming, LengthPrefixOnTheWire) {
   ASSERT_TRUE(h.client->send_message(c, BytesView(msg)));
   ASSERT_EQ(h.wire_to_server.size(), 1u);
   const Packet& seg = h.wire_to_server.front();
-  EXPECT_TRUE(seg.tcp().flags.psh);
+  EXPECT_TRUE(seg.flags.psh);
   ASSERT_EQ(seg.payload.size(), 302u);
   EXPECT_EQ(seg.payload[0], 0x01);
   EXPECT_EQ(seg.payload[1], 0x2c);
@@ -360,12 +360,11 @@ TEST(TcpFraming, MessageSplitOneBytePerSegmentArrivesOnceWhole) {
   const Packet whole = h.wire_to_server.front();
   h.wire_to_server.clear();
   // Re-send the segment's bytes one per segment, in sequence.
-  const net::TcpHeader& t = whole.tcp();
   for (std::size_t i = 0; i < whole.payload.size(); ++i) {
     EXPECT_TRUE(h.server_messages.empty()) << "delivered early at byte " << i;
     h.server->handle_packet(Packet::make_tcp(
         whole.src(), whole.dst(), net::TcpFlags{.psh = true, .ack = true},
-        t.seq + static_cast<std::uint32_t>(i), t.ack,
+        whole.seq + static_cast<std::uint32_t>(i), whole.ack,
         Bytes{whole.payload[i]}));
   }
   ASSERT_EQ(h.server_messages.size(), 1u);
@@ -388,8 +387,8 @@ TEST(TcpFraming, HandshakeMessagesLeaveInOneSegmentInOrder) {
   const Packet& ack = h.wire_to_server[0];
   const Packet& data = h.wire_to_server[1];
   EXPECT_TRUE(ack.payload.empty());
-  EXPECT_TRUE(data.tcp().flags.psh);
-  EXPECT_EQ(data.tcp().seq, ack.tcp().seq);
+  EXPECT_TRUE(data.flags.psh);
+  EXPECT_EQ(data.seq, ack.seq);
   EXPECT_EQ(data.payload, (Bytes{0, 1, '1', 0, 2, '2', '2'}));
   h.pump();
   ASSERT_EQ(h.server_messages.size(), 2u);
@@ -501,7 +500,7 @@ void expect_expiry_ends_like_every_other_close(Expiry cause) {
   if (cause != Expiry::kCapacity) {
     stack.handle_packet(Packet::make_tcp(
         Harness::server_addr(), b, net::TcpFlags{.syn = true, .ack = true},
-        /*seq=*/9000, /*ack=*/sent.back().tcp().seq + 1));
+        /*seq=*/9000, /*ack=*/sent.back().seq + 1));
   }
   EXPECT_EQ(stack.tag(first), nullptr);
   EXPECT_NE(stack.tag(second), nullptr);
@@ -512,7 +511,7 @@ void expect_expiry_ends_like_every_other_close(Expiry cause) {
   EXPECT_EQ(std::count(marks.begin(), marks.end(), closed_mark), 1);
   EXPECT_EQ(std::count_if(sent.begin(), sent.end(),
                           [&a](const Packet& p) {
-                            return p.tcp().flags.rst && p.src() == a &&
+                            return p.flags.rst && p.src() == a &&
                                    p.dst() == Harness::server_addr();
                           }),
             1);

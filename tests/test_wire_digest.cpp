@@ -2,9 +2,10 @@
 //
 // Each test runs a short seeded scenario through one scheme and folds every
 // packet the simulator's tap sees into an FNV-1a 64 digest: its departure
-// time, its endpoints, its ports and its payload bytes. The expected values
-// are constants, so a change to how any node decodes, builds or encodes
-// its DNS messages must leave the traffic byte-for-byte as it was. The
+// time, its endpoints, its ports, its protocol, a TCP segment's seq, ack
+// and flags, and its payload bytes. The expected values are constants, so
+// a change to how any node decodes, builds or encodes its DNS messages or
+// TCP segments must leave the traffic byte-for-byte as it was. The
 // Determinism.* hash in test_system_properties.cpp covers sizes and times
 // only; it cannot see a changed byte.
 #include <gtest/gtest.h>
@@ -41,8 +42,16 @@ class WireDigest {
     mix_u64(static_cast<std::uint64_t>(t.ns));
     mix_u64(p.src_ip.value());
     mix_u64(p.dst_ip.value());
-    mix_u64(p.src_port());
-    mix_u64(p.dst_port());
+    mix_u64(p.src_port);
+    mix_u64(p.dst_port);
+    mix(p.is_tcp() ? 1 : 0);
+    if (p.is_tcp()) {
+      mix_u64(p.seq);
+      mix_u64(p.ack);
+      mix(static_cast<std::uint8_t>(p.flags.fin | p.flags.syn << 1 |
+                                    p.flags.rst << 2 | p.flags.psh << 3 |
+                                    p.flags.ack << 4));
+    }
     mix_u64(p.payload.size());
     for (std::uint8_t b : p.payload) mix(b);
   }
@@ -152,7 +161,7 @@ TEST(WireDigest, NsNameHitAndMiss) {
   s.run();
   EXPECT_GT(s.guard->guard_stats().responses_relayed, 100u);
   EXPECT_EQ(s.digest.packets(), 2185u);
-  EXPECT_EQ(s.digest.value(), 16729324577712939788u);
+  EXPECT_EQ(s.digest.value(), 13082620115069305996u);
 }
 
 TEST(WireDigest, FabricatedNsIp) {
@@ -168,7 +177,7 @@ TEST(WireDigest, FabricatedNsIp) {
   s.run();
   EXPECT_GT(s.guard->guard_stats().responses_relayed, 100u);
   EXPECT_EQ(s.digest.packets(), 2173u);
-  EXPECT_EQ(s.digest.value(), 15653583822532695287u);
+  EXPECT_EQ(s.digest.value(), 7019334315650923489u);
 }
 
 TEST(WireDigest, ModifiedDnsUnderTxtAndCookielessFloods) {
@@ -199,7 +208,7 @@ TEST(WireDigest, ModifiedDnsUnderTxtAndCookielessFloods) {
   EXPECT_GT(s.guard->guard_stats().spoofs_dropped, 1000u);
   EXPECT_GT(s.guard->guard_stats().cookie_replies, 100u);
   EXPECT_EQ(s.digest.packets(), 6414u);
-  EXPECT_EQ(s.digest.value(), 17958887542734742992u);
+  EXPECT_EQ(s.digest.value(), 15729991021419116958u);
 }
 
 TEST(WireDigest, TcpRedirect) {
@@ -209,7 +218,7 @@ TEST(WireDigest, TcpRedirect) {
   s.run();
   EXPECT_GT(s.guard->guard_stats().proxy_queries, 100u);
   EXPECT_EQ(s.digest.packets(), 3220u);
-  EXPECT_EQ(s.digest.value(), 1375056639256628664u);
+  EXPECT_EQ(s.digest.value(), 8626130551914654624u);
 }
 
 TEST(WireDigest, LossyDriversTimeOut) {
@@ -226,7 +235,7 @@ TEST(WireDigest, LossyDriversTimeOut) {
   for (const auto& d : s.drivers) timeouts += d->driver_stats().timeouts;
   EXPECT_GT(timeouts, 0u);
   EXPECT_EQ(s.digest.packets(), 1014u);
-  EXPECT_EQ(s.digest.value(), 8548845946555827081u);
+  EXPECT_EQ(s.digest.value(), 1045819673277663703u);
 }
 
 }  // namespace
