@@ -373,19 +373,9 @@ struct Testbed {
     // proxy, limiters, drop reasons, ...): the measurement window starts
     // from a clean metric slate.
     sim.metrics().reset_values();
-    for (auto& d : drivers) d->reset_driver_stats();
-    if (bind_ans) {
-      bind_ans->reset_ans_stats();
-      bind_ans->reset_stats();
-    }
-    if (sim_ans) {
-      sim_ans->reset_ans_stats();
-      sim_ans->reset_stats();
-    }
-    if (guard) {
-      guard->reset_guard_stats();
-      guard->reset_stats();
-    }
+    if (bind_ans) bind_ans->reset_stats();
+    if (sim_ans) sim_ans->reset_stats();
+    if (guard) guard->reset_stats();
     // Start sampling only now: windows then hold deltas of the measured
     // load, not warmup remnants.
     if (timeseries_window.ns > 0) {

@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "bench/wire_digest.h"
 #include "obs/anomaly.h"
 #include "workload/population.h"
 
@@ -75,7 +76,7 @@ struct ScenarioResult {
   std::uint64_t sent = 0;
   std::uint64_t flash_sent = 0;
   std::uint64_t cache_hits = 0;
-  std::uint64_t digest = 0;
+  std::uint64_t digest = 0;  // every packet the simulator carried
   bool under_attack_at_end = false;
   std::string events_json = "[]";
 };
@@ -85,7 +86,10 @@ ScenarioResult run_scenario(const ScenarioSpec& spec, const Durations& d,
                             const std::string& prefix = "",
                             ProfileCollector* prof = nullptr,
                             const std::string& prof_label = "") {
+  WireDigest wire;  // declared first, so it outlives the bed's tap
   Testbed bed;
+  bed.sim.set_tap([&wire](SimTime t, const sim::Node*, const sim::Node*,
+                          const net::Packet& p) { wire.add(t, p); });
   bed.make_ans(AnsKind::Simulator);
   // Internet-scale guard sizing: the default 64K-host RL2 table (which
   // refuses new hosts at capacity, §III.G) is sized for one site, not
@@ -159,9 +163,7 @@ ScenarioResult run_scenario(const ScenarioSpec& spec, const Durations& d,
   bed.sim.run_for(d.warmup);
   bed.sim.metrics().reset_values();
   population.reset_stats();
-  bed.guard->reset_guard_stats();
   bed.guard->reset_stats();
-  bed.sim_ans->reset_ans_stats();
   bed.sim_ans->reset_stats();
   bed.sim.start_timeseries(d.sample);
   if (spec.with_monitor) {
@@ -196,7 +198,7 @@ ScenarioResult run_scenario(const ScenarioSpec& spec, const Durations& d,
   r.flash_sent = ps.flash_sent.value();
   r.cache_hits = ps.cache_hits.value();
   r.goodput_per_s = static_cast<double>(r.completed) / d.window.seconds();
-  r.digest = population.sent_digest();
+  r.digest = wire.value();
   r.under_attack_at_end = monitor.under_attack();
   for (const auto& e : monitor.events()) {
     if (!e.onset) continue;

@@ -72,7 +72,7 @@ int main() {
   std::printf("phase 1: peacetime\n");
   legit.start();
   sim.run_for(seconds(2));
-  legit.reset_driver_stats();
+  sim.metrics().reset_values();
   root.reset_stats();
   sim.run_for(seconds(3));
   report("  no attack, no guard:", seconds(3), legit, root, 0);
@@ -80,7 +80,7 @@ int main() {
   std::printf("\nphase 2: 40K req/s spoofed flood hits the naked server\n");
   attacker.start();
   sim.run_for(seconds(2));
-  legit.reset_driver_stats();
+  sim.metrics().reset_values();
   root.reset_stats();
   sim.run_for(seconds(6));
   report("  under attack, no guard:", seconds(6), legit, root, 40000);
@@ -101,9 +101,8 @@ int main() {
   guard.install();
 
   sim.run_for(seconds(3));  // let the legit driver re-learn its cookie
-  legit.reset_driver_stats();
+  sim.metrics().reset_values();
   root.reset_stats();
-  guard.reset_guard_stats();
   sim.run_for(seconds(6));
   report("  under attack, guarded:", seconds(6), legit, root, 40000);
 

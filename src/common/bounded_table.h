@@ -87,17 +87,6 @@ struct BoundedTableStats {
     registry.attach_counter(p + ".expired_idle", expired_idle);
     registry.attach_counter(p + ".insert_refused", insert_refused);
   }
-
-  void reset() {
-    inserts.reset();
-    hits.reset();
-    misses.reset();
-    evicted_capacity.reset();
-    expired_ttl.reset();
-    expired_idle.reset();
-    insert_refused.reset();
-    occupancy.reset();
-  }
 };
 
 template <typename Key, typename Value, typename Hash = std::hash<Key>>

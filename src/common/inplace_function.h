@@ -6,9 +6,9 @@
 // simulated second; std::function heap-allocates for any capture larger
 // than ~2 pointers, which dominated the event-loop profile. Nearly every
 // event in this codebase captures at most a node pointer plus a Packet, so
-// the default capacity is sized for that. Captures that do not fit fall
-// back to a slab freelist (common/pool.h) rather than the general heap, so
-// even the cold path is allocation-free in steady state.
+// the default capacity is sized for that. There is no out-of-line path: a
+// callable larger than `Capacity`, or aligned more strictly than `Align`,
+// does not convert, so an oversized capture is a compile error.
 #pragma once
 
 #include <cstddef>
@@ -17,17 +17,15 @@
 #include <type_traits>
 #include <utility>
 
-#include "common/pool.h"
-
 namespace dnsguard {
 
 /// Default inline capacity: fits a lambda capturing [Node*, net::Packet]
 /// (the packet-delivery event, by far the most common).
 inline constexpr std::size_t kInplaceFunctionCapacity = 96;
 
-/// `Align` sets the storage (and object) alignment; callables with
-/// stricter alignment go out-of-line. The event queue over-aligns its
-/// EventFn slots to 64 so each one covers exactly two cache lines.
+/// `Align` sets the storage (and object) alignment. The event queue
+/// over-aligns its EventFn slots to 64 so each one covers exactly two
+/// cache lines.
 template <typename Signature, std::size_t Capacity = kInplaceFunctionCapacity,
           std::size_t Align = alignof(std::max_align_t)>
 class InplaceFunction;  // undefined; only the R(Args...) partial spec exists
@@ -35,14 +33,18 @@ class InplaceFunction;  // undefined; only the R(Args...) partial spec exists
 template <typename R, typename... Args, std::size_t Capacity,
           std::size_t Align>
 class InplaceFunction<R(Args...), Capacity, Align> {
+  /// Callables this function can hold: invocable with the signature and
+  /// small enough to live in the storage.
+  template <typename D>
+  static constexpr bool kFits = !std::is_same_v<D, InplaceFunction> &&
+                                std::is_invocable_r_v<R, D&, Args...> &&
+                                sizeof(D) <= Capacity && alignof(D) <= Align;
+
  public:
   InplaceFunction() noexcept = default;
 
-  template <typename F,
-            typename D = std::decay_t<F>,
-            typename = std::enable_if_t<
-                !std::is_same_v<D, InplaceFunction> &&
-                std::is_invocable_r_v<R, D&, Args...>>>
+  template <typename F, typename D = std::decay_t<F>,
+            typename = std::enable_if_t<kFits<D>>>
   InplaceFunction(F&& f) {  // NOLINT(google-explicit-constructor)
     construct<D>(std::forward<F>(f));
   }
@@ -62,11 +64,8 @@ class InplaceFunction<R(Args...), Capacity, Align> {
   /// Assigning a callable constructs it directly in this object's storage
   /// — the event queue uses this to build callbacks in their final slot
   /// without an intermediate InplaceFunction and its relocate.
-  template <typename F,
-            typename D = std::decay_t<F>,
-            typename = std::enable_if_t<
-                !std::is_same_v<D, InplaceFunction> &&
-                std::is_invocable_r_v<R, D&, Args...>>>
+  template <typename F, typename D = std::decay_t<F>,
+            typename = std::enable_if_t<kFits<D>>>
   InplaceFunction& operator=(F&& f) {
     reset();
     construct<D>(std::forward<F>(f));
@@ -83,15 +82,12 @@ class InplaceFunction<R(Args...), Capacity, Align> {
   }
 
   R operator()(Args... args) {
-    return vtable_->invoke(target(), std::forward<Args>(args)...);
+    return vtable_->invoke(storage_, std::forward<Args>(args)...);
   }
 
   void reset() noexcept {
     if (vtable_ == nullptr) return;
-    if (!vtable_->trivial) vtable_->destroy(target());
-    if (vtable_->slabbed) {
-      slab_free(heap_ptr(), vtable_->size, vtable_->align);
-    }
+    if (!vtable_->trivial) vtable_->destroy(storage_);
     vtable_ = nullptr;
   }
 
@@ -102,12 +98,10 @@ class InplaceFunction<R(Args...), Capacity, Align> {
     void (*relocate)(void* dst, void* src);
     void (*destroy)(void*);
     std::size_t size;
-    std::size_t align;
-    bool slabbed;  // callable lives in a slab block, not inline
     bool trivial;  // trivially copyable: memcpy to move, nothing to destroy
   };
 
-  template <typename D, bool Slabbed>
+  template <typename D>
   static constexpr VTable kVTableFor{
       [](void* obj, Args&&... args) -> R {
         return (*static_cast<D*>(obj))(std::forward<Args>(args)...);
@@ -118,50 +112,27 @@ class InplaceFunction<R(Args...), Capacity, Align> {
       },
       [](void* obj) { static_cast<D*>(obj)->~D(); },
       sizeof(D),
-      alignof(D),
-      Slabbed,
       std::is_trivially_copyable_v<D>,
   };
 
   template <typename D, typename F>
   void construct(F&& f) {
-    static_assert(std::is_nothrow_move_constructible_v<D> ||
-                      sizeof(D) > Capacity,
-                  "inline callables must be nothrow-move-constructible "
-                  "(the event heap relocates entries while sifting)");
-    if constexpr (sizeof(D) <= Capacity && alignof(D) <= Align) {
-      ::new (static_cast<void*>(storage_)) D(std::forward<F>(f));
-      vtable_ = &kVTableFor<D, false>;
-    } else {
-      void* block = slab_alloc(sizeof(D), alignof(D));
-      ::new (block) D(std::forward<F>(f));
-      ::new (static_cast<void*>(storage_)) void*(block);
-      vtable_ = &kVTableFor<D, true>;
-    }
+    static_assert(std::is_nothrow_move_constructible_v<D>,
+                  "callables must be nothrow-move-constructible (the event "
+                  "heap relocates entries while sifting)");
+    ::new (static_cast<void*>(storage_)) D(std::forward<F>(f));
+    vtable_ = &kVTableFor<D>;
   }
 
   void steal(InplaceFunction&& other) noexcept {
     vtable_ = other.vtable_;
     if (vtable_ == nullptr) return;
-    if (vtable_->slabbed) {
-      // Just take ownership of the slab pointer; the callable stays put.
-      ::new (static_cast<void*>(storage_)) void*(other.heap_ptr());
-    } else if (vtable_->trivial) {
+    if (vtable_->trivial) {
       std::memcpy(storage_, other.storage_, vtable_->size);
     } else {
       vtable_->relocate(storage_, other.storage_);
     }
     other.vtable_ = nullptr;
-  }
-
-  [[nodiscard]] void* heap_ptr() const {
-    void* p;
-    std::memcpy(&p, storage_, sizeof(p));
-    return p;
-  }
-
-  [[nodiscard]] void* target() {
-    return vtable_->slabbed ? heap_ptr() : static_cast<void*>(storage_);
   }
 
   alignas(Align) std::byte storage_[Capacity];

@@ -30,6 +30,10 @@ namespace dnsguard::guard {
 inline constexpr std::string_view kCookieLabelPrefix = "PR";
 /// 8 hex characters encode the first 4 cookie bytes.
 inline constexpr std::size_t kCookieHexChars = 8;
+/// The guard's default key seed. The client population mints its primed
+/// clients' cookies from it too, so they verify at a default guard
+/// (models "acquired earlier" without replaying the dance).
+inline constexpr std::uint64_t kDefaultKeySeed = 0x1337c00c1e5eedULL;
 
 class CookieEngine {
  public:

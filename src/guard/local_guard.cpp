@@ -15,6 +15,8 @@ constexpr std::size_t kMaxNotCapable = 4096;
 /// Distinct ANSs with held queries; the LRU bucket's queries are flushed
 /// cookie-less when the cap is hit.
 constexpr std::size_t kMaxHeldAnses = 1024;
+/// Per-packet CPU cost of the module.
+constexpr SimDuration kPacketCost = nanoseconds(700);
 
 }  // namespace
 
@@ -52,7 +54,7 @@ bool LocalGuardNode::has_cookie_for(net::Ipv4Address ans) const {
 }
 
 SimDuration LocalGuardNode::process(const net::Packet& packet) {
-  cost_ = config_.packet_cost;
+  cost_ = kPacketCost;
   // Amortized reaping: a few slots per packet.
   cookies_.reap(now(), 16);
   not_capable_until_.reap(now(), 16);
@@ -63,7 +65,7 @@ SimDuration LocalGuardNode::process(const net::Packet& packet) {
     } else {
       send_direct(lrs_, packet);
     }
-    return cost_ + config_.packet_cost;
+    return cost_ + kPacketCost;
   }
 
   auto m = dns::Message::decode(BytesView(packet.payload));
@@ -74,7 +76,7 @@ SimDuration LocalGuardNode::process(const net::Packet& packet) {
     } else {
       send_direct(lrs_, packet);
     }
-    return cost_ + config_.packet_cost;
+    return cost_ + kPacketCost;
   }
 
   if (packet.src_ip == config_.lrs_address && !m->header.qr) {
@@ -101,14 +103,14 @@ void LocalGuardNode::handle_outbound(const net::Packet& packet,
     }
     net::Packet out = packet;
     query.encode_to(out.payload);
-    cost_ = cost_ + config_.packet_cost;
+    cost_ = cost_ + kPacketCost;
     send(std::move(out));
     return;
   }
 
   // A recently-probed ANS without a remote guard is served plainly.
   if (not_capable_until_.find(ans, now()) != nullptr) {
-    cost_ = cost_ + config_.packet_cost;
+    cost_ = cost_ + kPacketCost;
     send(packet);
     return;
   }
@@ -133,7 +135,7 @@ void LocalGuardNode::handle_outbound(const net::Packet& packet,
   }
   if (!bucket.request_outstanding) {
     bucket.request_outstanding = true;
-    std::uint64_t gen = ++bucket.generation;
+    const std::uint64_t gen = bucket.generation = ++last_generation_;
     // msg 2: same query with an all-zero cookie — same size as msg 4, so
     // the exchange amplifies nothing.
     dns::Message req = query;
@@ -146,7 +148,7 @@ void LocalGuardNode::handle_outbound(const net::Packet& packet,
     }
     net::Packet out = packet;
     req.encode_to(out.payload);
-    cost_ = cost_ + config_.packet_cost;
+    cost_ = cost_ + kPacketCost;
     send(std::move(out));
     schedule_in(config_.cookie_request_timeout,
                 [this, ans, gen] { on_cookie_timeout(ans, gen); });
@@ -157,7 +159,7 @@ void LocalGuardNode::handle_inbound(const net::Packet& packet,
                                     dns::Message response) {
   if (!response.header.qr) {
     // A query addressed to the LRS (stub client traffic): pass through.
-    cost_ = cost_ + config_.packet_cost;
+    cost_ = cost_ + kPacketCost;
     send_direct(lrs_, packet);
     return;
   }
@@ -195,7 +197,7 @@ void LocalGuardNode::handle_inbound(const net::Packet& packet,
       sim().journeys().mark(jkey_of(packet.dst_ip.value(), response),
                             "lguard.deliver", now());
     }
-    cost_ = cost_ + config_.packet_cost;
+    cost_ = cost_ + kPacketCost;
     send_direct(lrs_, std::move(out));
     return;
   }
@@ -226,7 +228,7 @@ void LocalGuardNode::handle_inbound(const net::Packet& packet,
     sim().journeys().mark(jkey_of(packet.dst_ip.value(), response),
                           "lguard.deliver", now());
   }
-  cost_ = cost_ + config_.packet_cost;
+  cost_ = cost_ + kPacketCost;
   send_direct(lrs_, packet);
 }
 
@@ -257,7 +259,7 @@ void LocalGuardNode::flush_bucket(HeldBucket bucket,
                             now());
     }
     m->encode_to(p.payload);
-    cost_ = cost_ + config_.packet_cost;
+    cost_ = cost_ + kPacketCost;
     send(std::move(p));
   }
 }

@@ -59,8 +59,6 @@ class LocalGuardNode : public sim::Node {
     /// How long to wait for a cookie reply before releasing held queries
     /// without cookies.
     SimDuration cookie_request_timeout = milliseconds(500);
-    /// Per-packet CPU cost of the module.
-    SimDuration packet_cost = nanoseconds(700);
     /// Queries held per ANS while its cookie request is out; one more is
     /// dropped and charged to local_guard.drop.state_table_full.
     std::size_t max_held_per_ans = 1024;
@@ -110,6 +108,11 @@ class LocalGuardNode : public sim::Node {
   LocalGuardStats stats_;
   obs::DropCounters drops_;  // bound as "local_guard.drop.<reason>"
   SimDuration cost_{};
+  /// Every cookie request's timer arms with a fresh generation from this
+  /// node-wide count: an ANS's bucket can be released and re-created
+  /// within one timeout, and a per-bucket count restarting at 0 would let
+  /// the old timer release the new bucket's queries early.
+  std::uint64_t last_generation_ = 0;
 };
 
 }  // namespace dnsguard::guard

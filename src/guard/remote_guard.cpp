@@ -1,7 +1,5 @@
 #include "guard/remote_guard.h"
 
-#include "common/log.h"
-
 namespace dnsguard::guard {
 
 std::string scheme_name(Scheme s) {

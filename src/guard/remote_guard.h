@@ -120,7 +120,7 @@ class RemoteGuardNode : public sim::Node {
     // guard construction, never grown from packet input
     std::unordered_map<net::Ipv4Address, Scheme> per_source_scheme;
 
-    std::uint64_t key_seed = 0x1337c00c1e5eedULL;
+    std::uint64_t key_seed = kDefaultKeySeed;
     /// Automatic key rotation period (§III.E suggests weekly; cookies of
     /// the previous generation remain valid for one period, selected by
     /// the cookie's generation bit). Zero disables automatic rotation.
@@ -178,7 +178,6 @@ class RemoteGuardNode : public sim::Node {
   void uninstall();
 
   [[nodiscard]] const GuardStats& guard_stats() const { return stats_; }
-  void reset_guard_stats() { stats_ = GuardStats{}; }
   /// Per-reason drop tallies ("guard.drop.bad_cookie", ...).
   [[nodiscard]] const obs::DropCounters& drop_counters() const {
     return drops_;

@@ -6,10 +6,18 @@
 #include <utility>
 
 namespace dnsguard::obs {
+namespace {
+
+/// EWMA smoothing for the baseline's mean and deviation.
+constexpr double kAlpha = 0.25;
+/// Threshold multiplier on the deviation.
+constexpr double kDeviations = 8.0;
+
+}  // namespace
 
 double AnomalyDetector::threshold() const {
   const double spread = dev_ > cfg_.dev_floor ? dev_ : cfg_.dev_floor;
-  return mean_ + cfg_.k * spread;
+  return mean_ + kDeviations * spread;
 }
 
 void AnomalyDetector::reset() {
@@ -30,8 +38,8 @@ AnomalyDetector::Signal AnomalyDetector::update(double value) {
 
   const auto absorb = [&] {
     const double err = std::abs(value - mean_);
-    mean_ = cfg_.alpha * value + (1.0 - cfg_.alpha) * mean_;
-    dev_ = cfg_.alpha * err + (1.0 - cfg_.alpha) * dev_;
+    mean_ = kAlpha * value + (1.0 - kAlpha) * mean_;
+    dev_ = kAlpha * err + (1.0 - kAlpha) * dev_;
   };
 
   if (seen_ <= cfg_.warmup_windows) {

@@ -2,11 +2,11 @@
 // recorder that captures system state when something goes wrong.
 //
 // AnomalyDetector is a robust EWMA detector: it keeps an exponentially
-// weighted mean and an exponentially weighted absolute deviation (a
-// streaming stand-in for the MAD) of a per-window series, and flags a
-// window as anomalous when the value exceeds
+// weighted (alpha = 0.25) mean and absolute deviation (a streaming
+// stand-in for the MAD) of a per-window series, and flags a window as
+// anomalous when the value exceeds
 //
-//     mean + k * max(deviation, floor)
+//     mean + 8 * max(deviation, floor)
 //
 // The baseline is FROZEN while in anomaly — a sustained flood must not be
 // absorbed into "normal" — and onset/offset require a configurable number
@@ -36,8 +36,6 @@
 namespace dnsguard::obs {
 
 struct AnomalyConfig {
-  double alpha = 0.25;   // EWMA smoothing for mean and deviation
-  double k = 8.0;        // threshold multiplier on the deviation
   double dev_floor = 4.0;  // minimum deviation (series units); absorbs the
                            // near-zero-variance idle baseline
   int warmup_windows = 3;     // windows to learn a baseline before firing

@@ -63,10 +63,6 @@ class DropCounters {
     return t;
   }
 
-  void reset() noexcept {
-    for (auto& c : cells_) c.reset();
-  }
-
   /// Attaches every per-reason cell (kNone excluded) under
   /// "<prefix>.drop.<reason>".
   void bind(MetricsRegistry& registry, std::string_view prefix);

@@ -126,10 +126,6 @@ class VerifiedRequestLimiter {
     buckets_.bind_metrics(registry, std::string(prefix) + ".table");
   }
   [[nodiscard]] std::size_t tracked_hosts() const { return buckets_.size(); }
-  void reset() {
-    buckets_.clear();
-    stats_ = LimiterStats{};
-  }
 
  private:
   static common::BoundedTable<net::Ipv4Address, TokenBucket>::Config

@@ -2,9 +2,21 @@
 
 #include <algorithm>
 
-#include "common/log.h"
-
 namespace dnsguard::server {
+namespace {
+
+/// BIND's CPU time per UDP query (1 / 14K req/s, §IV.C).
+constexpr SimDuration kUdpQueryCost = nanoseconds(71429);
+/// BIND's CPU time per TCP segment processed.
+constexpr SimDuration kTcpSegmentCost = microseconds(40);
+/// BIND's additional CPU time per TCP connection (setup/teardown
+/// bookkeeping). With ~6 server-side segments per query, the total is
+/// about 1 / 2.2K req/s.
+constexpr SimDuration kTcpConnectionCost = microseconds(200);
+/// The ANS simulator's CPU time per query (1 / 110K req/s, §IV.D).
+constexpr SimDuration kAnsSimQueryCost = nanoseconds(9091);
+
+}  // namespace
 
 AuthoritativeServerNode::AuthoritativeServerNode(sim::Simulator& sim,
                                                  std::string name,
@@ -87,7 +99,7 @@ SimDuration AuthoritativeServerNode::process(const net::Packet& packet) {
       ans_stats_.malformed++;
       drops_.count(obs::DropReason::kMalformed);
       trace(obs::TraceEvent::kDrop, packet, obs::DropReason::kMalformed);
-      return config_.udp_query_cost;  // parsing junk still costs CPU
+      return kUdpQueryCost;  // parsing junk still costs CPU
     }
     ans_stats_.udp_queries++;
     dns::Message resp = answer(*query, /*via_tcp=*/false);
@@ -101,13 +113,13 @@ SimDuration AuthoritativeServerNode::process(const net::Packet& packet) {
     }
     send(net::Packet::make_udp({config_.address, net::kDnsPort}, packet.src(),
                                resp.encode_pooled()));
-    return config_.udp_query_cost;
+    return kUdpQueryCost;
   }
 
   // TCP path: the stack drives callbacks; costs accrue in pending_cost_.
-  pending_cost_ = config_.tcp_segment_cost;
+  pending_cost_ = kTcpSegmentCost;
   if (packet.flags.syn && !packet.flags.ack) {
-    pending_cost_ = pending_cost_ + config_.tcp_connection_cost;
+    pending_cost_ = pending_cost_ + kTcpConnectionCost;
   }
   tcp_->handle_packet(packet);
   return pending_cost_;
@@ -142,7 +154,7 @@ SimDuration AnsSimulatorNode::process(const net::Packet& packet) {
     ans_stats_.malformed++;
     drops_.count(obs::DropReason::kMalformed);
     trace(obs::TraceEvent::kDrop, packet, obs::DropReason::kMalformed);
-    return config_.query_cost;
+    return kAnsSimQueryCost;
   }
   ans_stats_.udp_queries++;
   if (sim().journeys().enabled()) {
@@ -158,7 +170,7 @@ SimDuration AnsSimulatorNode::process(const net::Packet& packet) {
   ans_stats_.responses++;
   send(net::Packet::make_udp({config_.address, net::kDnsPort}, packet.src(),
                              m.encode_pooled()));
-  return config_.query_cost;
+  return kAnsSimQueryCost;
 }
 
 }  // namespace dnsguard::server

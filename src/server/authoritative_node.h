@@ -3,8 +3,8 @@
 // AuthoritativeServerNode models a BIND-like ANS: full zone-based answer
 // logic over UDP and TCP, with a calibrated CPU cost model. The paper
 // measures BIND 9.3.1 at ~14K UDP queries/sec and ~2.2K TCP queries/sec
-// on the testbed hardware (§IV.C); the default costs reproduce those
-// capacities.
+// on the testbed hardware (§IV.C); the costs in authoritative_node.cpp
+// reproduce those capacities.
 //
 // AnsSimulatorNode models the paper's stripped-down "ANS simulator" that
 // "responds to each DNS request with the same answer" at ~110K
@@ -46,13 +46,6 @@ class AuthoritativeServerNode : public sim::Node {
  public:
   struct Config {
     net::Ipv4Address address;
-    /// CPU time per UDP query (default = 1 / 14K req/s, §IV.C).
-    SimDuration udp_query_cost = nanoseconds(71429);
-    /// CPU time per TCP segment processed.
-    SimDuration tcp_segment_cost = microseconds(40);
-    /// Additional CPU time per TCP connection (setup/teardown bookkeeping).
-    /// With ~6 server-side segments per query, total ≈ 1/2.2K req/s.
-    SimDuration tcp_connection_cost = microseconds(200);
     /// When set, every record in every response is rewritten to this TTL
     /// (Fig. 5 config: "TTL of each DNS response is configured to be 0 to
     /// disable DNS caching").
@@ -66,7 +59,6 @@ class AuthoritativeServerNode : public sim::Node {
   [[nodiscard]] const AuthoritativeEngine& engine() const { return engine_; }
   [[nodiscard]] const Config& config() const { return config_; }
   [[nodiscard]] const AnsStats& ans_stats() const { return ans_stats_; }
-  void reset_ans_stats() { ans_stats_ = AnsStats{}; }
 
   /// Produces the response message for `query` (shared by UDP/TCP paths;
   /// public so the guard can consult the engine in unit tests).
@@ -96,8 +88,6 @@ class AnsSimulatorNode : public sim::Node {
     net::Ipv4Address address;
     net::Ipv4Address answer_address{192, 0, 2, 1};
     std::uint32_t answer_ttl = 60;
-    /// CPU time per query (default = 1 / 110K req/s, §IV.D).
-    SimDuration query_cost = nanoseconds(9091);
   };
 
   AnsSimulatorNode(sim::Simulator& sim, std::string name, Config config)
@@ -108,7 +98,6 @@ class AnsSimulatorNode : public sim::Node {
   }
 
   [[nodiscard]] const AnsStats& ans_stats() const { return ans_stats_; }
-  void reset_ans_stats() { ans_stats_ = AnsStats{}; }
   [[nodiscard]] const Config& config() const { return config_; }
 
  protected:

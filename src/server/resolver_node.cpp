@@ -2,17 +2,31 @@
 
 #include <algorithm>
 
-#include "common/log.h"
-
 namespace dnsguard::server {
+namespace {
+
+/// Overall per-task attempt budget (loop protection).
+constexpr int kMaxAttempts = 24;
+/// CNAME links followed per task.
+constexpr int kMaxCnameDepth = 8;
+/// Nesting of glueless-NS sub-resolutions.
+constexpr int kMaxGlueDepth = 3;
+/// Admission cap on concurrently resolving tasks: past it, new client
+/// queries are shed with ServFail instead of growing the task map. A real
+/// resolver has the same knob (BIND: recursive-clients).
+constexpr std::size_t kMaxInflightTasks = 8192;
+/// Cap on outstanding iterative queries (keyed by 16-bit id, so the
+/// keyspace itself bounds this at 65535).
+constexpr std::size_t kMaxPendingQueries = 65536;
+
+}  // namespace
 
 RecursiveResolverNode::RecursiveResolverNode(sim::Simulator& sim,
                                              std::string name, Config config)
     : sim::Node(sim, std::move(name)),
       config_(std::move(config)),
-      tasks_({.capacity = config_.max_inflight_tasks,
-              .evict_lru_when_full = false}),
-      pending_({.capacity = config_.max_pending_queries,
+      tasks_({.capacity = kMaxInflightTasks, .evict_lru_when_full = false}),
+      pending_({.capacity = kMaxPendingQueries,
                 .evict_lru_when_full = false}) {
   set_profile_stage(obs::prof::Stage::kResolverService);
   tcp_ = std::make_unique<tcp::TcpStack>(
@@ -148,7 +162,7 @@ void RecursiveResolverNode::continue_task(std::uint64_t task_id) {
   Task& task = *found;
   task.waiting_glue = false;
 
-  if (++task.attempts > config_.max_attempts) {
+  if (++task.attempts > kMaxAttempts) {
     fail(task_id);
     return;
   }
@@ -169,7 +183,7 @@ void RecursiveResolverNode::continue_task(std::uint64_t task_id) {
   // Cached CNAME redirect?
   if (task.question.qtype != dns::RrType::CNAME) {
     if (auto cn = cache_.get(task.question.qname, dns::RrType::CNAME, now())) {
-      if (++task.cname_depth > config_.max_cname_depth) {
+      if (++task.cname_depth > kMaxCnameDepth) {
         fail(task_id);
         return;
       }
@@ -184,7 +198,7 @@ void RecursiveResolverNode::continue_task(std::uint64_t task_id) {
   // 2. Choose servers.
   ServerSelection sel = select_servers(task.question.qname);
   if (sel.glue_needed) {
-    if (task.glue_depth >= config_.max_glue_depth) {
+    if (task.glue_depth >= kMaxGlueDepth) {
       fail(task_id);
       return;
     }
@@ -225,7 +239,7 @@ void RecursiveResolverNode::send_iterative(Task& task) {
   pq.task_id = task.id;
   pq.question = task.question;
   pq.server = server;
-  pq.timer_generation = 0;
+  pq.timer_generation = ++last_timer_generation_;
   auto ins = pending_.try_emplace(qid, now(), std::move(pq));
   if (ins.value == nullptr) {
     fail(task.id);
@@ -321,7 +335,7 @@ bool RecursiveResolverNode::handle_response(const dns::Message& response,
       return true;
     }
     pq.via_tcp = true;
-    pq.timer_generation++;
+    pq.timer_generation = ++last_timer_generation_;
     stats_.tcp_fallbacks++;
     // Arm a fresh timer for the TCP attempt so a stalled connection
     // (e.g. the guard dropping segments under attack) fails the task
@@ -395,7 +409,7 @@ bool RecursiveResolverNode::handle_response(const dns::Message& response,
       return true;
     }
     if (cname_target) {
-      if (++task.cname_depth > config_.max_cname_depth) {
+      if (++task.cname_depth > kMaxCnameDepth) {
         fail(task_id);
         return true;
       }

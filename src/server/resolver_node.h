@@ -70,20 +70,9 @@ class RecursiveResolverNode : public sim::Node {
     /// CPU cost per packet handled (the LRS is never the bottleneck in
     /// the paper's experiments, but its CPU is still modeled).
     SimDuration per_packet_cost = microseconds(5);
-    /// Overall per-task attempt budget (loop protection).
-    int max_attempts = 24;
-    int max_cname_depth = 8;
-    int max_glue_depth = 3;
     /// When nonzero, advertise EDNS0 with this UDP payload size on every
     /// iterative query (reduces TCP fallbacks for large answers).
     std::uint16_t edns_payload_size = 0;
-    /// Admission cap on concurrently resolving tasks: past it, new client
-    /// queries are shed with ServFail instead of growing the task map. A
-    /// real resolver has the same knob (BIND: recursive-clients).
-    std::size_t max_inflight_tasks = 8192;
-    /// Cap on outstanding iterative queries (keyed by 16-bit id, so the
-    /// keyspace itself bounds this at 65535).
-    std::size_t max_pending_queries = 65536;
   };
 
   /// Result delivered to local resolve() callers.
@@ -195,6 +184,10 @@ class RecursiveResolverNode : public sim::Node {
   std::unique_ptr<tcp::TcpStack> tcp_;
   std::uint64_t next_task_id_ = 1;
   std::uint16_t next_query_id_ = 1;
+  /// Every retry timer arms with a fresh generation from this node-wide
+  /// count: a 16-bit query id can come round within a timeout, and a
+  /// per-entry count restarting at 0 would let the old timer match.
+  std::uint64_t last_timer_generation_ = 0;
   std::uint16_t next_ephemeral_port_ = 10000;
 };
 

@@ -36,7 +36,7 @@ void StubResolverNode::send_query(std::uint16_t id) {
   send(net::Packet::make_udp({config_.address, 33000},
                              {config_.lrs_address, net::kDnsPort},
                              q.encode()));
-  std::uint64_t gen = ++p.generation;
+  const std::uint64_t gen = p.generation = ++last_generation_;
   schedule_in(config_.timeout, [this, id, gen] { on_timeout(id, gen); });
 }
 

@@ -73,6 +73,10 @@ class StubResolverNode : public sim::Node {
   // 65535 entries
   std::unordered_map<std::uint16_t, Pending> pending_;
   std::uint16_t next_id_ = 1;
+  /// Every timer arms with a fresh generation from this node-wide count:
+  /// a 16-bit id can come round within a timeout, and a per-entry count
+  /// restarting at 0 would let the old timer match the new query.
+  std::uint64_t last_generation_ = 0;
 };
 
 }  // namespace dnsguard::server

@@ -13,11 +13,10 @@
 // written once and never copied again. Sift operations shuffle
 // trivially-copyable keys only. Scheduling costs zero heap allocations in
 // steady state: the key vector and chunk pool never shrink, freed slots
-// are recycled LIFO (so the hottest slot is reused first), inline captures
-// live in the slot itself, and the rare oversized capture draws from a
-// slab freelist (common/pool.h). The 4-ary shape halves the tree depth of
-// a binary heap, which matters when the simulator is draining ~10^7 events
-// per second.
+// are recycled LIFO (so the hottest slot is reused first), and every
+// capture lives in the slot itself; one that does not fit is a compile
+// error. The 4-ary shape halves the tree depth of a binary heap, which
+// matters when the simulator is draining ~10^7 events per second.
 #pragma once
 
 #include <cstdint>
@@ -27,6 +26,7 @@
 #include <vector>
 
 #include "common/inplace_function.h"
+#include "common/pool.h"
 #include "common/time.h"
 
 namespace dnsguard::sim {

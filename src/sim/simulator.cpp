@@ -132,7 +132,6 @@ void Simulator::send_packet(Node* from, net::Packet packet, SimTime depart) {
   Node* to = route_lookup(packet.dst_ip);
   if (to == nullptr) {
     stats_.packets_dropped_no_route++;
-    DG_LOG_TRACE("sim", "no route for %s", packet.dst_ip.to_string().c_str());
     packet.release_payload();
     return;
   }

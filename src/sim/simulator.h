@@ -19,7 +19,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/log.h"
 #include "common/rng.h"
 #include "common/time.h"
 #include "net/packet.h"

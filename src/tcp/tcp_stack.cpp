@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "common/log.h"
 #include "common/pool.h"
 
 namespace dnsguard::tcp {

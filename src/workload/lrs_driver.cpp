@@ -311,9 +311,7 @@ void LrsSimulatorNode::restart(int w) {
   });
 }
 
-void LrsSimulatorNode::advance(int w, const dns::Message& response,
-                               net::Ipv4Address from_ip) {
-  (void)from_ip;
+void LrsSimulatorNode::advance(int w, const dns::Message& response) {
   Worker& worker = workers_[static_cast<std::size_t>(w)];
 
   switch (config_.mode) {
@@ -322,7 +320,9 @@ void LrsSimulatorNode::advance(int w, const dns::Message& response,
       return;
 
     case DriveMode::NsNameMiss:
-    case DriveMode::NsNameHit: {
+    case DriveMode::NsNameHit:
+    case DriveMode::FabricatedMiss:
+    case DriveMode::FabricatedHit: {
       if (worker.stage == 0) {
         // Expect the fabricated referral (msg 2). A direct full answer
         // means no guard is active (pass-through below the activation
@@ -342,35 +342,9 @@ void LrsSimulatorNode::advance(int w, const dns::Message& response,
         send_exchange(w, worker.fabricated_name, config_.target);
         return;
       }
-      // Stage 1: expect the A answer (msg 6).
-      if (response.answers.empty()) {
-        worker.primed = false;  // cookie may have rotated; re-learn
-        restart(w);
-        return;
-      }
-      complete(w);
-      return;
-    }
-
-    case DriveMode::FabricatedMiss:
-    case DriveMode::FabricatedHit: {
-      if (worker.stage == 0) {
-        if (!response.is_referral()) {
-          if (!response.answers.empty()) {
-            complete(w);  // served directly by a pass-through guard
-            return;
-          }
-          restart(w);
-          return;
-        }
-        const auto& ns =
-            std::get<dns::NsRdata>(response.authority.front().rdata);
-        worker.fabricated_name = ns.nsdname;
-        worker.stage = 1;
-        send_exchange(w, worker.fabricated_name, config_.target);
-        return;
-      }
-      if (worker.stage == 1) {
+      const bool fabricated_ip = config_.mode == DriveMode::FabricatedMiss ||
+                                 config_.mode == DriveMode::FabricatedHit;
+      if (fabricated_ip && worker.stage == 1) {
         // msg 6: COOKIE2 address.
         const dns::ARdata* a = nullptr;
         for (const auto& rr : response.answers) {
@@ -389,9 +363,10 @@ void LrsSimulatorNode::advance(int w, const dns::Message& response,
         send_exchange(w, qname_, {worker.cookie2_address, net::kDnsPort});
         return;
       }
-      // Stage 2: the real answer (msg 10).
+      // The real answer: msg 6 of the NS-name dance, msg 10 of the
+      // fabricated-IP one.
       if (response.answers.empty()) {
-        worker.primed = false;
+        worker.primed = false;  // cookie may have rotated; re-learn
         restart(w);
         return;
       }
@@ -478,7 +453,7 @@ void LrsSimulatorNode::on_tcp_message(tcp::ConnId conn, BytesView message) {
   if (!dns::Message::decode_into(message, rx_) || !rx_.header.qr) return;
   tcp_->close(conn);
   worker.conn = {};
-  advance(w, rx_, net::Ipv4Address{});
+  advance(w, rx_);
 }
 
 SimDuration LrsSimulatorNode::process(const net::Packet& packet) {
@@ -504,7 +479,7 @@ SimDuration LrsSimulatorNode::process(const net::Packet& packet) {
   worker.armed = false;
   qid_to_worker_.erase(rx_.header.id);
   worker.pending_qid = 0;
-  advance(w, rx_, packet.src_ip);
+  advance(w, rx_);
   return config_.per_packet_cost;
 }
 

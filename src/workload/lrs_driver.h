@@ -88,7 +88,6 @@ class LrsSimulatorNode : public sim::Node {
   void stop();
 
   [[nodiscard]] const DriverStats& driver_stats() const { return stats_; }
-  void reset_driver_stats() { stats_ = DriverStats{}; }
   /// Mean per-request latency since the last reset (completed requests).
   [[nodiscard]] Percentiles& latencies() { return latencies_; }
 
@@ -155,8 +154,7 @@ class LrsSimulatorNode : public sim::Node {
   };
 
   void begin_request(int w);
-  void advance(int w, const dns::Message& response,
-               net::Ipv4Address from_ip);
+  void advance(int w, const dns::Message& response);
   /// Sends worker `w`'s next query, for `qname`, type A, under a fresh
   /// id, carrying `txt_cookie` in a TXT record when it is not null.
   void send_exchange(int w, const dns::DomainName& qname, net::SocketAddr to,

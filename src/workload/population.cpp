@@ -16,7 +16,7 @@ namespace {
 
 /// splitmix64 finalizer: the pure mixing function behind every id -> value
 /// mapping in the population (address, resolver group, primedness, DNS
-/// id). Purity keeps the arrival stream identical across shard splits.
+/// id).
 std::uint64_t mix64(std::uint64_t x) {
   x += 0x9e3779b97f4a7c15ULL;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
@@ -32,6 +32,16 @@ double mix_uniform01(std::uint64_t x) {
 constexpr std::uint64_t kAddressSalt = 0xadd7e555a17ULL;
 constexpr std::uint64_t kGroupSalt = 0x97097e501e50ULL;
 constexpr std::uint64_t kPrimedSalt = 0xc0'01'c0'0cULL;
+
+/// Zipf exponent of qname popularity.
+constexpr double kZipfExponent = 1.0;
+/// Lognormal shape of per-client rates (sigma ~1.5-2 is heavy-tailed;
+/// mu only sets the relative scale and is normalized away).
+constexpr double kRateSigma = 1.6;
+/// Amplitude of the diurnal load curve, when one is configured.
+constexpr double kDiurnalAmplitude = 0.3;
+/// Every query's qname is "q<rank>" under this suffix.
+constexpr std::string_view kQnameSuffix = "pop.example.";
 
 }  // namespace
 
@@ -181,8 +191,8 @@ double FlashCrowdEvent::envelope(SimTime t) const {
 
 PopulationEngine::PopulationEngine(PopulationConfig config)
     : config_(std::move(config)),
-      zipf_(config_.qname_universe, config_.zipf_exponent),
-      rates_(config_.rate_classes, 0.0, config_.rate_sigma),
+      zipf_(config_.qname_universe, kZipfExponent),
+      rates_(config_.rate_classes, 0.0, kRateSigma),
       rtt_(config_.rtt_buckets),
       rng_(config_.seed),
       cache_(common::BoundedTable<std::uint64_t, SimTime>::Config{
@@ -193,7 +203,7 @@ PopulationEngine::PopulationEngine(PopulationConfig config)
   if (config_.num_clients == 0) config_.num_clients = 1;
   if (config_.resolver_groups == 0) config_.resolver_groups = 1;
   // Thinning bound: diurnal peak plus every flash event at full blast.
-  max_rate_ = config_.base_rate * (1.0 + std::abs(config_.diurnal_amplitude));
+  max_rate_ = config_.base_rate * (1.0 + kDiurnalAmplitude);
   for (const auto& e : config_.flash_events) {
     max_rate_ += config_.base_rate * e.peak_multiplier;
   }
@@ -215,9 +225,9 @@ double PopulationEngine::flash_rate_at(SimTime t,
 double PopulationEngine::rate_at(SimTime t) const {
   double diurnal = 1.0;
   if (config_.diurnal_period.ns > 0) {
-    double phase = static_cast<double>(t.ns + config_.diurnal_phase.ns) /
+    double phase = static_cast<double>(t.ns) /
                    static_cast<double>(config_.diurnal_period.ns);
-    diurnal += config_.diurnal_amplitude *
+    diurnal += kDiurnalAmplitude *
                std::sin(2.0 * 3.14159265358979323846 * phase);
   }
   double r = config_.base_rate * diurnal;
@@ -231,12 +241,6 @@ net::Ipv4Address PopulationEngine::client_address(std::uint64_t client) const {
   std::uint32_t mask =
       prefix_span_ == 0xffffffffu ? 0u : ~(prefix_span_ - 1u);
   return net::Ipv4Address((config_.prefix_base.value() & mask) | offset);
-}
-
-std::size_t PopulationEngine::shard_of(net::Ipv4Address src,
-                                       std::size_t shards) {
-  if (shards <= 1) return 0;
-  return static_cast<std::size_t>(mix64(src.value()) % shards);
 }
 
 std::uint64_t PopulationEngine::sample_client(bool flash_new_cohort,
@@ -330,18 +334,14 @@ ClientPopulationNode::ClientPopulationNode(sim::Simulator& sim,
                                            std::string name, Config config)
     : sim::Node(sim, std::move(name)),
       config_(std::move(config)),
-      qname_suffix_(dns::DomainName::parse(config_.qname_suffix)
-                        .value_or(dns::DomainName{})),
-      rtts_(config_.population.rtt_buckets),
+      qname_suffix_(
+          dns::DomainName::parse(kQnameSuffix).value_or(dns::DomainName{})),
       engine_(config_.population),
-      minter_(config_.population.cookie_key_seed) {
+      minter_(guard::kDefaultKeySeed) {
   set_profile_stage(obs::prof::Stage::kDriverService);
   sim.add_route(config_.population.prefix_base, config_.population.prefix_len,
                 this);
-  stats_.bind(sim.metrics(), config_.shard_count > 1
-                                 ? "population.shard" +
-                                       std::to_string(config_.shard_index)
-                                 : "population");
+  stats_.bind(sim.metrics(), "population");
 }
 
 void ClientPopulationNode::start() {
@@ -358,9 +358,7 @@ void ClientPopulationNode::stop() {
 
 void ClientPopulationNode::pump() {
   // One arrival in flight at a time: generate, schedule at its edge time,
-  // emit, repeat. The engine produces the *master* sequence; emit_arrival
-  // filters to this node's shard, so N shard nodes driven by identical
-  // configs partition one stream without coordinating.
+  // emit, repeat.
   Arrival a = engine_.next();
   SimDuration delay = a.at - now();
   if (delay.ns < 0) delay = SimDuration{0};
@@ -380,11 +378,6 @@ dns::DomainName ClientPopulationNode::qname_for(std::uint32_t rank) const {
 }
 
 void ClientPopulationNode::emit_arrival(const Arrival& a) {
-  if (config_.shard_count > 1 &&
-      PopulationEngine::shard_of(a.src, config_.shard_count) !=
-          config_.shard_index) {
-    return;
-  }
   stats_.offered++;
   if (a.cache_hit) {
     stats_.cache_hits++;
@@ -405,8 +398,6 @@ void ClientPopulationNode::emit_arrival(const Arrival& a) {
       static_cast<std::uint16_t>(32768 + (mix64(a.client) & 0x3fff));
   net::Packet pkt = net::Packet::make_udp({a.src, port}, config_.target,
                                           tx_.encode_pooled());
-  digest_ += mix64((static_cast<std::uint64_t>(a.src.value()) << 16) ^ id ^
-                   mix64(static_cast<std::uint64_t>(a.at.ns)));
   stats_.sent++;
   if (a.flash) stats_.flash_sent++;
   send(std::move(pkt));
@@ -435,7 +426,7 @@ SimDuration ClientPopulationNode::process(const net::Packet& packet) {
       stats_.unexpected++;
       return SimDuration{0};
     }
-    SimDuration rtt = rtts_.sample(mix_uniform01(
+    SimDuration rtt = engine_.rtt_model().sample(mix_uniform01(
         (static_cast<std::uint64_t>(packet.dst_ip.value()) << 16) ^
         response.header.id));
     net::Ipv4Address src = packet.dst_ip;
@@ -445,10 +436,9 @@ SimDuration ClientPopulationNode::process(const net::Packet& packet) {
     tx_.set_query(id, qst->qname, dns::RrType::A, false);
     guard::CookieEngine::attach_txt_cookie(tx_, *cookie, 0);
     std::uint64_t epoch = epoch_;
-    schedule_in(rtt, [this, epoch, src, port, id,
+    schedule_in(rtt, [this, epoch, src, port,
                       wire = tx_.encode_pooled()]() mutable {
       if (epoch != epoch_ || !running_) return;
-      digest_ += mix64((static_cast<std::uint64_t>(src.value()) << 16) ^ id);
       stats_.sent++;
       send(net::Packet::make_udp({src, port}, config_.target,
                                  std::move(wire)));

@@ -23,10 +23,7 @@
 //     partly fresh source population concentrated on hot names.
 //
 // Everything is drawn from one explicitly seeded common::Rng, so a
-// scenario is bit-for-bit reproducible in sim time, and the arrival
-// stream can be partitioned across shards by source hash without
-// changing its contents (PopulationEngine generates the master sequence;
-// a node emits only its shard's slice).
+// scenario is bit-for-bit reproducible in sim time.
 #pragma once
 
 #include <cstdint>
@@ -35,7 +32,6 @@
 
 #include "common/bounded_table.h"
 #include "common/rng.h"
-#include "common/stats.h"
 #include "common/time.h"
 #include "guard/cookie_engine.h"
 #include "net/ipv4.h"
@@ -159,7 +155,6 @@ struct PopulationConfig {
 
   // --- popularity & caching ---
   std::uint32_t qname_universe = 100000;
-  double zipf_exponent = 1.0;
   /// Shared resolver caches: clients aggregate into this many cache
   /// groups (group = hash(client) % resolver_groups); a (group, rank)
   /// pair stays cached for cache_ttl after the miss that filled it.
@@ -171,28 +166,21 @@ struct PopulationConfig {
 
   // --- per-client rates ---
   int rate_classes = 32;
-  /// Lognormal shape of per-client rates (sigma ~1.5-2 is heavy-tailed;
-  /// mu only sets the relative scale and is normalized away).
-  double rate_sigma = 1.6;
 
   // --- RTT ---
   std::vector<RttModel::Bucket> rtt_buckets = RttModel::default_buckets();
 
   // --- load envelope ---
-  /// Diurnal multiplier 1 + amplitude * sin(2*pi*(t + phase)/period).
+  /// Diurnal multiplier 1 + 0.3 * sin(2*pi*t/period).
   SimDuration diurnal_period{};  // zero = flat load
-  double diurnal_amplitude = 0.3;
-  SimDuration diurnal_phase{};
   std::vector<FlashCrowdEvent> flash_events;
 
   // --- cookie behavior (modified-DNS scheme) ---
   /// Fraction of steady-state clients that already hold a valid cookie
   /// (the paper's cache-hit steady state). Cold clients request one and
   /// retry after their RTT. Flash-cohort clients are always cold.
+  /// Primed clients' cookies are minted under guard::kDefaultKeySeed.
   double primed_fraction = 0.9;
-  /// Key seed matching the guard's, so primed clients mint cookies that
-  /// verify (models "acquired earlier" without replaying the dance).
-  std::uint64_t cookie_key_seed = 0x1337c00c1e5eedULL;
 
   std::uint64_t seed = 2006;
 };
@@ -216,10 +204,8 @@ class PopulationEngine {
 
   /// The client id's source address (pure function: id -> IP).
   [[nodiscard]] net::Ipv4Address client_address(std::uint64_t client) const;
-  /// Stable shard assignment of an arrival (by source address hash);
-  /// partitioning the stream by this and merging reproduces it exactly.
-  [[nodiscard]] static std::size_t shard_of(net::Ipv4Address src,
-                                            std::size_t shards);
+  /// The client RTT distribution (config().rtt_buckets).
+  [[nodiscard]] const RttModel& rtt_model() const { return rtt_; }
 
  private:
   [[nodiscard]] double flash_rate_at(SimTime t, const FlashCrowdEvent& e) const;
@@ -269,12 +255,6 @@ class ClientPopulationNode : public sim::Node {
   struct Config {
     PopulationConfig population;
     net::SocketAddr target;  // the protected ANS's public address
-    std::string qname_suffix = "pop.example.";
-    /// Emit only arrivals whose source hashes to this shard — running
-    /// shard_count nodes with indices 0..N-1 reproduces the single-node
-    /// stream exactly (determinism across shard counts).
-    std::size_t shard_count = 1;
-    std::size_t shard_index = 0;
   };
 
   ClientPopulationNode(sim::Simulator& sim, std::string name, Config config);
@@ -287,8 +267,6 @@ class ClientPopulationNode : public sim::Node {
     return stats_;
   }
   [[nodiscard]] PopulationEngine& engine() { return engine_; }
-  /// Order-insensitive digest of every packet sent (determinism tests).
-  [[nodiscard]] std::uint64_t sent_digest() const { return digest_; }
 
  protected:
   SimDuration process(const net::Packet& packet) override;
@@ -299,8 +277,7 @@ class ClientPopulationNode : public sim::Node {
   [[nodiscard]] dns::DomainName qname_for(std::uint32_t rank) const;
 
   Config config_;
-  dns::DomainName qname_suffix_;  // config_.qname_suffix, parsed once
-  RttModel rtts_;                 // config_.population.rtt_buckets
+  dns::DomainName qname_suffix_;  // every qname's parent, parsed once
   PopulationEngine engine_;
   guard::CookieEngine minter_;
   /// Queries are built in tx_ and replies decoded into rx_, so their
@@ -308,7 +285,6 @@ class ClientPopulationNode : public sim::Node {
   dns::Message tx_;
   dns::Message rx_;
   PopulationStats stats_;
-  std::uint64_t digest_ = 0;
   std::uint64_t epoch_ = 0;  // invalidates scheduled pumps on stop
   bool running_ = false;
 };

@@ -119,7 +119,8 @@ SimTime at(std::int64_t ms) { return SimTime{} + milliseconds(ms); }
 
 TEST(AttackMonitor, RaisesGaugeAndRecordsEventsFromSampler) {
   obs::MetricsRegistry reg;
-  obs::Counter& drops = reg.counter("guard.spoofs_dropped");
+  obs::Counter drops;
+  reg.attach_counter("guard.spoofs_dropped", drops);
   obs::TimeSeriesSampler ts;
   ts.start(reg, at(0), milliseconds(100), 64);
 
@@ -335,15 +336,18 @@ TEST(AttackDetectionEndToEnd, AttackFreeControlRaisesNoAlerts) {
 // over all of them, and a monitor watching offered load with the
 // discriminator wired to the drop-taxonomy and first-contact series.
 struct DiscriminationBed {
+  obs::Counter requests;
+  obs::Counter drops;
+  obs::Counter inserts;
   obs::MetricsRegistry reg;
-  obs::Counter& requests = reg.counter("guard.requests_seen");
-  obs::Counter& drops = reg.counter("guard.spoofs_dropped");
-  obs::Counter& inserts = reg.counter("guard.shard0.rl2.table.inserts");
   obs::TimeSeriesSampler ts;
   AttackMonitor mon;
   std::int64_t t = 0;
 
   DiscriminationBed() {
+    reg.attach_counter("guard.requests_seen", requests);
+    reg.attach_counter("guard.spoofs_dropped", drops);
+    reg.attach_counter("guard.shard0.rl2.table.inserts", inserts);
     ts.start(reg, at(0), milliseconds(100), 64);
     mon.watch("guard.requests_seen");
     obs::DiscriminatorConfig disc;
@@ -429,7 +433,8 @@ TEST(AttackMonitor, WithoutDiscriminatorEveryOnsetIsAttack) {
   // Legacy binary alarm: no discriminator configured, so even a clean
   // surge (nothing dropped) classifies as an attack.
   obs::MetricsRegistry reg;
-  obs::Counter& requests = reg.counter("guard.requests_seen");
+  obs::Counter requests;
+  reg.attach_counter("guard.requests_seen", requests);
   obs::TimeSeriesSampler ts;
   ts.start(reg, at(0), milliseconds(100), 64);
   AttackMonitor mon;
@@ -456,9 +461,10 @@ TEST(AttackMonitor, BindReportsDiscriminatorSeriesTheSamplerLacks) {
   // A misspelled series used to vanish at bind: the discriminator then
   // summed nothing and reported zero source growth without any failure.
   obs::MetricsRegistry reg;
-  reg.counter("guard.requests_seen");
-  reg.counter("guard.spoofs_dropped");
-  reg.counter("guard.shard0.rl1.table.inserts");
+  obs::Counter requests, drops, inserts;
+  reg.attach_counter("guard.requests_seen", requests);
+  reg.attach_counter("guard.spoofs_dropped", drops);
+  reg.attach_counter("guard.shard0.rl1.table.inserts", inserts);
   obs::TimeSeriesSampler ts;
   ts.start(reg, at(0), milliseconds(100), 64);
   AttackMonitor mon;

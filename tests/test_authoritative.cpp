@@ -137,7 +137,7 @@ TEST(BindNode, UdpCapacityMatchesCalibration) {
 
   client.start();
   bed.sim.run_for(milliseconds(500));
-  client.reset_driver_stats();
+  bed.sim.metrics().reset_values();
   bed.ans->reset_stats();
   bed.sim.run_for(seconds(1));
   client.stop();
@@ -193,7 +193,7 @@ TEST(AnsSim, CapacityMatchesCalibration) {
 
   client.start();
   sim.run_for(milliseconds(500));
-  client.reset_driver_stats();
+  sim.metrics().reset_values();
   sim.run_for(seconds(1));
   client.stop();
   EXPECT_NEAR(static_cast<double>(client.driver_stats().completed), 110000.0,

@@ -132,15 +132,6 @@ TEST(FormatDuration, ChoosesUnits) {
   EXPECT_EQ(format_duration(seconds(5)), "5.000s");
 }
 
-TEST(RunningStats, MeanMinMax) {
-  RunningStats s;
-  for (double x : {1.0, 2.0, 3.0, 4.0}) s.add(x);
-  EXPECT_DOUBLE_EQ(s.mean(), 2.5);
-  EXPECT_DOUBLE_EQ(s.min(), 1.0);
-  EXPECT_DOUBLE_EQ(s.max(), 4.0);
-  EXPECT_NEAR(s.stddev(), 1.29099, 1e-4);
-}
-
 TEST(Percentiles, ExactQuantiles) {
   Percentiles p;
   for (int i = 1; i <= 100; ++i) p.add(i);

@@ -1,12 +1,9 @@
-// InplaceFunction (small-buffer callable), SlabPool and BufferPool — the
-// allocation machinery under the event scheduler and packet hot path.
+// InplaceFunction (small-buffer callable) and BufferPool — the allocation
+// machinery under the event scheduler and packet hot path.
 #include <gtest/gtest.h>
 
-#include <array>
-#include <cstdint>
 #include <memory>
 #include <utility>
-#include <vector>
 
 #include "common/inplace_function.h"
 #include "common/pool.h"
@@ -58,24 +55,6 @@ TEST(InplaceFunction, MoveOnlyCaptureWorks) {
   EXPECT_EQ(f(), 7);
 }
 
-TEST(InplaceFunction, OversizedCaptureFallsBackToSlab) {
-  // A capture far larger than the inline buffer must still work (it moves
-  // to a slab block behind the scenes).
-  std::array<std::uint64_t, 64> big{};  // 512 bytes > inline capacity
-  for (std::size_t i = 0; i < big.size(); ++i) big[i] = i;
-  InplaceFunction<std::uint64_t()> f([big] {
-    std::uint64_t sum = 0;
-    for (auto v : big) sum += v;
-    return sum;
-  });
-  EXPECT_EQ(f(), 64u * 63u / 2);
-
-  // Moving an oversized function transfers the slab pointer, not the bytes.
-  InplaceFunction<std::uint64_t()> g = std::move(f);
-  EXPECT_FALSE(static_cast<bool>(f));
-  EXPECT_EQ(g(), 64u * 63u / 2);
-}
-
 TEST(InplaceFunction, ReassignmentReleasesOldCallable) {
   auto a = std::make_shared<int>(0);
   auto b = std::make_shared<int>(0);
@@ -84,29 +63,6 @@ TEST(InplaceFunction, ReassignmentReleasesOldCallable) {
   EXPECT_EQ(a.use_count(), 1);  // old capture destroyed
   f();
   EXPECT_EQ(*b, 1);
-}
-
-TEST(SlabPool, RecyclesBlocks) {
-  SlabPool pool(64, /*blocks_per_chunk=*/4);
-  void* a = pool.allocate();
-  void* b = pool.allocate();
-  EXPECT_NE(a, b);
-  EXPECT_EQ(pool.chunks_allocated(), 1u);
-  pool.deallocate(a);
-  void* c = pool.allocate();
-  EXPECT_EQ(c, a);  // LIFO freelist reuses the block just returned
-  pool.deallocate(b);
-  pool.deallocate(c);
-  EXPECT_EQ(pool.live_blocks(), 0u);
-}
-
-TEST(SlabPool, GrowsByChunks) {
-  SlabPool pool(32, /*blocks_per_chunk=*/2);
-  std::vector<void*> blocks;
-  for (int i = 0; i < 5; ++i) blocks.push_back(pool.allocate());
-  EXPECT_EQ(pool.chunks_allocated(), 3u);
-  EXPECT_EQ(pool.live_blocks(), 5u);
-  for (void* p : blocks) pool.deallocate(p);
 }
 
 TEST(BufferPool, AcquireReleaseReusesCapacity) {

@@ -181,6 +181,28 @@ TEST(LocalGuard, TimeoutReleasesHeldQueriesPlainly) {
   EXPECT_EQ(bed.lg->local_stats().released_without_cookie, 1u);
 }
 
+TEST(LocalGuard, StaleCookieTimerLeavesANewBucketAlone) {
+  // An ANS's held bucket is released and re-created within one cookie
+  // request timeout (500 ms): here its not-capable mark expires. The
+  // first bucket's timer must not release the second bucket's query.
+  LocalGuardNode::Config cfg;
+  cfg.not_capable_ttl = milliseconds(20);
+  Bed bed(cfg);
+  bed.lrs_sends_query(100);  // t≈0: held, probed, timer due at ~500 ms
+  dns::Message plain =
+      dns::Message::response_to(Bed::decode(bed.ans.received[0]));
+  plain.answers.push_back(dns::ResourceRecord::a(
+      *dns::DomainName::parse("www.foo.com"), Ipv4Address(192, 0, 2, 80),
+      60));
+  bed.ans_sends(plain);  // ~5 ms: answered without a cookie, not capable
+  bed.sim.run_until(SimTime{} + milliseconds(100));  // the mark expired
+  bed.lrs_sends_query(200);  // a new bucket; its timer is due at ~600 ms
+  bed.sim.run_until(SimTime{} + milliseconds(550));
+  EXPECT_EQ(bed.lg->local_stats().released_without_cookie, 0u);
+  bed.sim.run_until(SimTime{} + milliseconds(650));
+  EXPECT_EQ(bed.lg->local_stats().released_without_cookie, 1u);
+}
+
 TEST(LocalGuard, AnswerWithRefreshedCookieIsStrippedAndCached) {
   Bed bed;
   // Prime a cookie.

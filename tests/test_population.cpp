@@ -1,17 +1,16 @@
 // Aggregate client-population engine: sampler distributions match their
-// configured parameters, the arrival stream is bit-for-bit reproducible
-// from its seed, and sharding the stream by source hash reproduces the
-// single-node run exactly (digest and counter sums).
+// configured parameters, and the arrival stream and the packets built from
+// it are bit-for-bit reproducible from the seed.
 #include <gtest/gtest.h>
 
 #include <charconv>
 #include <cmath>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "bench/wire_digest.h"
 #include "common/rng.h"
 #include "common/time.h"
 #include "dns/message.h"
@@ -231,75 +230,6 @@ TEST(PopulationEngine, ArrivalsRespectConfiguredShape) {
   EXPECT_GT(cold, 0u);
 }
 
-TEST(PopulationEngine, ShardAssignmentIsStableAndCovering) {
-  PopulationEngine eng(small_config());
-  std::vector<int> per_shard(4, 0);
-  for (int i = 0; i < 4000; ++i) {
-    Arrival a = eng.next();
-    EXPECT_EQ(PopulationEngine::shard_of(a.src, 1), 0u);
-    std::size_t s = PopulationEngine::shard_of(a.src, 4);
-    ASSERT_LT(s, 4u);
-    EXPECT_EQ(s, PopulationEngine::shard_of(a.src, 4));  // stable
-    per_shard[s]++;
-  }
-  for (int s = 0; s < 4; ++s) EXPECT_GT(per_shard[s], 400) << s;
-}
-
-// Runs `shard_count` population nodes against an unrouted target (no
-// replies, so only first-send packets count) and folds their digests and
-// counters together.
-struct ShardRun {
-  std::uint64_t digest = 0;
-  std::uint64_t sent = 0;
-  std::uint64_t offered = 0;
-  std::uint64_t cache_hits = 0;
-};
-
-ShardRun run_shards(std::size_t shard_count) {
-  sim::Simulator sim;
-  ClientPopulationNode::Config cfg;
-  cfg.population = small_config();
-  cfg.target = {net::Ipv4Address{10, 9, 9, 9}, net::kDnsPort};
-  cfg.shard_count = shard_count;
-  std::vector<std::unique_ptr<ClientPopulationNode>> nodes;
-  for (std::size_t i = 0; i < shard_count; ++i) {
-    cfg.shard_index = i;
-    nodes.push_back(std::make_unique<ClientPopulationNode>(
-        sim, "pop" + std::to_string(i), cfg));
-    nodes.back()->start();
-  }
-  sim.run_for(milliseconds(400));
-  ShardRun out;
-  for (auto& n : nodes) {
-    out.digest += n->sent_digest();
-    out.sent += n->population_stats().sent.value();
-    out.offered += n->population_stats().offered.value();
-    out.cache_hits += n->population_stats().cache_hits.value();
-    n->stop();
-  }
-  return out;
-}
-
-TEST(ClientPopulationNode, DeterministicAcrossRerunsAndShardCounts) {
-  ShardRun single = run_shards(1);
-  EXPECT_GT(single.sent, 500u);
-  EXPECT_GT(single.cache_hits, 50u);
-
-  // Same seed, fresh simulator: bit-for-bit identical.
-  ShardRun rerun = run_shards(1);
-  EXPECT_EQ(single.digest, rerun.digest);
-  EXPECT_EQ(single.sent, rerun.sent);
-  EXPECT_EQ(single.offered, rerun.offered);
-
-  // Split across 3 shards: each node replays the master sequence and
-  // emits only its slice, so the merged run is exactly the single run.
-  ShardRun sharded = run_shards(3);
-  EXPECT_EQ(single.digest, sharded.digest);
-  EXPECT_EQ(single.sent, sharded.sent);
-  EXPECT_EQ(single.offered, sharded.offered);
-  EXPECT_EQ(single.cache_hits, sharded.cache_hits);
-}
-
 /// Records the qname of every query delivered to it.
 class QnameSink : public sim::Node {
  public:
@@ -313,6 +243,51 @@ class QnameSink : public sim::Node {
     return SimDuration{};
   }
 };
+
+// Runs one population node against a target that never answers (so only
+// first-send packets count), digesting every packet the tap sees.
+struct PopulationRun {
+  std::uint64_t digest = 0;
+  std::uint64_t tapped = 0;  // packets the digest folded in
+  std::uint64_t sent = 0;
+  std::uint64_t offered = 0;
+  std::uint64_t cache_hits = 0;
+};
+
+PopulationRun run_population() {
+  sim::Simulator sim;
+  const net::Ipv4Address target{10, 9, 9, 9};
+  QnameSink sink(sim, "sink");
+  sim.add_host_route(target, &sink);
+  bench::WireDigest digest;
+  sim.set_tap([&digest](SimTime t, const sim::Node*, const sim::Node*,
+                        const net::Packet& p) { digest.add(t, p); });
+  ClientPopulationNode::Config cfg;
+  cfg.population = small_config();
+  cfg.target = {target, net::kDnsPort};
+  ClientPopulationNode pop(sim, "pop", cfg);
+  pop.start();
+  sim.run_for(milliseconds(400));
+  pop.stop();
+  sim.clear_tap();
+  return {digest.value(), digest.packets(),
+          pop.population_stats().sent.value(),
+          pop.population_stats().offered.value(),
+          pop.population_stats().cache_hits.value()};
+}
+
+TEST(ClientPopulationNode, DeterministicAcrossReruns) {
+  PopulationRun first = run_population();
+  EXPECT_GT(first.sent, 500u);
+  EXPECT_EQ(first.tapped, first.sent);  // the digest saw every packet
+  EXPECT_GT(first.cache_hits, 50u);
+
+  // Same seed, fresh simulator: bit-for-bit identical.
+  PopulationRun rerun = run_population();
+  EXPECT_EQ(first.digest, rerun.digest);
+  EXPECT_EQ(first.sent, rerun.sent);
+  EXPECT_EQ(first.offered, rerun.offered);
+}
 
 TEST(ClientPopulationNode, QueriesNameTheirRankUnderTheSuffix) {
   sim::Simulator sim;

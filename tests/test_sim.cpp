@@ -4,7 +4,9 @@
 
 #include <algorithm>
 #include <array>
+#include <cstddef>
 #include <memory>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -122,26 +124,17 @@ TEST(EventQueue, SameInstantFifoAcrossNestedScheduling) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
 }
 
-TEST(EventQueue, OversizedCapturesFireCorrectly) {
-  // Captures too big for the inline buffer take the slab path; ordering
-  // and payload integrity must be unaffected.
-  EventQueue q;
-  std::vector<int> fired;
-  for (int i = 0; i < 16; ++i) {
-    std::array<std::uint64_t, 40> big{};  // 320 bytes, beyond inline
-    big[0] = static_cast<std::uint64_t>(i);
-    q.schedule(SimTime{i % 4}, [big, &fired] {
-      fired.push_back(static_cast<int>(big[0]));
-    });
-  }
-  SimTime at;
-  while (!q.empty()) q.pop(at)();
-  ASSERT_EQ(fired.size(), 16u);
-  // Within each instant, FIFO by insertion: i%4==0 first (0,4,8,12), etc.
-  EXPECT_EQ(fired[0], 0);
-  EXPECT_EQ(fired[1], 4);
-  EXPECT_EQ(fired[15], 15);
-}
+// Every event capture lives inline in its slot: one that does not fit the
+// 120-byte buffer does not convert to an EventFn, so it fails to compile
+// rather than taking a slower out-of-line path.
+template <std::size_t N>
+struct CaptureOf {
+  std::array<std::byte, N> bytes;
+  void operator()() {}
+};
+static_assert(std::is_constructible_v<EventFn, CaptureOf<120>>);
+static_assert(!std::is_constructible_v<EventFn, CaptureOf<121>>);
+static_assert(!std::is_assignable_v<EventFn&, CaptureOf<121>>);
 
 TEST(EventQueue, RunUntilStopsAtBoundary) {
   Simulator sim;

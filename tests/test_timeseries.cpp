@@ -19,7 +19,8 @@ SimTime at(std::int64_t ms) { return SimTime{} + milliseconds(ms); }
 
 TEST(TimeSeriesSampler, WindowsHoldDeltasNotTotals) {
   MetricsRegistry reg;
-  Counter& c = reg.counter("a.requests");
+  Counter c;
+  reg.attach_counter("a.requests", c);
   TimeSeriesSampler ts;
   ts.start(reg, at(0), milliseconds(100), 16);
   ASSERT_TRUE(ts.running());
@@ -43,8 +44,9 @@ TEST(TimeSeriesSampler, WindowsHoldDeltasNotTotals) {
 
 TEST(TimeSeriesSampler, SelectedSeriesOnlyAndUnresolvedSkipped) {
   MetricsRegistry reg;
-  reg.counter("keep.me");
-  reg.counter("ignore.me");
+  Counter keep, ignore;
+  reg.attach_counter("keep.me", keep);
+  reg.attach_counter("ignore.me", ignore);
   TimeSeriesSampler ts;
   ts.add_counter("keep.me");
   ts.add_counter("no.such.counter");
@@ -57,7 +59,8 @@ TEST(TimeSeriesSampler, SelectedSeriesOnlyAndUnresolvedSkipped) {
 
 TEST(TimeSeriesSampler, CounterResetClampsDelta) {
   MetricsRegistry reg;
-  Counter& c = reg.counter("x");
+  Counter c;
+  reg.attach_counter("x", c);
   TimeSeriesSampler ts;
   ts.start(reg, at(0), milliseconds(10), 8);
   c += 100;
@@ -73,7 +76,8 @@ TEST(TimeSeriesSampler, CounterResetClampsDelta) {
 
 TEST(TimeSeriesSampler, RingBoundsRetention) {
   MetricsRegistry reg;
-  Counter& c = reg.counter("x");
+  Counter c;
+  reg.attach_counter("x", c);
   TimeSeriesSampler ts;
   ts.start(reg, at(0), milliseconds(1), 4);
   for (int i = 1; i <= 10; ++i) {
@@ -90,7 +94,8 @@ TEST(TimeSeriesSampler, RingBoundsRetention) {
 
 TEST(TimeSeriesSampler, OnWindowFires) {
   MetricsRegistry reg;
-  Counter& c = reg.counter("x");
+  Counter c;
+  reg.attach_counter("x", c);
   TimeSeriesSampler ts;
   ts.start(reg, at(0), milliseconds(10), 8);
   int fired = 0;
@@ -107,7 +112,8 @@ TEST(TimeSeriesSampler, OnWindowFires) {
 
 TEST(TimeSeriesSampler, ToJsonShape) {
   MetricsRegistry reg;
-  Counter& c = reg.counter("a.b");
+  Counter c;
+  reg.attach_counter("a.b", c);
   TimeSeriesSampler ts;
   ts.start(reg, at(0), milliseconds(500), 4);
   c += 7;
@@ -122,8 +128,9 @@ TEST(TimeSeriesSampler, ToJsonShape) {
 // --- Simulator integration ---
 
 TEST(SimulatorTimeseries, RunForSamplesEveryBoundary) {
+  Counter c;
   sim::Simulator sim;
-  Counter& c = sim.metrics().counter("test.ticks");
+  sim.metrics().attach_counter("test.ticks", c);
   sim.start_timeseries(milliseconds(100));
   // Some activity: bump the counter on a few scheduled events.
   for (int i = 1; i <= 5; ++i) {
@@ -142,8 +149,9 @@ TEST(SimulatorTimeseries, RunForSamplesEveryBoundary) {
 }
 
 TEST(SimulatorTimeseries, StopPreventsFurtherSampling) {
+  Counter x;
   sim::Simulator sim;
-  sim.metrics().counter("x");
+  sim.metrics().attach_counter("x", x);
   sim.start_timeseries(milliseconds(10));
   sim.run_for(milliseconds(50));
   sim.stop_timeseries();
@@ -153,8 +161,9 @@ TEST(SimulatorTimeseries, StopPreventsFurtherSampling) {
 }
 
 TEST(SimulatorTimeseries, RestartUsesFreshEpoch) {
+  Counter x;
   sim::Simulator sim;
-  sim.metrics().counter("x");
+  sim.metrics().attach_counter("x", x);
   sim.start_timeseries(milliseconds(10));
   sim.run_for(milliseconds(30));
   sim.stop_timeseries();
@@ -167,8 +176,10 @@ TEST(SimulatorTimeseries, RestartUsesFreshEpoch) {
 }
 
 TEST(SimulatorFlightRecorder, RenderCarriesAllSections) {
+  Counter c;
   sim::Simulator sim;
-  sim.metrics().counter("some.counter") += 3;
+  sim.metrics().attach_counter("some.counter", c);
+  c += 3;
   sim.start_timeseries(milliseconds(10));
   sim.run_for(milliseconds(20));
   sim.stop_timeseries();

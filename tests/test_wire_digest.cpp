@@ -1,13 +1,11 @@
 // Wire digests: every byte every node puts on the wire, pinned per scheme.
 //
 // Each test runs a short seeded scenario through one scheme and folds every
-// packet the simulator's tap sees into an FNV-1a 64 digest: its departure
-// time, its endpoints, its ports, its protocol, a TCP segment's seq, ack
-// and flags, and its payload bytes. The expected values are constants, so
-// a change to how any node decodes, builds or encodes its DNS messages or
-// TCP segments must leave the traffic byte-for-byte as it was. The
-// Determinism.* hash in test_system_properties.cpp covers sizes and times
-// only; it cannot see a changed byte.
+// packet the simulator's tap sees, header fields and payload bytes, into a
+// WireDigest (bench/wire_digest.h). The expected values are constants, so a
+// change to how any node decodes, builds or encodes its DNS messages or
+// TCP segments must leave the traffic byte-for-byte as it was. The Determinism.* hash in test_system_properties.cpp covers sizes
+// and times only; it cannot see a changed byte.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -16,6 +14,7 @@
 #include <vector>
 
 #include "attack/attackers.h"
+#include "bench/wire_digest.h"
 #include "guard/remote_guard.h"
 #include "server/authoritative_node.h"
 #include "sim/simulator.h"
@@ -28,48 +27,12 @@ namespace {
 using guard::RemoteGuardNode;
 using guard::Scheme;
 using net::Ipv4Address;
+using bench::WireDigest;
 using workload::DriveMode;
 
 constexpr Ipv4Address kAnsIp(10, 1, 1, 254);
 constexpr Ipv4Address kGuardIp(10, 1, 1, 253);
 constexpr Ipv4Address kSubnetBase(10, 1, 1, 0);
-
-/// FNV-1a 64 over the tapped packets, in tap order.
-class WireDigest {
- public:
-  void add(SimTime t, const net::Packet& p) {
-    ++packets_;
-    mix_u64(static_cast<std::uint64_t>(t.ns));
-    mix_u64(p.src_ip.value());
-    mix_u64(p.dst_ip.value());
-    mix_u64(p.src_port);
-    mix_u64(p.dst_port);
-    mix(p.is_tcp() ? 1 : 0);
-    if (p.is_tcp()) {
-      mix_u64(p.seq);
-      mix_u64(p.ack);
-      mix(static_cast<std::uint8_t>(p.flags.fin | p.flags.syn << 1 |
-                                    p.flags.rst << 2 | p.flags.psh << 3 |
-                                    p.flags.ack << 4));
-    }
-    mix_u64(p.payload.size());
-    for (std::uint8_t b : p.payload) mix(b);
-  }
-  [[nodiscard]] std::uint64_t value() const { return h_; }
-  [[nodiscard]] std::uint64_t packets() const { return packets_; }
-
- private:
-  void mix(std::uint8_t b) {
-    h_ ^= b;
-    h_ *= 0x100000001b3ULL;
-  }
-  void mix_u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) mix(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-
-  std::uint64_t h_ = 0xcbf29ce484222325ULL;
-  std::uint64_t packets_ = 0;
-};
 
 /// A guard in front of the ANS simulator, closed-loop drivers and flood
 /// nodes, all tapped from the first packet.
